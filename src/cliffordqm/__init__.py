@@ -73,4 +73,4 @@ from .spinors import (
     to_wavefunction,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

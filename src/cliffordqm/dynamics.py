@@ -29,8 +29,10 @@ class EvolutionConfig:
     scheme: str = "crank-nicolson"  # or "split-step"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not self.m > 0:
+            raise ValueError(f"m must be positive, got {self.m}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.scheme not in ("crank-nicolson", "split-step"):

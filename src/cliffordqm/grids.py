@@ -10,7 +10,7 @@ ride along untouched.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,9 @@ class Axis:
 
     def __post_init__(self):
         if self.n < MIN_POINTS:
-            raise GridError(f"need at least {MIN_POINTS} points per axis, got {self.n}")
+            raise GridError(f"n must be at least {MIN_POINTS} points per axis, got {self.n}")
         if not self.hi > self.lo:
-            raise GridError("axis extent must be increasing")
+            raise GridError(f"hi must exceed lo, got lo={self.lo} hi={self.hi}")
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,6 @@ class Grid:
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
-
-
-@dataclass(frozen=True)
-class GridField:
-    """A sampled field; values has the grid shape plus optional value axes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape[: self.grid.dim] != self.grid.shape:
-            raise GridError(
-                f"values shape {self.values.shape} does not start with grid shape {self.grid.shape}"
-            )
 
 
 @dataclass

@@ -38,12 +38,44 @@ class RunAborted(RuntimeError):
 # config parsing
 
 _STATE_KINDS = ("plane-wave", "gaussian", "pauli-superposition", "euler-texture")
+_REQUIRED = object()
 
 
 def _require(cfg: dict, key: str, ctx: str):
     if key not in cfg:
         raise ConfigError(f"missing key {key!r} in {ctx}")
     return cfg[key]
+
+
+def _section(raw: dict, key: str, source: str, default=_REQUIRED) -> dict:
+    spec = _require(raw, key, source) if default is _REQUIRED else raw.get(key, default)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{source}: {key}: expected a mapping, got {spec!r}")
+    return spec
+
+
+def _as_number(value, where: str, source: str, kind=float):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{source}: {where}: expected a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ConfigError(f"{source}: {where}: expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _number(spec: dict, key: str, section: str, source: str, kind=float, default=_REQUIRED):
+    """spec[key] as a float (or int); a missing or null key takes the default."""
+    if spec.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{source}: {section}.{key}: missing")
+        return default
+    return _as_number(spec[key], f"{section}.{key}", source, kind)
+
+
+def _numbers(spec: dict, key: str, section: str, source: str, default) -> list:
+    values = spec.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{source}: {section}.{key}: expected a list, got {values!r}")
+    return [_as_number(v, f"{section}.{key}[{i}]", source) for i, v in enumerate(values)]
 
 
 @dataclass
@@ -81,39 +113,48 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     if particle not in ("schrodinger", "pauli"):
         raise ConfigError(f"{source}: particle must be schrodinger or pauli")
 
-    gspec = _require(raw, "grid", source)
-    grid = gd.Grid.line(float(_require(gspec, "lo", "grid")),
-                        float(_require(gspec, "hi", "grid")),
-                        int(_require(gspec, "n", "grid")),
-                        gspec.get("boundary", "clamped"))
+    gspec = _section(raw, "grid", source)
+    lo, hi = _number(gspec, "lo", "grid", source), _number(gspec, "hi", "grid", source)
+    n = _number(gspec, "n", "grid", source, int)
+    try:
+        grid = gd.Grid.line(lo, hi, n, gspec.get("boundary", "clamped"))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: grid: {exc}") from exc
 
-    sspec = _require(raw, "initial_state", source)
-    descriptor = _parse_state(sspec, particle, source)
+    descriptor = _parse_state(_section(raw, "initial_state", source), particle, source)
 
-    vspec = raw.get("potential", {"kind": "none"})
+    vspec = _section(raw, "potential", source, {"kind": "none"})
     potential = _parse_potential(vspec, grid, source)
 
-    espec = _require(raw, "evolution", source)
-    evolution = dy.EvolutionConfig(
-        m=float(_require(espec, "m", "evolution")),
-        dt=float(_require(espec, "dt", "evolution")),
-        steps=int(_require(espec, "steps", "evolution")),
-        V=potential,
-        scheme=espec.get("scheme", "crank-nicolson"),
-    )
+    espec = _section(raw, "evolution", source)
+    m, dt = _number(espec, "m", "evolution", source), _number(espec, "dt", "evolution", source)
+    steps = _number(espec, "steps", "evolution", source, int)
+    try:
+        evolution = dy.EvolutionConfig(m, dt, steps, potential,
+                                       espec.get("scheme", "crank-nicolson"))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: evolution: {exc}") from exc
 
-    tspec = raw.get("trajectories", {})
-    seeds = [float(s) for s in tspec.get("seeds", [])]
-    stride = int(tspec.get("stride", 10))
+    tspec = _section(raw, "trajectories", source, {})
+    seeds = _numbers(tspec, "seeds", "trajectories", source, [])
+    stride = _number(tspec, "stride", "trajectories", source, int, 10)
+    if stride < 1:
+        raise ConfigError(f"{source}: trajectories.stride: must be at least 1, got {stride}")
 
-    tol = raw.get("tolerances", {})
-    tol_C = float(tol.get("C", 1.0))
-    support_rel = float(tol.get("support_rel", 1e-8))
+    tol = _section(raw, "tolerances", source, {})
+    tol_C = _number(tol, "C", "tolerances", source, default=1.0)
+    support_rel = _number(tol, "support_rel", "tolerances", source, default=1e-8)
 
-    checks = raw.get("checks", _default_checks(particle))
+    checks = raw.get("checks")
+    if checks is None:
+        checks = [c for c, (_, particles) in _CHECKS.items() if particle in particles]
+    if not isinstance(checks, list):
+        raise ConfigError(f"{source}: checks: expected a list of check names, got {checks!r}")
     for c in checks:
-        if c not in _ALL_CHECKS:
-            raise ConfigError(f"{source}: unknown check {c!r}")
+        if not isinstance(c, str) or c not in _CHECKS:
+            raise ConfigError(f"{source}: checks: unknown check {c!r}")
+        if particle not in _CHECKS[c][1]:
+            raise ConfigError(f"{source}: checks: {c} does not apply to particle: {particle}")
 
     scenario = Scenario(name, raw.get("description", ""), particle, grid,
                         descriptor, potential, dict(vspec), evolution, seeds,
@@ -126,32 +167,36 @@ def _parse_state(spec: dict, particle: str, source: str):
     kind = _require(spec, "kind", "initial_state")
     if kind not in _STATE_KINDS:
         raise ConfigError(f"{source}: unknown initial_state kind {kind!r}")
+
+    def num(key, default):
+        return _number(spec, key, "initial_state", source, default=default)
+
+    def vec(key, default):
+        return (num(key, default), 0.0, 0.0)
+
     if kind == "plane-wave":
-        return gd.PlaneWave(k=(float(spec.get("k", 1.0)), 0.0, 0.0),
-                            m=float(spec.get("m", 1.0)))
+        return gd.PlaneWave(k=vec("k", 1.0), m=num("m", 1.0))
     if kind == "gaussian":
-        return gd.GaussianPacket(sigma=float(spec.get("sigma", 1.0)),
-                                 x0=(float(spec.get("x0", 0.0)), 0.0, 0.0),
-                                 k=(float(spec.get("k", 0.0)), 0.0, 0.0),
-                                 m=float(spec.get("m", 1.0)))
+        return gd.GaussianPacket(sigma=num("sigma", 1.0), x0=vec("x0", 0.0),
+                                 k=vec("k", 0.0), m=num("m", 1.0))
     if kind == "pauli-superposition":
         if particle != "pauli":
             raise ConfigError(f"{source}: pauli-superposition needs particle: pauli")
-        w = spec.get("weights", (1.0, 1.0))
-        return gd.PauliSuperposition(k1=(float(spec.get("k1", 1.0)), 0.0, 0.0),
-                                     k2=(float(spec.get("k2", -1.0)), 0.0, 0.0),
-                                     weights=(float(w[0]), float(w[1])),
-                                     m=float(spec.get("m", 1.0)))
+        w = _numbers(spec, "weights", "initial_state", source, [1.0, 1.0])
+        if len(w) != 2:
+            raise ConfigError(f"{source}: initial_state.weights: expected two numbers, got {w}")
+        return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
+                                     weights=(w[0], w[1]), m=num("m", 1.0))
     if particle != "pauli":
         raise ConfigError(f"{source}: euler-texture needs particle: pauli")
     return gd.EulerTexture(
-        theta0=float(spec.get("theta", np.pi / 2)),
-        theta_k=(float(spec.get("theta_k", 0.0)), 0.0, 0.0),
-        phi0=float(spec.get("phi", 0.0)),
-        phi_k=(float(spec.get("phi_k", 0.0)), 0.0, 0.0),
-        chi_k=(float(spec.get("chi_k", 0.0)), 0.0, 0.0),
-        sigma=float(spec["sigma"]) if spec.get("sigma") is not None else None,
-        x0=(float(spec.get("x0", 0.0)), 0.0, 0.0),
+        theta0=num("theta", np.pi / 2),
+        theta_k=vec("theta_k", 0.0),
+        phi0=num("phi", 0.0),
+        phi_k=vec("phi_k", 0.0),
+        chi_k=vec("chi_k", 0.0),
+        sigma=num("sigma", None),
+        x0=vec("x0", 0.0),
     )
 
 
@@ -160,13 +205,13 @@ def _parse_potential(spec: dict, grid: gd.Grid, source: str):
     if kind == "none":
         return None
     if kind == "harmonic":
-        omega = float(spec.get("omega", 1.0))
-        m = float(spec.get("m", 1.0))
+        omega = _number(spec, "omega", "potential", source, default=1.0)
+        m = _number(spec, "m", "potential", source, default=1.0)
         x = grid.coords(0)
         return 0.5 * m * omega ** 2 * x ** 2
     if kind == "table":
-        values = spec.get("values")
-        if values is None or len(values) != grid.shape[0]:
+        values = _numbers(spec, "values", "potential", source, [])
+        if len(values) != grid.shape[0]:
             raise ConfigError(f"{source}: potential table must list one value per grid point")
         return np.asarray(values, dtype=float)
     raise ConfigError(f"{source}: unknown potential kind {kind!r}")
@@ -186,17 +231,6 @@ def _validate(sc: Scenario, source: str):
             raise ConfigError(f"{source}: trajectory seed {s} outside grid")
 
 
-def _default_checks(particle: str) -> list:
-    base = ["qhj", "continuity", "triple_agreement"]
-    if particle == "pauli":
-        base += ["spin_transport", "q_split", "current_decomposition"]
-    return base
-
-
-_ALL_CHECKS = ("qhj", "continuity", "triple_agreement", "spin_transport",
-               "q_split", "current_decomposition")
-
-
 # ---------------------------------------------------------------------------
 # running
 
@@ -212,23 +246,29 @@ def _initial_field(sc: Scenario) -> np.ndarray:
 def run_scenario(sc: Scenario, series: gd.SnapshotSeries = None) -> dict:
     """Evolve (unless a series is supplied), check, assemble the report."""
     if series is None:
-        psi0 = _initial_field(sc)
-        series = dy.evolve(psi0, sc.grid, sc.evolution)
+        series = dy.evolve(_initial_field(sc), sc.grid, sc.evolution)
+    return _check(sc, series)[0]
+
+
+def _check(sc: Scenario, series: gd.SnapshotSeries):
+    """Report on the middle frame of an evolved series.
+
+    Returns the report, the frame's SpinorField and its BohmObservables.
+    """
     drift = abs(dy.norm(series.frames[-1], sc.grid)
                 - dy.norm(series.frames[0], sc.grid))
     if drift > NORM_DRIFT_ABORT:
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
     k = len(series) // 2
-    m = sc.evolution.m
     state = ob.state_at(series, k)
-    obs = ob.compute_observables(series, k, m, sc.potential)
+    obs = ob.compute_observables(series, k, sc.evolution.m, sc.potential)
     support = state.mask & ob.support_mask(state.rho, sc.support_rel)
 
     h = sc.grid.spacing[0]
     dt = sc.evolution.dt
-    tol_time = 5.0 * sc.tol_C * (h * h + dt * dt)
-    tol_space = 5.0 * sc.tol_C * h * h
+    tolerance = {"time": 5.0 * sc.tol_C * (h * h + dt * dt),
+                 "space": 5.0 * sc.tol_C * h * h}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -241,61 +281,67 @@ def run_scenario(sc: Scenario, series: gd.SnapshotSeries = None) -> dict:
         "residuals": {},
         "passed": True,
     }
-
-    def record(name, res_field, tol, mask=support):
-        stats = ob.residual_stats(res_field, mask)
-        stats["grid"] = {"h": h, "dt": dt}
-        stats["tolerance"] = tol
-        stats["passed"] = stats["max_abs"] <= tol
-        report["residuals"][name] = stats
-        if not stats["passed"]:
-            report["passed"] = False
-
     for check in sc.checks:
-        if check == "qhj":
-            record("qhj", obs.residuals["qhj"], tol_time)
-        elif check == "continuity":
-            record("continuity", obs.residuals["continuity"], tol_time)
-        elif check == "spin_transport":
-            res = obs.residuals["spin_transport"]
-            record("spin_transport", res, tol_time)
-        elif check == "triple_agreement":
-            record("p_alg_vs_weighted",
-                   _vec_mag(obs.P - ob.bohm_momentum_weighted(state)), tol_space)
-            p_oracle = _per_rho(orc.momentum_density(state.psi, sc.grid), state)
-            record("p_alg_vs_oracle", _vec_mag(obs.P - p_oracle), tol_space)
-            e_weighted = ob.bohm_energy_weighted(series, k)
-            record("e_alg_vs_weighted", np.abs(obs.E - e_weighted), tol_time)
-            e_oracle = ob_energy_oracle(series, k, state)
-            record("e_alg_vs_oracle", np.abs(obs.E - e_oracle), tol_time)
-        elif check == "q_split":
-            record("q_split", np.abs(obs.Q - obs.Q1 - obs.Q2), tol_space)
-        elif check == "current_decomposition":
-            total = orc.messiah_current(state.psi, sc.grid, m)
-            record("current_decomposition",
-                   _vec_mag(total - (obs.J_conv + obs.J_rot)), tol_space)
+        residuals = _CHECKS[check][0]
+        for name, res_field, bound in residuals(sc, series, k, state, obs):
+            stats = ob.residual_stats(res_field, support)
+            stats["grid"] = {"h": h, "dt": dt}
+            stats["tolerance"] = tolerance[bound]
+            stats["passed"] = stats["max_abs"] <= tolerance[bound]
+            report["residuals"][name] = stats
+            if not stats["passed"]:
+                report["passed"] = False
+    return report, state, obs
 
-    return report
+
+# ---------------------------------------------------------------------------
+# checks: each yields (residual name, residual field, "time" or "space" bound)
+
+def _observable_residual(name: str):
+    def residuals(sc, series, k, state, obs):
+        yield name, obs.residuals[name], "time"
+    return residuals
+
+
+def _triple_agreement(sc, series, k, state, obs):
+    yield "p_alg_vs_weighted", _vec_mag(obs.P - ob.bohm_momentum_weighted(state)), "space"
+    p_oracle = ob.masked_divide(orc.momentum_density(state.psi, sc.grid), state.rho, state.mask)
+    yield "p_alg_vs_oracle", _vec_mag(obs.P - p_oracle), "space"
+    yield "e_alg_vs_weighted", np.abs(obs.E - ob.bohm_energy_weighted(series, k)), "time"
+    yield "e_alg_vs_oracle", np.abs(obs.E - ob_energy_oracle(series, k, state)), "time"
+
+
+def _q_split(sc, series, k, state, obs):
+    yield "q_split", np.abs(obs.Q - obs.Q1 - obs.Q2), "space"
+
+
+def _current_decomposition(sc, series, k, state, obs):
+    total = orc.messiah_current(state.psi, sc.grid, sc.evolution.m)
+    yield "current_decomposition", _vec_mag(total - (obs.J_conv + obs.J_rot)), "space"
+
+
+_BOTH, _PAULI = ("schrodinger", "pauli"), ("pauli",)
+
+# check name -> (residuals, particles it applies to); a config without a
+# checks list runs every check that applies to its particle, in this order
+_CHECKS = {
+    "qhj": (_observable_residual("qhj"), _BOTH),
+    "continuity": (_observable_residual("continuity"), _BOTH),
+    "triple_agreement": (_triple_agreement, _BOTH),
+    "spin_transport": (_observable_residual("spin_transport"), _PAULI),
+    "q_split": (_q_split, _PAULI),
+    "current_decomposition": (_current_decomposition, _PAULI),
+}
 
 
 def _vec_mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v ** 2).sum(axis=-1))
 
 
-def _per_rho(density: np.ndarray, state: ob.SpinorField) -> np.ndarray:
-    safe = np.where(state.mask, state.rho, 1.0)
-    out = density / safe[..., None]
-    out[~state.mask] = 0.0
-    return out
-
-
 def ob_energy_oracle(series, k, state) -> np.ndarray:
     dens = orc.energy_density((series.frames[k - 1], series.frames[k],
                                series.frames[k + 1]), series.dt)
-    safe = np.where(state.mask, state.rho, 1.0)
-    out = dens / safe
-    out[~state.mask] = 0.0
-    return out
+    return ob.masked_divide(dens, state.rho, state.mask)
 
 
 def run_trajectories(sc: Scenario, series: gd.SnapshotSeries) -> dy.TrajectorySet:
@@ -318,13 +364,8 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     """Full pipeline: run, export fields/trajectories CSV and report JSON."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    psi0 = _initial_field(sc)
-    series = dy.evolve(psi0, sc.grid, sc.evolution)
-    report = run_scenario(sc, series)
-
-    k = report["frame"]
-    state = ob.state_at(series, k)
-    obs = ob.compute_observables(series, k, sc.evolution.m, sc.potential)
+    series = dy.evolve(_initial_field(sc), sc.grid, sc.evolution)
+    report, state, obs = _check(sc, series)
     columns = {
         "rho": state.rho,
         "P": obs.P[..., : sc.grid.dim],

@@ -21,6 +21,7 @@ from .algebra import (
     Signature,
     algebra_trace,
     central_unit,
+    conj_coeffs,
     gp_coeffs,
 )
 from .grids import (
@@ -111,13 +112,33 @@ class SpinorField:
         return pseudoscalar_times(PAULI, v)
 
 
-def series_of(grid: Grid, frames, dt: float, t0: float = 0.0) -> SnapshotSeries:
-    times = t0 + dt * np.arange(len(frames))
-    return SnapshotSeries(times, list(frames), grid)
-
-
 def state_at(series: SnapshotSeries, k: int) -> SpinorField:
     return SpinorField(series.grid, series.frames[k])
+
+
+def _time_diff(series: SnapshotSeries, k: int, quantity) -> np.ndarray:
+    """Central time difference at frame k of quantity(SpinorField).
+
+    Only frames k-1 and k+1 become SpinorFields; time_derivative rejects a
+    boundary k and takes dt from series.dt, as it would for the whole
+    derived series.
+    """
+    derived = [None] * len(series)
+    for j in (k - 1, k + 1):
+        if 0 <= j < len(series):
+            derived[j] = quantity(state_at(series, j))
+    return time_derivative(SnapshotSeries(series.times, derived, series.grid), k)
+
+
+def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """num / den where mask holds, zero elsewhere.
+
+    den and mask have the grid shape; num may carry trailing value axes.
+    """
+    safe = np.where(mask, den, 1.0)
+    out = num / safe.reshape(safe.shape + (1,) * (num.ndim - safe.ndim))
+    out[~mask] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +152,10 @@ class OmegaField:
     temporal: np.ndarray = None
 
 
-def _conj_even(sig: Signature, coeffs: np.ndarray) -> np.ndarray:
-    from .algebra import conj_coeffs
-
-    return conj_coeffs(sig, coeffs)
-
-
 def omega_fields(state: SpinorField, series: SnapshotSeries = None, k: int = None) -> OmegaField:
     sig = state.signature
     u = state.u_coeffs
-    u_conj = _conj_even(sig, u)
+    u_conj = conj_coeffs(sig, u)
     spatial = []
     for ax in range(state.grid.dim):
         du = deriv(u, state.grid, ax)
@@ -149,21 +164,9 @@ def omega_fields(state: SpinorField, series: SnapshotSeries = None, k: int = Non
     if series is not None:
         if k is None:
             raise ValueError("omega_fields needs the frame index k with a series")
-        u_series = SnapshotSeries(series.times,
-                                  [SpinorField(series.grid, f).u_coeffs for f in series.frames],
-                                  series.grid)
-        du_dt = time_derivative(u_series, k)
+        du_dt = _time_diff(series, k, lambda st: st.u_coeffs)
         temporal = 2.0 * gp_coeffs(sig, du_dt, u_conj)
     return OmegaField(spatial, temporal)
-
-
-def omega_alternative(state: SpinorField) -> list:
-    """The -2 U (d_j ~U) form; agrees with omega_fields to stencil order."""
-    sig = state.signature
-    u = state.u_coeffs
-    u_conj = _conj_even(sig, u)
-    return [-2.0 * gp_coeffs(sig, u, deriv(u_conj, state.grid, ax))
-            for ax in range(state.grid.dim)]
 
 
 def _scalar_of_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,10 +251,7 @@ def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
     num = np.zeros(state.grid.shape + (3,))
     for comp in comps:
         num += _phase_density_gradient(comp, state.grid)
-    safe = np.where(state.mask, state.rho, 1.0)
-    out = num / safe[..., None]
-    out[~state.mask] = 0.0
-    return out
+    return masked_divide(num, state.rho, state.mask)
 
 
 def bohm_energy_weighted(series: SnapshotSeries, k: int) -> np.ndarray:
@@ -263,28 +263,11 @@ def bohm_energy_weighted(series: SnapshotSeries, k: int) -> np.ndarray:
     num = np.zeros(state.grid.shape)
     for comp, dcomp in comps:
         num -= comp.real * dcomp.imag - comp.imag * dcomp.real
-    safe = np.where(state.mask, state.rho, 1.0)
-    out = num / safe
-    out[~state.mask] = 0.0
-    return out
+    return masked_divide(num, state.rho, state.mask)
 
 
 # ---------------------------------------------------------------------------
-# W field and quantum potential
-
-def w_field(state: SpinorField) -> list:
-    """W^j = rho^-1 d_j(rho S), a bivector per axis (Pauli only)."""
-    if not state.is_pauli:
-        raise UnsupportedAlgebraError("w_field needs a Pauli field")
-    rho_S = state.rho[..., None] * state.spin_bivector_coeffs
-    safe = np.where(state.mask, state.rho, 1.0)
-    out = []
-    for ax in range(state.grid.dim):
-        w = deriv(rho_S, state.grid, ax) / safe[..., None]
-        w[~state.mask] = 0.0
-        out.append(w)
-    return out
-
+# quantum potential
 
 @dataclass
 class QuantumPotential:
@@ -302,9 +285,7 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     Q1 from the amplitude Laplacian, Q2 from the Euler-angle gradients.
     """
     grid = state.grid
-    safe_R = np.where(state.mask, state.R, 1.0)
-    q1 = -laplacian(state.R, grid) / (2.0 * m * safe_R)
-    q1[~state.mask] = 0.0
+    q1 = masked_divide(-laplacian(state.R, grid), 2.0 * m * state.R, state.mask)
     if not state.is_pauli:
         return QuantumPotential(q1.copy(), q1, np.zeros_like(q1))
 
@@ -369,10 +350,7 @@ def pauli_current(state: SpinorField, m: float, P: np.ndarray = None) -> Current
         j_rot = curl(state.rho[..., None] * state.spin, state.grid) / m
     else:
         j_rot = np.zeros_like(j_conv)
-    safe = np.where(state.mask, state.rho, 1.0)
-    v = (j_conv + j_rot) / safe[..., None]
-    v[~state.mask] = 0.0
-    return CurrentSplit(j_conv, j_rot, v)
+    return CurrentSplit(j_conv, j_rot, masked_divide(j_conv + j_rot, state.rho, state.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +380,7 @@ def continuity_residual(series: SnapshotSeries, k: int, m: float,
     state = state_at(series, k)
     if P is None:
         P = bohm_momentum(state)
-    rho_series = SnapshotSeries(series.times,
-                                [SpinorField(series.grid, f).rho for f in series.frames],
-                                series.grid)
-    drho_dt = time_derivative(rho_series, k)
+    drho_dt = _time_diff(series, k, lambda st: st.rho)
     res = drho_dt + divergence(state.rho[..., None] * P / m, series.grid)
     res[~state.mask] = 0.0
     return res
@@ -424,10 +399,7 @@ def spin_transport_residual(series: SnapshotSeries, k: int, m: float,
     grid = series.grid
     if P is None:
         P = bohm_momentum(state)
-    s_series = SnapshotSeries(series.times,
-                              [SpinorField(grid, f).spin for f in series.frames],
-                              grid)
-    ds_dt = time_derivative(s_series, k)
+    ds_dt = _time_diff(series, k, lambda st: st.spin)
     s = state.spin
     conv = np.zeros_like(s)
     for ax in range(grid.dim):
@@ -465,13 +437,8 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
     if not state.is_pauli:
         raise UnsupportedAlgebraError("quantum torque needs a Pauli field")
     grid = series.grid
-    p_series = SnapshotSeries(
-        series.times,
-        [bohm_momentum(SpinorField(grid, f)) for f in series.frames],
-        grid,
-    )
-    dP_dt = time_derivative(p_series, k) + gradient(
-        (p_series.frames[k] ** 2).sum(axis=-1), grid) / (2.0 * m)
+    P = bohm_momentum(state)
+    dP_dt = _time_diff(series, k, bohm_momentum) + gradient((P ** 2).sum(axis=-1), grid) / (2.0 * m)
 
     qp = quantum_potential(state, m)
     neg_grad_Q = -gradient(qp.Q, grid)
@@ -484,12 +451,7 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
 
     grad_phi = _grad_phi(state)
     dphi_dt = _dphi_dt(series, k)
-    cos_series = SnapshotSeries(
-        series.times,
-        [SpinorField(grid, f).spin_direction[..., 2] for f in series.frames],
-        grid,
-    )
-    dcos_dt = time_derivative(cos_series, k)
+    dcos_dt = _time_diff(series, k, lambda st: st.spin_direction[..., 2])
     torque = -0.5 * (dcos_dt[..., None] * grad_phi - gradient(cos_theta, grid) * dphi_dt[..., None])
 
     residual = dP_dt + (-neg_grad_Q) + torque

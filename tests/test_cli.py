@@ -92,6 +92,66 @@ def test_run_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_to_files_computes_observables_once(tmp_path, monkeypatch):
+    calls = []
+    compute = harness.ob.compute_observables
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(harness.ob, "compute_observables", counting)
+    report = harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
+    assert calls == [report["frame"]]
+
+
+def test_default_checks_are_those_of_the_particle():
+    pauli = harness.parse_config(SMALL_PAULI)
+    assert pauli.checks == ["qhj", "continuity", "triple_agreement", "spin_transport",
+                            "q_split", "current_decomposition"]
+    scalar = harness.parse_config(SMALL_SCHRODINGER.replace(
+        "checks: [qhj, continuity, triple_agreement]\n", ""))
+    assert scalar.checks == ["qhj", "continuity", "triple_agreement"]
+
+
+MALFORMED = [
+    # (id, (text in the config, replacement), text the one-line message must contain)
+    ("n_not_a_number", ("n: 128", "n: abc"), "grid.n"),
+    ("grid_not_a_mapping",
+     ("grid: {lo: -10.0, hi: 10.0, n: 128, boundary: clamped}", "grid: 5"), "grid:"),
+    ("n_too_small", ("n: 128", "n: 3"), "grid: n must be"),
+    ("m_negative", ("evolution: {m: 1.0", "evolution: {m: -1.0"), "evolution: m must be"),
+    ("m_not_a_number", ("evolution: {m: 1.0", "evolution: {m: [1.0]"), "evolution.m"),
+    ("stride_zero", ("stride: 10", "stride: 0"), "trajectories.stride"),
+    ("seed_not_a_number", ("seeds: [-1.0, 0.0, 1.0]", "seeds: [-1.0, zero]"),
+     "trajectories.seeds[1]"),
+    ("tolerance_not_a_number", ("tolerances: {C: 1.0,", "tolerances: {C: one,"),
+     "tolerances.C"),
+    ("schrodinger_spin_transport",
+     ("checks: [qhj, continuity, triple_agreement]", "checks: [spin_transport]"),
+     "checks: spin_transport"),
+    ("schrodinger_current_decomposition",
+     ("checks: [qhj, continuity, triple_agreement]", "checks: [current_decomposition]"),
+     "checks: current_decomposition"),
+]
+
+
+@pytest.mark.parametrize("change, key", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_cli_malformed_config_names_the_key(change, key, tmp_path, capsys):
+    old, new = change
+    assert old in SMALL_SCHRODINGER
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SCHRODINGER.replace(old, new))
+    out = tmp_path / "never"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert key in err
+
+
 def test_sweep_requires_three_levels():
     sc = harness.parse_config(SMALL_PAULI)
     with pytest.raises(harness.ConfigError):

@@ -215,6 +215,55 @@ def test_residual_stats_reports_masked_fraction():
     assert stats["masked_fraction"] == 0.5
 
 
+class RecordingFrames(list):
+    """A frames list that records every index it hands out."""
+
+    def __init__(self, frames):
+        super().__init__(frames)
+        self.read = set()
+
+    def __getitem__(self, j):
+        idx = range(len(self))[j]
+        self.read.update(idx if isinstance(idx, range) else [idx])
+        return super().__getitem__(j)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
+TIME_STENCIL_FUNCTIONS = {
+    "compute_observables": lambda series, k: ob.compute_observables(series, k, 1.0),
+    "bohm_energy": lambda series, k: ob.bohm_energy(series, k),
+    "continuity_residual": lambda series, k: ob.continuity_residual(series, k, 1.0),
+    "spin_transport_residual": lambda series, k: ob.spin_transport_residual(series, k, 1.0),
+    "quantum_torque": lambda series, k: ob.quantum_torque(series, k, 1.0),
+}
+
+
+def recording_pauli_series(n_frames):
+    grid = gd.Grid.line(-6.0, 6.0, 65)
+    d = gd.EulerTexture(theta0=1.0, theta_k=(0.2, 0, 0), chi_k=(0.3, 0, 0), sigma=1.5,
+                        omega_t=0.4)
+    times = 1e-3 * np.arange(n_frames)
+    return gd.SnapshotSeries(times, RecordingFrames(gd.sample(d, grid, t) for t in times), grid)
+
+
+@pytest.mark.parametrize("name", sorted(TIME_STENCIL_FUNCTIONS))
+def test_time_stencil_reads_only_neighbour_frames(name):
+    series = recording_pauli_series(9)
+    k = 4
+    TIME_STENCIL_FUNCTIONS[name](series, k)
+    assert series.frames.read == {k - 1, k, k + 1}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_STENCIL_FUNCTIONS))
+def test_time_stencil_rejects_boundary_frames(name):
+    series = recording_pauli_series(3)
+    for k in (0, 2):
+        with pytest.raises(gd.GridError):
+            TIME_STENCIL_FUNCTIONS[name](series, k)
+
+
 def test_compute_observables_bundle():
     grid = gd.Grid.line(-8.0, 8.0, 201)
     series = schrodinger_series(gd.GaussianPacket(sigma=1.0), grid, n=3, t0=0.2)
