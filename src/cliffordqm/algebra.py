@@ -1,9 +1,23 @@
 """Real Clifford algebra arithmetic for Cl(0,1) and Cl(3,0).
 
 Elements are kept as dense real coefficient arrays over a fixed canonical
-blade order (scalar, vectors, bivectors e23/e13/e12, pseudoscalar).  Both
-single-element and whole-grid (vectorized) products run off one precomputed
-Cayley table per signature.
+blade order (scalar, vectors, bivectors e23/e13/e12, pseudoscalar).
+
+Every product runs through ``gp_coeffs`` and one table per signature.  Each
+row of a Clifford Cayley table is a signed permutation: for a left blade e_i
+and an output blade e_k there is exactly one right blade e_j = e_inv[i,k]
+with e_i e_j = s[i,k] e_k.  ``gp_coeffs`` picks its layout from the
+operands' broadcast shape:
+
+- a single element, shape (dim,): one contraction a_i (b[inv] s)[i,k];
+- a field, shape (..., dim): the blade axis is moved first so that each
+  blade is one contiguous array, and each output blade accumulates its dim
+  products over i = 0 .. dim-1 in preallocated buffers; the result is a
+  (..., dim) view of that blade-first buffer.
+
+Both layouts add the same products in the same order of i, starting from
+zero, and a sign of +-1 is exact, so a field product equals, bit for bit,
+the single-element products of its points.
 """
 
 from __future__ import annotations
@@ -119,18 +133,45 @@ def cayley_table(sig: Signature) -> CayleyTable:
     return CayleyTable(sig, index, sign, grades, _BLADE_NAMES[(sig.p, sig.q)])
 
 
+@lru_cache(maxsize=None)
+def _signed_permutation(sig: Signature) -> tuple:
+    """(inv, sign, terms) with e_i e_inv[i,k] = sign[i,k] e_k, from the Cayley table.
+
+    terms[k] lists (i, inv[i,k], np.add or np.subtract) in increasing i: the
+    products that make output blade k, with the sign as the choice of ufunc.
+    """
+    tab = cayley_table(sig)
+    inv = np.argsort(tab.index, axis=1)
+    sign = np.take_along_axis(tab.sign, inv, axis=1)
+    inv.flags.writeable = False
+    sign.flags.writeable = False
+    terms = tuple(tuple((i, int(inv[i, k]), np.add if sign[i, k] > 0 else np.subtract)
+                        for i in range(sig.dim)) for k in range(sig.dim))
+    return inv, sign, terms
+
+
 # ---------------------------------------------------------------------------
 # vectorized kernels: operate on coefficient arrays of shape (..., dim)
 
 def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product on stacked coefficient arrays."""
-    tab = cayley_table(sig)
-    n = sig.dim
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for i in range(n):
-        for j in range(n):
-            out[..., tab.index[i, j]] += tab.sign[i, j] * a[..., i] * b[..., j]
-    return out
+    inv, sign, terms = _signed_permutation(sig)
+    if a.ndim == 1 and b.ndim == 1:
+        return np.einsum("i,ik->k", a, b[inv] * sign)
+    # blade axis first, both operands at the full rank, each blade contiguous
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    nd = len(shape)
+    first = (nd - 1,) + tuple(range(nd - 1))
+    left, right = (list(np.ascontiguousarray(x.reshape((1,) * (nd - x.ndim) + x.shape)
+                                             .transpose(first))) for x in (a, b))
+    out = np.zeros((sig.dim,) + shape[:-1], dtype=np.result_type(a, b))
+    term = np.empty_like(out[0])
+    for blade, row in zip(out, terms):
+        for i, j, accumulate in row:
+            np.multiply(left[i], right[j], out=term)
+            # x - y is x + (-y) exactly, so a sign of -1 costs no pass of its own
+            accumulate(blade, term, out=blade)
+    return out.transpose(tuple(range(1, nd)) + (0,))
 
 
 def conj_coeffs(sig: Signature, a: np.ndarray) -> np.ndarray:

@@ -71,6 +71,14 @@ def _number(spec: dict, key: str, section: str, source: str, kind=float, default
     return _as_number(spec[key], f"{section}.{key}", source, kind)
 
 
+def _positive(spec: dict, key: str, section: str, source: str, default):
+    """A number that must be > 0 when given; a missing key takes the default."""
+    value = _number(spec, key, section, source, default=default)
+    if value is not None and not value > 0:
+        raise ConfigError(f"{source}: {section}.{key}: must be positive, got {value}")
+    return value
+
+
 def _numbers(spec: dict, key: str, section: str, source: str, default) -> list:
     values = spec.get(key, default)
     if not isinstance(values, (list, tuple)):
@@ -171,14 +179,17 @@ def _parse_state(spec: dict, particle: str, source: str):
     def num(key, default):
         return _number(spec, key, "initial_state", source, default=default)
 
+    def positive(key, default):
+        return _positive(spec, key, "initial_state", source, default)
+
     def vec(key, default):
         return (num(key, default), 0.0, 0.0)
 
     if kind == "plane-wave":
-        return gd.PlaneWave(k=vec("k", 1.0), m=num("m", 1.0))
+        return gd.PlaneWave(k=vec("k", 1.0), m=positive("m", 1.0))
     if kind == "gaussian":
-        return gd.GaussianPacket(sigma=num("sigma", 1.0), x0=vec("x0", 0.0),
-                                 k=vec("k", 0.0), m=num("m", 1.0))
+        return gd.GaussianPacket(sigma=positive("sigma", 1.0), x0=vec("x0", 0.0),
+                                 k=vec("k", 0.0), m=positive("m", 1.0))
     if kind == "pauli-superposition":
         if particle != "pauli":
             raise ConfigError(f"{source}: pauli-superposition needs particle: pauli")
@@ -186,7 +197,7 @@ def _parse_state(spec: dict, particle: str, source: str):
         if len(w) != 2:
             raise ConfigError(f"{source}: initial_state.weights: expected two numbers, got {w}")
         return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
-                                     weights=(w[0], w[1]), m=num("m", 1.0))
+                                     weights=(w[0], w[1]), m=positive("m", 1.0))
     if particle != "pauli":
         raise ConfigError(f"{source}: euler-texture needs particle: pauli")
     return gd.EulerTexture(
@@ -195,7 +206,7 @@ def _parse_state(spec: dict, particle: str, source: str):
         phi0=num("phi", 0.0),
         phi_k=vec("phi_k", 0.0),
         chi_k=vec("chi_k", 0.0),
-        sigma=num("sigma", None),
+        sigma=positive("sigma", None),
         x0=vec("x0", 0.0),
     )
 
@@ -206,7 +217,7 @@ def _parse_potential(spec: dict, grid: gd.Grid, source: str):
         return None
     if kind == "harmonic":
         omega = _number(spec, "omega", "potential", source, default=1.0)
-        m = _number(spec, "m", "potential", source, default=1.0)
+        m = _positive(spec, "m", "potential", source, default=1.0)
         x = grid.coords(0)
         return 0.5 * m * omega ** 2 * x ** 2
     if kind == "table":
@@ -238,8 +249,14 @@ NORM_DRIFT_ABORT = 1e-4
 
 
 def _initial_field(sc: Scenario) -> np.ndarray:
-    psi0 = gd.sample(sc.descriptor, sc.grid)
-    n = dy.norm(psi0, sc.grid)
+    # a state that cannot be normalised (all weights zero) samples as 0 or NaN;
+    # the norm test below reports it in one line instead of numpy's warnings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi0 = gd.sample(sc.descriptor, sc.grid)
+        n = dy.norm(psi0, sc.grid)
+    if not (np.isfinite(n) and n > 0):
+        raise ConfigError(f"{sc.name}: initial_state: sampled state has norm {n:g}, "
+                          "which cannot be normalised")
     return psi0 / n
 
 
@@ -257,7 +274,7 @@ def _check(sc: Scenario, series: gd.SnapshotSeries):
     """
     drift = abs(dy.norm(series.frames[-1], sc.grid)
                 - dy.norm(series.frames[0], sc.grid))
-    if drift > NORM_DRIFT_ABORT:
+    if not drift <= NORM_DRIFT_ABORT:  # a NaN drift aborts too
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
     k = len(series) // 2
@@ -362,9 +379,10 @@ def run_trajectories(sc: Scenario, series: gd.SnapshotSeries) -> dy.TrajectorySe
 
 def run_to_files(sc: Scenario, out_dir) -> dict:
     """Full pipeline: run, export fields/trajectories CSV and report JSON."""
+    psi0 = _initial_field(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = dy.evolve(_initial_field(sc), sc.grid, sc.evolution)
+    series = dy.evolve(psi0, sc.grid, sc.evolution)
     report, state, obs = _check(sc, series)
     columns = {
         "rho": state.rho,

@@ -19,6 +19,7 @@ from .algebra import (
     SCHRODINGER,
     Multivector,
     Signature,
+    _signed_permutation,
     algebra_trace,
     central_unit,
     conj_coeffs,
@@ -171,14 +172,10 @@ def omega_fields(state: SpinorField, series: SnapshotSeries = None, k: int = Non
 
 def _scalar_of_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Scalar part of the geometric product a*b without forming all grades."""
-    from .algebra import cayley_table
-
-    tab = cayley_table(sig)
+    inv, sign, _ = _signed_permutation(sig)
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
     for i in range(sig.dim):
-        for j in range(sig.dim):
-            if tab.index[i, j] == 0:
-                out += tab.sign[i, j] * a[..., i] * b[..., j]
+        out += sign[i, 0] * a[..., i] * b[..., inv[i, 0]]
     return out
 
 

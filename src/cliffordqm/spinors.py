@@ -22,6 +22,7 @@ from .algebra import (
     Multivector,
     Signature,
     central_unit,
+    gp_coeffs,
     idempotent,
 )
 
@@ -316,6 +317,4 @@ def even_field_coeffs(sig: Signature, g: np.ndarray) -> np.ndarray:
 
 def pseudoscalar_times(sig: Signature, coeffs: np.ndarray) -> np.ndarray:
     """Left-multiply a coefficient field by the central unit (e or e123)."""
-    from .algebra import gp_coeffs
-
     return gp_coeffs(sig, central_unit(sig).coeffs, coeffs)

@@ -115,34 +115,45 @@ def test_default_checks_are_those_of_the_particle():
 
 
 MALFORMED = [
-    # (id, (text in the config, replacement), text the one-line message must contain)
-    ("n_not_a_number", ("n: 128", "n: abc"), "grid.n"),
-    ("grid_not_a_mapping",
+    # (id, config, (text in the config, replacement), text the one-line message must contain)
+    ("n_not_a_number", SMALL_SCHRODINGER, ("n: 128", "n: abc"), "grid.n"),
+    ("grid_not_a_mapping", SMALL_SCHRODINGER,
      ("grid: {lo: -10.0, hi: 10.0, n: 128, boundary: clamped}", "grid: 5"), "grid:"),
-    ("n_too_small", ("n: 128", "n: 3"), "grid: n must be"),
-    ("m_negative", ("evolution: {m: 1.0", "evolution: {m: -1.0"), "evolution: m must be"),
-    ("m_not_a_number", ("evolution: {m: 1.0", "evolution: {m: [1.0]"), "evolution.m"),
-    ("stride_zero", ("stride: 10", "stride: 0"), "trajectories.stride"),
-    ("seed_not_a_number", ("seeds: [-1.0, 0.0, 1.0]", "seeds: [-1.0, zero]"),
+    ("n_too_small", SMALL_SCHRODINGER, ("n: 128", "n: 3"), "grid: n must be"),
+    ("m_negative", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: -1.0"),
+     "evolution: m must be"),
+    ("m_not_a_number", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: [1.0]"),
+     "evolution.m"),
+    ("stride_zero", SMALL_SCHRODINGER, ("stride: 10", "stride: 0"), "trajectories.stride"),
+    ("seed_not_a_number", SMALL_SCHRODINGER, ("seeds: [-1.0, 0.0, 1.0]", "seeds: [-1.0, zero]"),
      "trajectories.seeds[1]"),
-    ("tolerance_not_a_number", ("tolerances: {C: 1.0,", "tolerances: {C: one,"),
+    ("tolerance_not_a_number", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {C: one,"),
      "tolerances.C"),
-    ("schrodinger_spin_transport",
+    ("schrodinger_spin_transport", SMALL_SCHRODINGER,
      ("checks: [qhj, continuity, triple_agreement]", "checks: [spin_transport]"),
      "checks: spin_transport"),
-    ("schrodinger_current_decomposition",
+    ("schrodinger_current_decomposition", SMALL_SCHRODINGER,
      ("checks: [qhj, continuity, triple_agreement]", "checks: [current_decomposition]"),
      "checks: current_decomposition"),
+    ("sigma_zero", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: 0.0"), "initial_state.sigma"),
+    ("sigma_negative", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: -1.0"), "initial_state.sigma"),
+    ("state_m_negative", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: 0.5, m: -1.0"),
+     "initial_state.m"),
+    ("potential_m_negative", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: harmonic, m: -1.0}"), "potential.m"),
+    ("weights_zero", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [0.0, 0.0],"),
+     "initial_state"),
 ]
 
 
-@pytest.mark.parametrize("change, key", [row[1:] for row in MALFORMED],
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("config, change, key", [row[1:] for row in MALFORMED],
                          ids=[row[0] for row in MALFORMED])
-def test_cli_malformed_config_names_the_key(change, key, tmp_path, capsys):
+def test_cli_malformed_config_names_the_key(config, change, key, tmp_path, capsys):
     old, new = change
-    assert old in SMALL_SCHRODINGER
+    assert config.count(old) == 1
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(SMALL_SCHRODINGER.replace(old, new))
+    cfg.write_text(config.replace(old, new))
     out = tmp_path / "never"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
@@ -150,6 +161,14 @@ def test_cli_malformed_config_names_the_key(change, key, tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert key in err
+
+
+def test_nan_norm_drift_aborts():
+    sc = harness.parse_config(SMALL_SCHRODINGER)
+    series = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
+    series.frames[-1] = np.full_like(series.frames[-1], np.nan)
+    with pytest.raises(harness.RunAborted, match="nan"):
+        harness.run_scenario(sc, series)
 
 
 def test_sweep_requires_three_levels():
