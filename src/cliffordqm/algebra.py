@@ -346,6 +346,7 @@ def is_idempotent(a: Multivector, tol: float = DEFAULT_TOL) -> bool:
     return (a * a - a).norm_inf() <= tol
 
 
+@lru_cache(maxsize=None)
 def central_unit(sig: Signature) -> Multivector:
     """The algebra's symbol i: e for Cl(0,1), e123 for Cl(3,0)."""
     name = "e" if (sig.p, sig.q) == (0, 1) else "e123"
@@ -357,6 +358,7 @@ def algebra_trace(a: Multivector) -> float:
     return a.signature.trace_weight * a.scalar_part
 
 
+@lru_cache(maxsize=None)
 def idempotent(sig: Signature) -> Multivector:
     """The primitive idempotent used throughout: 1, or (1 + e3)/2."""
     if (sig.p, sig.q) == (0, 1):

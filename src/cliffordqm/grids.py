@@ -234,6 +234,11 @@ class PauliSuperposition:
     weights: tuple = (1.0, 1.0)
     m: float = 1.0
 
+    def __post_init__(self):
+        # sample divides by this norm; NaN fails the comparison too
+        if not 0.0 < np.hypot(*self.weights) < np.inf:
+            raise GridError(f"weights: need a finite, nonzero norm, got {self.weights}")
+
 
 @dataclass(frozen=True)
 class EulerTexture:

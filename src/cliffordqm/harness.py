@@ -196,8 +196,11 @@ def _parse_state(spec: dict, particle: str, source: str):
         w = _numbers(spec, "weights", "initial_state", source, [1.0, 1.0])
         if len(w) != 2:
             raise ConfigError(f"{source}: initial_state.weights: expected two numbers, got {w}")
-        return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
-                                     weights=(w[0], w[1]), m=positive("m", 1.0))
+        try:
+            return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
+                                         weights=(w[0], w[1]), m=positive("m", 1.0))
+        except gd.GridError as exc:
+            raise ConfigError(f"{source}: initial_state.{exc}") from exc
     if particle != "pauli":
         raise ConfigError(f"{source}: euler-texture needs particle: pauli")
     return gd.EulerTexture(
@@ -249,8 +252,8 @@ NORM_DRIFT_ABORT = 1e-4
 
 
 def _initial_field(sc: Scenario) -> np.ndarray:
-    # a state that cannot be normalised (all weights zero) samples as 0 or NaN;
-    # the norm test below reports it in one line instead of numpy's warnings
+    # a state that cannot be normalised samples as 0 or NaN; the norm test
+    # below reports it in one line instead of numpy's warnings
     with np.errstate(divide="ignore", invalid="ignore"):
         psi0 = gd.sample(sc.descriptor, sc.grid)
         n = dy.norm(psi0, sc.grid)

@@ -5,6 +5,11 @@ geometric products, the Omega fields), with alternative standard-formalism
 routes provided where the theory gives more than one expression for the
 same field (weighted means, Euler-angle forms).  The oracle module holds
 the fully independent wavefunction versions used for cross checks.
+
+The Bohm momentum and energy are one bilinear for both particles: with
+Omega = 2 (dU) ~U and S = U gamma ~U / 2 for the ideal's phase generator
+gamma, P^j = -<Omega^j S>_0 and E = <Omega_t S>_0.  In Cl(3,0) S = i s; in
+Cl(0,1) gamma = e is central and S = e/2.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .algebra import (
     Signature,
     _signed_permutation,
     algebra_trace,
-    central_unit,
     conj_coeffs,
     gp_coeffs,
 )
@@ -42,6 +46,7 @@ from .spinors import (
     even_field_coeffs,
     g_from_components,
     g_from_wavefunction,
+    phase_generator,
     pseudoscalar_times,
     spin_field_from_g,
 )
@@ -107,7 +112,14 @@ class SpinorField:
 
     @cached_property
     def spin_bivector_coeffs(self) -> np.ndarray:
-        """S = i s as full multivector coefficient arrays."""
+        """S = U gamma ~U / 2 as full multivector coefficient arrays.
+
+        Cl(3,0): gamma = e12 = i e3, so S = i s.  Cl(0,1): gamma = e commutes
+        with U and U ~U = 1, so S = e/2 at every point (a read-only view).
+        """
+        if not self.is_pauli:
+            half_e = 0.5 * phase_generator(SCHRODINGER).coeffs
+            return np.broadcast_to(half_e, self.grid.shape + (2,))
         v = np.zeros(self.grid.shape + (8,))
         v[..., 1:4] = self.spin
         return pseudoscalar_times(PAULI, v)
@@ -183,19 +195,13 @@ def _scalar_of_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarr
 # Bohm momentum and energy: algebraic route
 
 def bohm_momentum(state: SpinorField, omega: OmegaField = None) -> np.ndarray:
-    """P_B per unit rho; shape grid.shape + (3,), masked at density nodes."""
+    """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
     if omega is None:
         omega = omega_fields(state)
-    sig = state.signature
+    S = state.spin_bivector_coeffs
     out = np.zeros(state.grid.shape + (3,))
-    if state.is_pauli:
-        S = state.spin_bivector_coeffs
-        for ax, om in enumerate(omega.spatial):
-            out[..., ax] = -_scalar_of_product(sig, om, S)
-    else:
-        e = central_unit(sig).coeffs
-        for ax, om in enumerate(omega.spatial):
-            out[..., ax] = -0.5 * _scalar_of_product(sig, np.broadcast_to(e, om.shape), om)
+    for ax, om in enumerate(omega.spatial):
+        out[..., ax] = -_scalar_of_product(state.signature, om, S)
     out[~state.mask] = 0.0
     return out
 
@@ -218,15 +224,10 @@ def bohm_momentum_vector_part(state: SpinorField, omega: OmegaField = None) -> n
 
 
 def bohm_energy(series: SnapshotSeries, k: int) -> np.ndarray:
-    """E_B per unit rho at frame k via the central time stencil."""
+    """E_B = <Omega_t S>_0 per unit rho at frame k via the central time stencil."""
     state = state_at(series, k)
-    omega = omega_fields(state, series, k)
-    sig = state.signature
-    if state.is_pauli:
-        out = _scalar_of_product(sig, omega.temporal, state.spin_bivector_coeffs)
-    else:
-        e = central_unit(sig).coeffs
-        out = 0.5 * _scalar_of_product(sig, np.broadcast_to(e, omega.temporal.shape), omega.temporal)
+    omega_t = omega_fields(state, series, k).temporal
+    out = _scalar_of_product(state.signature, omega_t, state.spin_bivector_coeffs)
     out[~state.mask] = 0.0
     return out
 
@@ -447,7 +448,7 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
         & (rho2 > POLE_EPS * np.max(state.rho))
 
     grad_phi = _grad_phi(state)
-    dphi_dt = _dphi_dt(series, k)
+    dphi_dt = _dphi_dt(state, time_derivative(series, k))
     dcos_dt = _time_diff(series, k, lambda st: st.spin_direction[..., 2])
     torque = -0.5 * (dcos_dt[..., None] * grad_phi - gradient(cos_theta, grid) * dphi_dt[..., None])
 
@@ -459,24 +460,22 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
 
 def _grad_phi(state: SpinorField) -> np.ndarray:
     """grad(phi) = grad(S1) - grad(S2), branch-free per component."""
-    rho1 = np.abs(state.psi[..., 0]) ** 2
-    rho2 = np.abs(state.psi[..., 1]) ** 2
-    safe1 = np.where(rho1 > 0, rho1, 1.0)
-    safe2 = np.where(rho2 > 0, rho2, 1.0)
-    g1 = _phase_density_gradient(state.psi[..., 0], state.grid) / safe1[..., None]
-    g2 = _phase_density_gradient(state.psi[..., 1], state.grid) / safe2[..., None]
-    return g1 - g2
+    grads = []
+    for i in range(2):
+        comp = state.psi[..., i]
+        rho_i = np.abs(comp) ** 2
+        grads.append(masked_divide(_phase_density_gradient(comp, state.grid), rho_i, rho_i > 0))
+    return grads[0] - grads[1]
 
 
-def _dphi_dt(series: SnapshotSeries, k: int) -> np.ndarray:
-    state = state_at(series, k)
-    dpsi_dt = time_derivative(series, k)
-    out = np.zeros(series.grid.shape)
+def _dphi_dt(state: SpinorField, dpsi_dt: np.ndarray) -> np.ndarray:
+    """d_t phi = d_t S1 - d_t S2 from the frame's state and d_t psi."""
+    out = np.zeros(state.grid.shape)
     for i, sign in ((0, 1.0), (1, -1.0)):
         comp, dcomp = state.psi[..., i], dpsi_dt[..., i]
         rho_i = np.abs(comp) ** 2
-        safe = np.where(rho_i > 0, rho_i, 1.0)
-        out += sign * (comp.real * dcomp.imag - comp.imag * dcomp.real) / safe
+        out += sign * masked_divide(comp.real * dcomp.imag - comp.imag * dcomp.real,
+                                    rho_i, rho_i > 0)
     return out
 
 

@@ -5,6 +5,15 @@ and the primitive idempotent (1 for Cl(0,1), (1+e3)/2 for Cl(3,0)).  The
 same state can be read out as a column spinor (complex components) or, for
 Cl(3,0), as Euler angles; both maps are exact round trips away from the
 degenerate points.
+
+U is kept through its g-coefficients, and ``_G_SLOTS`` is the one table of
+their blade slots.  A single point is the zero-dimensional field, shape
+(n_g,): the constructors embed U with ``even_field_coeffs`` and
+``spin_vector_from_g`` is ``spin_field_from_g``.  The constructors keep
+their own normalisation (``math.hypot`` on Python complex numbers): for one
+point it is faster than ``g_from_components``/``g_from_wavefunction``, and it
+stays exact where the field's sqrt(|psi1|^2 + |psi2|^2) loses precision
+(|psi| below about 1e-154) and underflows to 0 (below about 1e-162).
 """
 
 from __future__ import annotations
@@ -26,29 +35,25 @@ from .algebra import (
     idempotent,
 )
 
-# index of each even-blade coefficient in the canonical Cl(3,0) layout
-_G_SLOTS_PAULI = (0, 4, 5, 6)  # 1, e23, e13, e12
+# blade slot of each g-coefficient in the canonical layout of each signature
+_G_SLOTS = {SCHRODINGER: [0, 1], PAULI: [0, 4, 5, 6]}  # 1, e | 1, e23, e13, e12
+
+# the generator of the ideal's phase rotations, exp(gamma lam) acting on the right
+_PHASE_GENERATOR = {SCHRODINGER: "e", PAULI: "e12"}
 
 
 class UnsupportedAlgebraError(ValueError):
     """Raised when an operation needs the other algebra (e.g. spin in Cl(0,1))."""
 
 
-def _unit_even(sig: Signature, g: np.ndarray) -> Multivector:
-    c = np.zeros(sig.dim)
-    if (sig.p, sig.q) == (0, 1):
-        c[0], c[1] = g[0], g[1]
-    else:
-        for slot, gi in zip(_G_SLOTS_PAULI, g):
-            c[slot] = gi
-    return Multivector(sig, c)
-
-
 def even_coeffs(U: Multivector) -> np.ndarray:
     """Extract the g-coefficients of an even element (g0[,g1,g2,g3])."""
-    if (U.signature.p, U.signature.q) == (0, 1):
-        return np.array([U.coeffs[0], U.coeffs[1]])
-    return U.coeffs[list(_G_SLOTS_PAULI)].copy()
+    return U.coeffs[_G_SLOTS[U.signature]]
+
+
+def phase_generator(sig: Signature) -> Multivector:
+    """The ideal's phase generator gamma: e for Cl(0,1), e12 for Cl(3,0)."""
+    return Multivector.blade(sig, _PHASE_GENERATOR[sig])
 
 
 @dataclass(frozen=True)
@@ -96,26 +101,25 @@ class EulerAngles:
 # ---------------------------------------------------------------------------
 # constructors
 
-def from_wavefunction(psi: complex) -> IdealSpinor:
-    """Cl(0,1) spinor from an ordinary complex wavefunction value."""
-    sig = SCHRODINGER
-    R = abs(psi)
+def _polar(sig: Signature, R: float, g) -> IdealSpinor:
+    """R U epsilon, U embedded from the g-coefficients g of R U (zero R: U = 1)."""
     if R == 0.0:
         return IdealSpinor(sig, 0.0, Multivector.scalar(sig, 1.0), idempotent(sig), degenerate=True)
-    g = np.array([psi.real / R, psi.imag / R])
-    return IdealSpinor(sig, R, _unit_even(sig, g), idempotent(sig))
+    U = Multivector(sig, even_field_coeffs(sig, np.array(g) / R))
+    return IdealSpinor(sig, R, U, idempotent(sig))
+
+
+def from_wavefunction(psi: complex) -> IdealSpinor:
+    """Cl(0,1) spinor from an ordinary complex wavefunction value."""
+    return _polar(SCHRODINGER, abs(psi), (psi.real, psi.imag))
 
 
 def from_components(psi1: complex, psi2: complex) -> IdealSpinor:
     """Cl(3,0) spinor from the two complex Pauli components."""
-    sig = PAULI
-    R = math.hypot(abs(psi1), abs(psi2))
-    if R == 0.0:
-        return IdealSpinor(sig, 0.0, Multivector.scalar(sig, 1.0), idempotent(sig), degenerate=True)
     # g0 = Re psi1, g3 = Im psi1, g2 = Re psi2, g1 = Im psi2 (unit-R convention);
     # signs fixed by requiring rep(Phi_L) to carry (psi1, psi2) in its first column.
-    g = np.array([psi1.real, psi2.imag, psi2.real, psi1.imag]) / R
-    return IdealSpinor(sig, R, _unit_even(sig, g), idempotent(sig))
+    return _polar(PAULI, math.hypot(abs(psi1), abs(psi2)),
+                  (psi1.real, psi2.imag, psi2.real, psi1.imag))
 
 
 def to_wavefunction(phi: IdealSpinor) -> complex:
@@ -215,23 +219,6 @@ def spin_vector(phi: IdealSpinor) -> tuple[np.ndarray, Multivector]:
     return a, rotated / 2.0
 
 
-def spin_vector_from_g(g: np.ndarray) -> np.ndarray:
-    """Closed form for the unit spin direction in terms of the g-coefficients.
-
-    Equivalent to the grade-1 part of U e3 ~U; the quaternion-rotation
-    identity gives
-        a1 = 2(g1 g3 + g0 g2)
-        a2 = 2(g0 g1 - g2 g3)
-        a3 = g0^2 - g1^2 - g2^2 + g3^2
-    """
-    g0, g1, g2, g3 = g
-    return np.array([
-        2.0 * (g1 * g3 + g0 * g2),
-        2.0 * (g0 * g1 - g2 * g3),
-        g0 * g0 - g1 * g1 - g2 * g2 + g3 * g3,
-    ])
-
-
 def spin_vector_from_components(psi1: complex, psi2: complex) -> np.ndarray:
     """Standard column-spinor form of the unit spin direction."""
     norm = abs(psi1) ** 2 + abs(psi2) ** 2
@@ -244,10 +231,7 @@ def spin_vector_from_components(psi1: complex, psi2: complex) -> np.ndarray:
 def phase_rotate(phi: IdealSpinor, lam: float) -> IdealSpinor:
     """Right-multiply by the phase generator: exp(e*lam) or exp(e12*lam)."""
     sig = phi.signature
-    if (sig.p, sig.q) == (0, 1):
-        gen = Multivector.blade(sig, "e")
-    else:
-        gen = Multivector.blade(sig, "e12")
+    gen = phase_generator(sig)
     rot = math.cos(lam) * Multivector.scalar(sig, 1.0) + math.sin(lam) * gen
     return IdealSpinor(sig, phi.R, phi.U * rot, phi.epsilon, phi.degenerate)
 
@@ -294,7 +278,14 @@ def g_from_wavefunction(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spin_field_from_g(g: np.ndarray) -> np.ndarray:
-    """Unit spin direction field a(x) from a g-coefficient field."""
+    """Unit spin direction field a(x) from a g-coefficient field.
+
+    Equivalent to the grade-1 part of U e3 ~U; the quaternion-rotation
+    identity gives
+        a1 = 2(g1 g3 + g0 g2)
+        a2 = 2(g0 g1 - g2 g3)
+        a3 = g0^2 - g1^2 - g2^2 + g3^2
+    """
     g0, g1, g2, g3 = (g[..., i] for i in range(4))
     return np.stack([
         2.0 * (g1 * g3 + g0 * g2),
@@ -303,15 +294,13 @@ def spin_field_from_g(g: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
+spin_vector_from_g = spin_field_from_g  # the single point is the zero-dimensional field
+
+
 def even_field_coeffs(sig: Signature, g: np.ndarray) -> np.ndarray:
     """Embed a g-coefficient field into full multivector coefficient arrays."""
     out = np.zeros(g.shape[:-1] + (sig.dim,))
-    if (sig.p, sig.q) == (0, 1):
-        out[..., 0] = g[..., 0]
-        out[..., 1] = g[..., 1]
-    else:
-        for slot, k in zip(_G_SLOTS_PAULI, range(4)):
-            out[..., slot] = g[..., k]
+    out[..., _G_SLOTS[sig]] = g
     return out
 
 

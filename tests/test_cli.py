@@ -143,6 +143,8 @@ MALFORMED = [
      ("potential: {kind: none}", "potential: {kind: harmonic, m: -1.0}"), "potential.m"),
     ("weights_zero", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [0.0, 0.0],"),
      "initial_state"),
+    ("weights_nan", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [.nan, 1.0],"),
+     "initial_state.weights"),
 ]
 
 

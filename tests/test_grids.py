@@ -178,3 +178,10 @@ def test_export_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "x,rho,P_0,P_1,P_2"
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)],
+                         ids=["zero", "nan", "inf"])
+def test_pauli_superposition_rejects_weights_without_finite_norm(weights):
+    with pytest.raises(gd.GridError, match="weights"):
+        gd.PauliSuperposition(weights=weights)

@@ -272,3 +272,32 @@ def test_compute_observables_bundle():
     assert set(obs.residuals) == {"qhj", "continuity"}
     assert obs.P.shape == grid.shape + (3,)
     assert obs.v.shape == grid.shape + (3,)
+
+
+def schrodinger_packet_series():
+    grid = gd.Grid.line(-8.0, 8.0, 128)
+    return schrodinger_series(gd.GaussianPacket(sigma=1.0, x0=(0.5, 0.0, 0.0), k=(1.3, 0.0, 0.0)),
+                              grid, t0=0.2)
+
+
+def test_schrodinger_spin_bivector_is_half_e():
+    """S = U e ~U / 2 = e/2 at every point: e is central and U ~U = 1."""
+    state = ob.state_at(schrodinger_packet_series(), 1)
+    S = state.spin_bivector_coeffs
+    assert S.shape == state.grid.shape + (2,)
+    assert np.array_equal(S, np.broadcast_to([0.0, 0.5], S.shape))
+
+
+def test_schrodinger_bohm_bilinear_matches_e_omega_reference():
+    """-<Omega S>_0 and <Omega_t S>_0 equal -<e Omega>_0/2 and <e Omega_t>_0/2 bit for bit."""
+    series = schrodinger_packet_series()
+    state = ob.state_at(series, 1)
+    omega = ob.omega_fields(state, series, 1)
+    e = alg.central_unit(alg.SCHRODINGER).coeffs
+    P_ref = np.zeros(state.grid.shape + (3,))
+    P_ref[..., 0] = -0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega.spatial[0])[..., 0]
+    P_ref[~state.mask] = 0.0
+    E_ref = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega.temporal)[..., 0]
+    E_ref[~state.mask] = 0.0
+    assert np.array_equal(ob.bohm_momentum(state), P_ref)
+    assert np.array_equal(ob.bohm_energy(series, 1), E_ref)

@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffordqm import algebra as alg
 from cliffordqm import oracle
@@ -199,3 +201,28 @@ def test_wrong_algebra_rejected():
         sp.spin_vector(phi)
     with pytest.raises(sp.UnsupportedAlgebraError):
         sp.to_components(phi)
+
+
+# |psi| in [1e-6, 1e6] or exactly 0: below about 1e-154 the field's
+# R = sqrt(|psi1|^2 + |psi2|^2) loses precision, and below about 1e-162 it
+# underflows to 0, where math.hypot does neither
+amplitudes = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+values = st.builds(cmath.rect, amplitudes, st.floats(-np.pi, np.pi))
+
+
+@given(values, values)
+def test_property_pauli_point_is_the_zero_dimensional_field(psi1, psi2):
+    phi = sp.from_components(psi1, psi2)
+    R, g = sp.g_from_components(np.array([psi1]), np.array([psi2]))
+    assert np.max(np.abs(phi.U.coeffs - sp.even_field_coeffs(alg.PAULI, g)[0])) <= 1e-15
+    a, _ = sp.spin_vector(phi)
+    assert np.max(np.abs(sp.spin_field_from_g(phi.g) - a)) <= 1e-12
+    assert phi.degenerate == (R[0] == 0.0)
+
+
+@given(values)
+def test_property_schrodinger_point_is_the_zero_dimensional_field(psi):
+    phi = sp.from_wavefunction(psi)
+    R, g = sp.g_from_wavefunction(np.array([psi]))
+    assert np.max(np.abs(phi.U.coeffs - sp.even_field_coeffs(alg.SCHRODINGER, g)[0])) <= 1e-15
+    assert phi.degenerate == (R[0] == 0.0)
