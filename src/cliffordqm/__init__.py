@@ -60,6 +60,7 @@ from .observables import (
     quantum_potential,
     residual_stats,
     support_mask,
+    window,
 )
 from .spinors import (
     CliffordDensityElement,

@@ -1,23 +1,29 @@
 """Real Clifford algebra arithmetic for Cl(0,1) and Cl(3,0).
 
 Elements are kept as dense real coefficient arrays over a fixed canonical
-blade order (scalar, vectors, bivectors e23/e13/e12, pseudoscalar).
+blade order (scalar, vectors, bivectors e23/e13/e12, pseudoscalar).  The
+trailing axis names the layout: sig.dim coefficients for the whole algebra,
+or one per ``_G_SLOTS`` blade for the subalgebra of the unit even element U
+(all of Cl(0,1), and the even part of Cl(3,0)).
 
-Every product runs through ``gp_coeffs`` and one table per signature.  Each
-row of a Clifford Cayley table is a signed permutation: for a left blade e_i
-and an output blade e_k there is exactly one right blade e_j = e_inv[i,k]
-with e_i e_j = s[i,k] e_k.  ``gp_coeffs`` picks its layout from the
-operands' broadcast shape:
+Every product runs through ``gp_coeffs`` and one table per signature and
+layout.  Each row of a Clifford Cayley table is a signed permutation: for a
+left blade e_i and an output blade e_k there is exactly one right blade
+e_j = e_inv[i,k] with e_i e_j = s[i,k] e_k; the subalgebra is closed, so its
+table is the full one restricted to its slots.  ``gp_coeffs`` picks its code
+path from the operands' broadcast shape:
 
-- a single element, shape (dim,): one contraction a_i (b[inv] s)[i,k];
-- a field, shape (..., dim): the blade axis is moved first so that each
-  blade is one contiguous array, and each output blade accumulates its dim
-  products over i = 0 .. dim-1 in preallocated buffers; the result is a
-  (..., dim) view of that blade-first buffer.
+- a single element, shape (n,): one contraction a_i (b[inv] s)[i,k];
+- a field, shape (..., n): the blade axis is moved first so that each
+  blade is one contiguous array, and each output blade accumulates its n
+  products over i = 0 .. n-1 in preallocated buffers; the result is a
+  (..., n) view of that blade-first buffer.
 
-Both layouts add the same products in the same order of i, starting from
+Both paths add the same products in the same order of i, starting from
 zero, and a sign of +-1 is exact, so a field product equals, bit for bit,
-the single-element products of its points.
+the single-element products of its points.  A subalgebra product equals the
+full product of the embedded operands at the slots, bit for bit: the terms
+it leaves out are products with an exact zero.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ class Signature:
 
 SCHRODINGER = Signature(0, 1)
 PAULI = Signature(3, 0)
+
+# blade slots of the subalgebra layout (the g-coefficients of U) per signature
+_G_SLOTS = {SCHRODINGER: [0, 1], PAULI: [0, 4, 5, 6]}  # 1, e | 1, e23, e13, e12
 
 # Canonical blade order (as ascending generator-index tuples).
 _BLADES = {
@@ -134,28 +143,40 @@ def cayley_table(sig: Signature) -> CayleyTable:
 
 
 @lru_cache(maxsize=None)
-def _signed_permutation(sig: Signature) -> tuple:
-    """(inv, sign, terms) with e_i e_inv[i,k] = sign[i,k] e_k, from the Cayley table.
+def _signed_permutation(sig: Signature, n: int) -> tuple:
+    """(inv, sign, terms, conj) of the layout of n blades, from the Cayley table.
 
-    terms[k] lists (i, inv[i,k], np.add or np.subtract) in increasing i: the
-    products that make output blade k, with the sign as the choice of ufunc.
+    n = sig.dim is the whole algebra, n = len(_G_SLOTS[sig]) the subalgebra;
+    blades are numbered by position in the layout.  e_i e_inv[i,k] =
+    sign[i,k] e_k; terms[k] lists (i, inv[i,k], np.add or np.subtract) in
+    increasing i: the products that make output blade k, with the sign as the
+    choice of ufunc.  conj holds the Clifford conjugation sign of each blade.
     """
+    if n not in (sig.dim, len(_G_SLOTS[sig])):
+        raise ValueError(f"{n} coefficients fit no layout of Cl({sig.p},{sig.q})")
+    slots = np.arange(n) if n == sig.dim else np.array(_G_SLOTS[sig])
     tab = cayley_table(sig)
-    inv = np.argsort(tab.index, axis=1)
-    sign = np.take_along_axis(tab.sign, inv, axis=1)
-    inv.flags.writeable = False
-    sign.flags.writeable = False
+    block = np.ix_(slots, slots)
+    inv = np.argsort(np.searchsorted(slots, tab.index[block]), axis=1)
+    sign = np.take_along_axis(tab.sign[block], inv, axis=1)
+    grades = tab.grades[slots]
+    conj = np.where((grades == 1) | (grades == 2), -1.0, 1.0)
+    for table in (inv, sign, conj):
+        table.flags.writeable = False
     terms = tuple(tuple((i, int(inv[i, k]), np.add if sign[i, k] > 0 else np.subtract)
-                        for i in range(sig.dim)) for k in range(sig.dim))
-    return inv, sign, terms
+                        for i in range(n)) for k in range(n))
+    return inv, sign, terms, conj
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels: operate on coefficient arrays of shape (..., dim)
+# vectorized kernels: operate on coefficient arrays of shape (..., n)
 
 def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric product on stacked coefficient arrays."""
-    inv, sign, terms = _signed_permutation(sig)
+    """Geometric product on stacked coefficient arrays of one layout."""
+    n = a.shape[-1]
+    if b.shape[-1] != n:
+        raise ValueError(f"operands mix layouts of {n} and {b.shape[-1]} coefficients")
+    inv, sign, terms, _ = _signed_permutation(sig, n)
     if a.ndim == 1 and b.ndim == 1:
         return np.einsum("i,ik->k", a, b[inv] * sign)
     # blade axis first, both operands at the full rank, each blade contiguous
@@ -164,7 +185,7 @@ def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first = (nd - 1,) + tuple(range(nd - 1))
     left, right = (list(np.ascontiguousarray(x.reshape((1,) * (nd - x.ndim) + x.shape)
                                              .transpose(first))) for x in (a, b))
-    out = np.zeros((sig.dim,) + shape[:-1], dtype=np.result_type(a, b))
+    out = np.zeros((n,) + shape[:-1], dtype=np.result_type(a, b))
     term = np.empty_like(out[0])
     for blade, row in zip(out, terms):
         for i, j, accumulate in row:
@@ -176,9 +197,7 @@ def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conj_coeffs(sig: Signature, a: np.ndarray) -> np.ndarray:
     """Clifford conjugation on stacked coefficient arrays (S - V - B + P)."""
-    tab = cayley_table(sig)
-    signs = np.where((tab.grades == 1) | (tab.grades == 2), -1.0, 1.0)
-    return a * signs
+    return a * _signed_permutation(sig, a.shape[-1])[3]
 
 
 def grade_mask(sig: Signature, k: int) -> np.ndarray:

@@ -126,8 +126,10 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
             kin = kin[..., None]
         fft_axes = tuple(range(grid.dim))
 
-    frames = [psi0.copy()]
+    # one copy keeps the caller's psi0 out of the frames; every step below
+    # binds psi to a new array, which the frames keep as it is
     psi = psi0.copy()
+    frames = [psi]
     for _ in range(cfg.steps):
         if half_v is not None:
             psi = psi * half_v
@@ -139,7 +141,7 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
             psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * kin, axes=fft_axes)
         if half_v is not None:
             psi = psi * half_v
-        frames.append(psi.copy())
+        frames.append(psi)
     times = t0 + cfg.dt * np.arange(cfg.steps + 1)
     return SnapshotSeries(times, frames, grid)
 

@@ -175,11 +175,9 @@ def curl(v: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def time_derivative(series: SnapshotSeries, k: int) -> np.ndarray:
-    """Central time difference at frame k; boundary frames are rejected."""
-    if not 1 <= k <= len(series) - 2:
-        raise GridError(f"frame {k} has no central-stencil neighbours (len {len(series)})")
-    return (series.frames[k + 1] - series.frames[k - 1]) / (2.0 * series.dt)
+def time_derivative(prev: np.ndarray, next: np.ndarray, dt: float) -> np.ndarray:
+    """Central time difference at a frame from the frames dt before and after it."""
+    return (next - prev) / (2.0 * dt)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ def run_scenario(sc: Scenario, series: gd.SnapshotSeries = None) -> dict:
 def _check(sc: Scenario, series: gd.SnapshotSeries):
     """Report on the middle frame of an evolved series.
 
-    Returns the report, the frame's SpinorField and its BohmObservables.
+    Returns the report and the frame's BohmObservables, whose window holds
+    the frame and its neighbours.
     """
     drift = abs(dy.norm(series.frames[-1], sc.grid)
                 - dy.norm(series.frames[0], sc.grid))
@@ -281,8 +282,8 @@ def _check(sc: Scenario, series: gd.SnapshotSeries):
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
     k = len(series) // 2
-    state = ob.state_at(series, k)
     obs = ob.compute_observables(series, k, sc.evolution.m, sc.potential)
+    state = obs.window.cur
     support = state.mask & ob.support_mask(state.rho, sc.support_rel)
 
     h = sc.grid.spacing[0]
@@ -303,7 +304,7 @@ def _check(sc: Scenario, series: gd.SnapshotSeries):
     }
     for check in sc.checks:
         residuals = _CHECKS[check][0]
-        for name, res_field, bound in residuals(sc, series, k, state, obs):
+        for name, res_field, bound in residuals(sc, obs):
             stats = ob.residual_stats(res_field, support)
             stats["grid"] = {"h": h, "dt": dt}
             stats["tolerance"] = tolerance[bound]
@@ -311,32 +312,34 @@ def _check(sc: Scenario, series: gd.SnapshotSeries):
             report["residuals"][name] = stats
             if not stats["passed"]:
                 report["passed"] = False
-    return report, state, obs
+    return report, obs
 
 
 # ---------------------------------------------------------------------------
 # checks: each yields (residual name, residual field, "time" or "space" bound)
+# from the observables of a frame and the window around it
 
 def _observable_residual(name: str):
-    def residuals(sc, series, k, state, obs):
+    def residuals(sc, obs):
         yield name, obs.residuals[name], "time"
     return residuals
 
 
-def _triple_agreement(sc, series, k, state, obs):
+def _triple_agreement(sc, obs):
+    state = obs.window.cur
     yield "p_alg_vs_weighted", _vec_mag(obs.P - ob.bohm_momentum_weighted(state)), "space"
     p_oracle = ob.masked_divide(orc.momentum_density(state.psi, sc.grid), state.rho, state.mask)
     yield "p_alg_vs_oracle", _vec_mag(obs.P - p_oracle), "space"
-    yield "e_alg_vs_weighted", np.abs(obs.E - ob.bohm_energy_weighted(series, k)), "time"
-    yield "e_alg_vs_oracle", np.abs(obs.E - ob_energy_oracle(series, k, state)), "time"
+    yield "e_alg_vs_weighted", np.abs(obs.E - ob.bohm_energy_weighted(obs.window)), "time"
+    yield "e_alg_vs_oracle", np.abs(obs.E - ob_energy_oracle(obs.window)), "time"
 
 
-def _q_split(sc, series, k, state, obs):
+def _q_split(sc, obs):
     yield "q_split", np.abs(obs.Q - obs.Q1 - obs.Q2), "space"
 
 
-def _current_decomposition(sc, series, k, state, obs):
-    total = orc.messiah_current(state.psi, sc.grid, sc.evolution.m)
+def _current_decomposition(sc, obs):
+    total = orc.messiah_current(obs.window.cur.psi, sc.grid, sc.evolution.m)
     yield "current_decomposition", _vec_mag(total - (obs.J_conv + obs.J_rot)), "space"
 
 
@@ -358,10 +361,9 @@ def _vec_mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v ** 2).sum(axis=-1))
 
 
-def ob_energy_oracle(series, k, state) -> np.ndarray:
-    dens = orc.energy_density((series.frames[k - 1], series.frames[k],
-                               series.frames[k + 1]), series.dt)
-    return ob.masked_divide(dens, state.rho, state.mask)
+def ob_energy_oracle(win: ob.Window) -> np.ndarray:
+    dens = orc.energy_density((win.prev.psi, win.cur.psi, win.next.psi), win.dt)
+    return ob.masked_divide(dens, win.cur.rho, win.cur.mask)
 
 
 def run_trajectories(sc: Scenario, series: gd.SnapshotSeries) -> dy.TrajectorySet:
@@ -386,9 +388,9 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     series = dy.evolve(psi0, sc.grid, sc.evolution)
-    report, state, obs = _check(sc, series)
+    report, obs = _check(sc, series)
     columns = {
-        "rho": state.rho,
+        "rho": obs.window.cur.rho,
         "P": obs.P[..., : sc.grid.dim],
         "E": obs.E,
         "Q": obs.Q,

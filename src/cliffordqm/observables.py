@@ -9,7 +9,14 @@ the fully independent wavefunction versions used for cross checks.
 The Bohm momentum and energy are one bilinear for both particles: with
 Omega = 2 (dU) ~U and S = U gamma ~U / 2 for the ideal's phase generator
 gamma, P^j = -<Omega^j S>_0 and E = <Omega_t S>_0.  In Cl(3,0) S = i s; in
-Cl(0,1) gamma = e is central and S = e/2.
+Cl(0,1) gamma = e is central and S = e/2.  U, Omega and S all lie in U's
+subalgebra (C, or the even part of Cl(3,0)), so these products run in the
+subalgebra layout of ``algebra``, on the 2 or 4 g-coefficients.
+
+A quantity at frame k that needs a time derivative reads frames k-1, k and
+k+1 through one ``Window``: ``window(series, k)`` turns each of the three
+frames into a SpinorField once, and ``Window.d_dt`` differences whatever the
+two neighbours derive and cache.
 """
 
 from __future__ import annotations
@@ -23,14 +30,13 @@ from .algebra import (
     PAULI,
     SCHRODINGER,
     Multivector,
-    Signature,
-    _signed_permutation,
     algebra_trace,
     conj_coeffs,
     gp_coeffs,
 )
 from .grids import (
     Grid,
+    GridError,
     SnapshotSeries,
     curl,
     deriv,
@@ -43,15 +49,17 @@ from .grids import (
 from .spinors import (
     CliffordDensityElement,
     UnsupportedAlgebraError,
-    even_field_coeffs,
     g_from_components,
     g_from_wavefunction,
     phase_generator,
-    pseudoscalar_times,
     spin_field_from_g,
 )
 
 POLE_EPS = 1e-10
+
+# i e1 = e23, i e2 = -e13, i e3 = e12 in Cl(3,0): the signs that take a
+# vector's components to its dual bivector's (e23, e13, e12) and back
+_DUAL = np.array([1.0, -1.0, 1.0])
 
 
 @dataclass(eq=False)
@@ -89,14 +97,19 @@ class SpinorField:
         return node_mask(self.rho)
 
     @cached_property
+    def ln_rho(self) -> np.ndarray:
+        """ln(rho), 0 at density nodes."""
+        return np.log(np.where(self.mask, self.rho, 1.0))
+
+    @cached_property
+    def grad_ln_rho(self) -> np.ndarray:
+        return gradient(self.ln_rho, self.grid)
+
+    @cached_property
     def g(self) -> np.ndarray:
         if self.is_pauli:
             return g_from_components(self.psi[..., 0], self.psi[..., 1])[1]
         return g_from_wavefunction(self.psi)[1]
-
-    @cached_property
-    def u_coeffs(self) -> np.ndarray:
-        return even_field_coeffs(self.signature, self.g)
 
     @cached_property
     def spin(self) -> np.ndarray:
@@ -112,35 +125,50 @@ class SpinorField:
 
     @cached_property
     def spin_bivector_coeffs(self) -> np.ndarray:
-        """S = U gamma ~U / 2 as full multivector coefficient arrays.
+        """S = U gamma ~U / 2 in the subalgebra layout.
 
-        Cl(3,0): gamma = e12 = i e3, so S = i s.  Cl(0,1): gamma = e commutes
-        with U and U ~U = 1, so S = e/2 at every point (a read-only view).
+        Cl(3,0): gamma = e12 = i e3, so S = i s, a bivector.  Cl(0,1): gamma =
+        e commutes with U and U ~U = 1, so S = e/2 at every point (a read-only
+        view).
         """
         if not self.is_pauli:
             half_e = 0.5 * phase_generator(SCHRODINGER).coeffs
             return np.broadcast_to(half_e, self.grid.shape + (2,))
-        v = np.zeros(self.grid.shape + (8,))
-        v[..., 1:4] = self.spin
-        return pseudoscalar_times(PAULI, v)
+        S = np.zeros(self.grid.shape + (4,))
+        S[..., 1:] = _DUAL * self.spin
+        return S
+
+    @cached_property
+    def omega(self) -> list:
+        """Omega^j = 2 (d_j U) ~U per grid axis, in the subalgebra layout."""
+        g_conj = conj_coeffs(self.signature, self.g)
+        return [2.0 * gp_coeffs(self.signature, deriv(self.g, self.grid, ax), g_conj)
+                for ax in range(self.grid.dim)]
 
 
 def state_at(series: SnapshotSeries, k: int) -> SpinorField:
     return SpinorField(series.grid, series.frames[k])
 
 
-def _time_diff(series: SnapshotSeries, k: int, quantity) -> np.ndarray:
-    """Central time difference at frame k of quantity(SpinorField).
+@dataclass(eq=False)
+class Window:
+    """Frames k-1, k and k+1 of a series as SpinorFields, dt apart."""
 
-    Only frames k-1 and k+1 become SpinorFields; time_derivative rejects a
-    boundary k and takes dt from series.dt, as it would for the whole
-    derived series.
-    """
-    derived = [None] * len(series)
-    for j in (k - 1, k + 1):
-        if 0 <= j < len(series):
-            derived[j] = quantity(state_at(series, j))
-    return time_derivative(SnapshotSeries(series.times, derived, series.grid), k)
+    prev: SpinorField
+    cur: SpinorField
+    next: SpinorField
+    dt: float
+
+    def d_dt(self, quantity) -> np.ndarray:
+        """Central time difference at the middle frame of quantity(SpinorField)."""
+        return time_derivative(quantity(self.prev), quantity(self.next), self.dt)
+
+
+def window(series: SnapshotSeries, k: int) -> Window:
+    """The window around frame k, with dt = series.dt; boundary frames are rejected."""
+    if not 1 <= k <= len(series) - 2:
+        raise GridError(f"frame {k} has no central-stencil neighbours (len {len(series)})")
+    return Window(*(state_at(series, j) for j in (k - 1, k, k + 1)), series.dt)
 
 
 def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -155,79 +183,38 @@ def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Omega fields
-
-@dataclass
-class OmegaField:
-    """Omega^j = 2 (d_j U) ~U per axis; Omega_t when a time stencil exists."""
-
-    spatial: list  # per grid axis, coeff arrays of shape grid.shape + (dim,)
-    temporal: np.ndarray = None
-
-
-def omega_fields(state: SpinorField, series: SnapshotSeries = None, k: int = None) -> OmegaField:
-    sig = state.signature
-    u = state.u_coeffs
-    u_conj = conj_coeffs(sig, u)
-    spatial = []
-    for ax in range(state.grid.dim):
-        du = deriv(u, state.grid, ax)
-        spatial.append(2.0 * gp_coeffs(sig, du, u_conj))
-    temporal = None
-    if series is not None:
-        if k is None:
-            raise ValueError("omega_fields needs the frame index k with a series")
-        du_dt = _time_diff(series, k, lambda st: st.u_coeffs)
-        temporal = 2.0 * gp_coeffs(sig, du_dt, u_conj)
-    return OmegaField(spatial, temporal)
-
-
-def _scalar_of_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Scalar part of the geometric product a*b without forming all grades."""
-    inv, sign, _ = _signed_permutation(sig)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
-    for i in range(sig.dim):
-        out += sign[i, 0] * a[..., i] * b[..., inv[i, 0]]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Bohm momentum and energy: algebraic route
 
-def bohm_momentum(state: SpinorField, omega: OmegaField = None) -> np.ndarray:
+def bohm_momentum(state: SpinorField) -> np.ndarray:
     """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
-    if omega is None:
-        omega = omega_fields(state)
-    S = state.spin_bivector_coeffs
     out = np.zeros(state.grid.shape + (3,))
-    for ax, om in enumerate(omega.spatial):
-        out[..., ax] = -_scalar_of_product(state.signature, om, S)
+    for ax, om in enumerate(state.omega):
+        out[..., ax] = -gp_coeffs(state.signature, om, state.spin_bivector_coeffs)[..., 0]
     out[~state.mask] = 0.0
     return out
 
 
-def bohm_momentum_vector_part(state: SpinorField, omega: OmegaField = None) -> np.ndarray:
+def bohm_momentum_vector_part(state: SpinorField) -> np.ndarray:
     """Diagnostic non-scalar term -i Omega^j / 2 of the Pauli momentum.
 
     Returned as the grade-1 coefficients per axis, shape grid.shape + (3, 3):
-    [..., axis, component].
+    [..., axis, component].  The bivector w1 e23 + w2 e13 + w3 e12 of Omega^j
+    gives -i Omega^j / 2 = (w1 e1 - w2 e2 + w3 e3) / 2.
     """
     if not state.is_pauli:
         raise UnsupportedAlgebraError("vector part is a Pauli diagnostic")
-    if omega is None:
-        omega = omega_fields(state)
     out = np.zeros(state.grid.shape + (3, 3))
-    for ax, om in enumerate(omega.spatial):
-        term = -0.5 * pseudoscalar_times(PAULI, om)
-        out[..., ax, :] = term[..., 1:4]
+    for ax, om in enumerate(state.omega):
+        out[..., ax, :] = 0.5 * om[..., 1:] * _DUAL
     return out
 
 
-def bohm_energy(series: SnapshotSeries, k: int) -> np.ndarray:
-    """E_B = <Omega_t S>_0 per unit rho at frame k via the central time stencil."""
-    state = state_at(series, k)
-    omega_t = omega_fields(state, series, k).temporal
-    out = _scalar_of_product(state.signature, omega_t, state.spin_bivector_coeffs)
+def bohm_energy(win: Window) -> np.ndarray:
+    """E_B = <Omega_t S>_0 per unit rho at the window's middle frame, Omega_t = 2 (d_t U) ~U."""
+    state = win.cur
+    sig = state.signature
+    omega_t = 2.0 * gp_coeffs(sig, win.d_dt(lambda st: st.g), conj_coeffs(sig, state.g))
+    out = gp_coeffs(sig, omega_t, state.spin_bivector_coeffs)[..., 0]
     out[~state.mask] = 0.0
     return out
 
@@ -252,10 +239,10 @@ def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
     return masked_divide(num, state.rho, state.mask)
 
 
-def bohm_energy_weighted(series: SnapshotSeries, k: int) -> np.ndarray:
+def bohm_energy_weighted(win: Window) -> np.ndarray:
     """E_B as the per-component weighted mean of -d_t S_i."""
-    state = state_at(series, k)
-    dpsi_dt = time_derivative(series, k)
+    state = win.cur
+    dpsi_dt = win.d_dt(lambda st: st.psi)
     comps = [(state.psi[..., i], dpsi_dt[..., i]) for i in range(2)] if state.is_pauli \
         else [(state.psi, dpsi_dt)]
     num = np.zeros(state.grid.shape)
@@ -287,9 +274,7 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     if not state.is_pauli:
         return QuantumPotential(q1.copy(), q1, np.zeros_like(q1))
 
-    safe_rho = np.where(state.mask, state.rho, 1.0)
-    ln_rho = np.log(safe_rho)
-    grad_ln = gradient(ln_rho, grid)
+    ln_rho, grad_ln = state.ln_rho, state.grad_ln_rho
     s = state.spin
     s_lap = np.zeros(grid.shape)
     for comp in range(3):
@@ -372,43 +357,39 @@ def qhj_residual(E: np.ndarray, P: np.ndarray, Q: np.ndarray, V: np.ndarray,
     return res
 
 
-def continuity_residual(series: SnapshotSeries, k: int, m: float,
-                        P: np.ndarray = None) -> np.ndarray:
-    """d_t rho + div(rho P_B / m) at frame k."""
-    state = state_at(series, k)
+def continuity_residual(win: Window, m: float, P: np.ndarray = None) -> np.ndarray:
+    """d_t rho + div(rho P_B / m) at the window's middle frame."""
+    state = win.cur
     if P is None:
         P = bohm_momentum(state)
-    drho_dt = _time_diff(series, k, lambda st: st.rho)
-    res = drho_dt + divergence(state.rho[..., None] * P / m, series.grid)
+    drho_dt = win.d_dt(lambda st: st.rho)
+    res = drho_dt + divergence(state.rho[..., None] * P / m, state.grid)
     res[~state.mask] = 0.0
     return res
 
 
-def spin_transport_residual(series: SnapshotSeries, k: int, m: float,
-                            P: np.ndarray = None) -> np.ndarray:
+def spin_transport_residual(win: Window, m: float, P: np.ndarray = None) -> np.ndarray:
     """LHS - RHS of  ds/dt = (s/m) x [lap(s) + (grad ln rho . grad) s].
 
     ds/dt is the convective derivative d_t s + (P_B . grad) s / m.
     Returns shape grid.shape + (3,).
     """
-    state = state_at(series, k)
+    state = win.cur
     if not state.is_pauli:
         raise UnsupportedAlgebraError("spin transport needs a Pauli field")
-    grid = series.grid
+    grid = state.grid
     if P is None:
         P = bohm_momentum(state)
-    ds_dt = _time_diff(series, k, lambda st: st.spin)
+    ds_dt = win.d_dt(lambda st: st.spin)
     s = state.spin
     conv = np.zeros_like(s)
     for ax in range(grid.dim):
         conv += P[..., ax, None] * deriv(s, grid, ax)
     lhs = ds_dt + conv / m
 
-    safe_rho = np.where(state.mask, state.rho, 1.0)
-    grad_ln = gradient(np.log(safe_rho), grid)
     term = laplacian(s, grid)
     for ax in range(grid.dim):
-        term += grad_ln[..., ax, None] * deriv(s, grid, ax)
+        term += state.grad_ln_rho[..., ax, None] * deriv(s, grid, ax)
     rhs = np.cross(s, term) / m
     res = lhs - rhs
     res[~state.mask] = 0.0
@@ -423,7 +404,7 @@ class TorqueBalance:
     residual: np.ndarray
 
 
-def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
+def quantum_torque(win: Window, m: float) -> TorqueBalance:
     """Momentum balance dP_B/dt = -grad Q - torque for the free Pauli particle.
 
     dP_B/dt is d_t P_B + grad(P_B^2)/2m; the torque term is
@@ -431,12 +412,12 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
     read off branch-free from the spinor components.  Points near the spin
     poles (either component's density ~ 0) are masked.
     """
-    state = state_at(series, k)
+    state = win.cur
     if not state.is_pauli:
         raise UnsupportedAlgebraError("quantum torque needs a Pauli field")
-    grid = series.grid
+    grid = state.grid
     P = bohm_momentum(state)
-    dP_dt = _time_diff(series, k, bohm_momentum) + gradient((P ** 2).sum(axis=-1), grid) / (2.0 * m)
+    dP_dt = win.d_dt(bohm_momentum) + gradient((P ** 2).sum(axis=-1), grid) / (2.0 * m)
 
     qp = quantum_potential(state, m)
     neg_grad_Q = -gradient(qp.Q, grid)
@@ -448,8 +429,8 @@ def quantum_torque(series: SnapshotSeries, k: int, m: float) -> TorqueBalance:
         & (rho2 > POLE_EPS * np.max(state.rho))
 
     grad_phi = _grad_phi(state)
-    dphi_dt = _dphi_dt(state, time_derivative(series, k))
-    dcos_dt = _time_diff(series, k, lambda st: st.spin_direction[..., 2])
+    dphi_dt = _dphi_dt(state, win.d_dt(lambda st: st.psi))
+    dcos_dt = win.d_dt(lambda st: st.spin_direction[..., 2])
     torque = -0.5 * (dcos_dt[..., None] * grad_phi - gradient(cos_theta, grid) * dphi_dt[..., None])
 
     residual = dP_dt + (-neg_grad_Q) + torque
@@ -484,8 +465,7 @@ def _dphi_dt(state: SpinorField, dpsi_dt: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BohmObservables:
-    grid: Grid
-    mask: np.ndarray
+    window: Window  # the frames the fields were computed from
     P: np.ndarray
     E: np.ndarray
     Q: np.ndarray
@@ -501,22 +481,22 @@ class BohmObservables:
 def compute_observables(series: SnapshotSeries, k: int, m: float,
                         V: np.ndarray = None) -> BohmObservables:
     """All Bohm fields and the standard residuals at frame k of a series."""
-    state = state_at(series, k)
+    win = window(series, k)
+    state = win.cur
     P = bohm_momentum(state)
-    E = bohm_energy(series, k)
+    E = bohm_energy(win)
     qp = quantum_potential(state, m)
     cur = pauli_current(state, m, P)
     res = {
         "qhj": qhj_residual(E, P, qp.Q, V, m, state.mask),
-        "continuity": continuity_residual(series, k, m, P),
+        "continuity": continuity_residual(win, m, P),
     }
     s = None
     if state.is_pauli:
         s = state.spin
-        spin_res = spin_transport_residual(series, k, m, P)
+        spin_res = spin_transport_residual(win, m, P)
         res["spin_transport"] = np.sqrt((spin_res ** 2).sum(axis=-1))
-    return BohmObservables(series.grid, state.mask, P, E, qp.Q, qp.Q1, qp.Q2,
-                           s, cur.J_conv, cur.J_rot, cur.v, res)
+    return BohmObservables(win, P, E, qp.Q, qp.Q1, qp.Q2, s, cur.J_conv, cur.J_rot, cur.v, res)
 
 
 def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:

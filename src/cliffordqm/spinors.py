@@ -6,9 +6,11 @@ same state can be read out as a column spinor (complex components) or, for
 Cl(3,0), as Euler angles; both maps are exact round trips away from the
 degenerate points.
 
-U is kept through its g-coefficients, and ``_G_SLOTS`` is the one table of
-their blade slots.  A single point is the zero-dimensional field, shape
-(n_g,): the constructors embed U with ``even_field_coeffs`` and
+U is kept through its g-coefficients, which are the subalgebra layout of
+``algebra``; ``algebra._G_SLOTS`` is the one table of their blade slots.
+The field maps below produce g, and the observables compute in that layout
+directly.  A single point is the zero-dimensional field, shape (n_g,): the
+constructors embed U into the full layout with ``even_field_coeffs``, and
 ``spin_vector_from_g`` is ``spin_field_from_g``.  The constructors keep
 their own normalisation (``math.hypot`` on Python complex numbers): for one
 point it is faster than ``g_from_components``/``g_from_wavefunction``, and it
@@ -25,18 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _G_SLOTS,
     DEFAULT_TOL,
     PAULI,
     SCHRODINGER,
     Multivector,
     Signature,
-    central_unit,
-    gp_coeffs,
     idempotent,
 )
-
-# blade slot of each g-coefficient in the canonical layout of each signature
-_G_SLOTS = {SCHRODINGER: [0, 1], PAULI: [0, 4, 5, 6]}  # 1, e | 1, e23, e13, e12
 
 # the generator of the ideal's phase rotations, exp(gamma lam) acting on the right
 _PHASE_GENERATOR = {SCHRODINGER: "e", PAULI: "e12"}
@@ -302,8 +300,3 @@ def even_field_coeffs(sig: Signature, g: np.ndarray) -> np.ndarray:
     out = np.zeros(g.shape[:-1] + (sig.dim,))
     out[..., _G_SLOTS[sig]] = g
     return out
-
-
-def pseudoscalar_times(sig: Signature, coeffs: np.ndarray) -> np.ndarray:
-    """Left-multiply a coefficient field by the central unit (e or e123)."""
-    return gp_coeffs(sig, central_unit(sig).coeffs, coeffs)

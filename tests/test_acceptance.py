@@ -203,8 +203,9 @@ def test_criterion_05_pauli_triple_agreement():
             / np.where(support, state.rho, 1.0)[..., None]
         for diff in (P_alg - P_w, P_alg - P_orc):
             worst_p = max(worst_p, float(np.max(np.abs(diff)[support])))
-        E_alg = ob.bohm_energy(series, 1)
-        E_w = ob.bohm_energy_weighted(series, 1)
+        win = ob.window(series, 1)
+        E_alg = ob.bohm_energy(win)
+        E_w = ob.bohm_energy_weighted(win)
         E_orc = oracle.energy_density(tuple(series.frames), dt) \
             / np.where(support, state.rho, 1.0)
         for diff in (E_alg - E_w, E_alg - E_orc):
@@ -223,8 +224,9 @@ def test_criterion_05_pauli_triple_agreement():
     P_orc = oracle.momentum_density(state.psi, pg) / state.rho[..., None]
     worst_p = max(worst_p, float(np.max(np.abs(P_alg - P_w))),
                   float(np.max(np.abs(P_alg - P_orc))))
-    E_alg = ob.bohm_energy(series, k)
-    E_w = ob.bohm_energy_weighted(series, k)
+    win = ob.window(series, k)
+    E_alg = ob.bohm_energy(win)
+    E_w = ob.bohm_energy_weighted(win)
     E_orc = oracle.energy_density(
         (series.frames[k - 1], series.frames[k], series.frames[k + 1]),
         series.dt) / state.rho
@@ -285,8 +287,9 @@ def test_criterion_07_conservation():
     h = grid.spacing[0]
     bound = 5.0 * C * (h ** 2 + dt ** 2)
 
-    cont = ob.residual_stats(ob.continuity_residual(series, k, m), support)
-    spin_res = ob.spin_transport_residual(series, k, m)
+    win = ob.window(series, k)
+    cont = ob.residual_stats(ob.continuity_residual(win, m), support)
+    spin_res = ob.spin_transport_residual(win, m)
     spin = ob.residual_stats(np.sqrt((spin_res ** 2).sum(axis=-1)), support)
 
     norms = np.linalg.norm(state.spin, axis=-1)
@@ -372,7 +375,8 @@ def test_criterion_10_schrodinger_in_pauli_nesting():
     st_s = ob.state_at(ser_s, 1)
     st_p = ob.state_at(ser_p, 1)
     P_gap = float(np.max(np.abs(ob.bohm_momentum(st_s) - ob.bohm_momentum(st_p))))
-    E_gap = float(np.max(np.abs(ob.bohm_energy(ser_s, 1) - ob.bohm_energy(ser_p, 1))))
+    E_gap = float(np.max(np.abs(ob.bohm_energy(ob.window(ser_s, 1))
+                                - ob.bohm_energy(ob.window(ser_p, 1)))))
     qp_s = ob.quantum_potential(st_s, m)
     qp_p = ob.quantum_potential(st_p, m)
     # the Pauli Q is compared through its Q1 + Q2 split, evaluated with the

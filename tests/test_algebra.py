@@ -216,12 +216,14 @@ def test_gp_coeffs_equals_reference_sum_bitwise(sig, shapes):
         assert_bitwise_equal(alg.gp_coeffs(sig, a, b), reference_gp(sig, a, b))
 
 
-@pytest.mark.parametrize("sig", SIGS, ids=("cl01", "cl30"))
-def test_pseudoscalar_times_equals_reference_sum_bitwise(sig):
-    field = coefficients((6, 5, 4, sig.dim))
-    unit = alg.central_unit(sig).coeffs
-    assert_bitwise_equal(spinors.pseudoscalar_times(sig, field),
-                         reference_gp(sig, unit, field))
+def test_gp_coeffs_rejects_mixed_layouts():
+    full = coefficients((5, alg.PAULI.dim))
+    sub = coefficients((5, len(alg._G_SLOTS[alg.PAULI])))
+    for a, b in ((full, sub), (sub, full), (full[0], sub[0])):
+        with pytest.raises(ValueError, match="mix layouts"):
+            alg.gp_coeffs(alg.PAULI, a, b)
+    with pytest.raises(ValueError, match="no layout"):
+        alg.gp_coeffs(alg.PAULI, full[..., :3], sub[..., :3])
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +295,22 @@ def test_property_field_rows_are_single_products(case):
     rows = field.reshape(-1, sig.dim)
     singles = np.array([alg.gp_coeffs(sig, row, b) for row in rows])
     assert_bitwise_equal(stacked.reshape(-1, sig.dim), singles)
+
+
+def sig_and_subalgebra_pair(sig):
+    """A signature and two subalgebra-layout operands of one shape."""
+    n = len(alg._G_SLOTS[sig])
+    arrays = hnp.array_shapes(min_dims=0, max_dims=2, max_side=4).flatmap(
+        lambda shape: st.tuples(*[hnp.arrays(float, shape + (n,), elements=finite)] * 2))
+    return st.tuples(st.just(sig), arrays)
+
+
+@given(signatures.flatmap(sig_and_subalgebra_pair))
+def test_property_subalgebra_layout_is_the_embedded_full_algebra(case):
+    sig, (a, b) = case
+    slots = alg._G_SLOTS[sig]
+    a_full, b_full = (spinors.even_field_coeffs(sig, x) for x in (a, b))
+    full = alg.gp_coeffs(sig, a_full, b_full)
+    assert_bitwise_equal(alg.gp_coeffs(sig, a, b), full[..., slots])
+    assert np.all(np.delete(full, slots, axis=-1) == 0.0)
+    assert_bitwise_equal(alg.conj_coeffs(sig, a), alg.conj_coeffs(sig, a_full)[..., slots])

@@ -162,3 +162,24 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "seed_id,t,x,truncated_flag"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("scheme, boundary, pauli", [
+    ("crank-nicolson", "clamped", False),
+    ("crank-nicolson", "clamped", True),
+    ("split-step", "periodic", True),
+])
+def test_evolve_frames_alias_neither_psi0_nor_each_other(scheme, boundary, pauli):
+    grid = gd.Grid.line(-6.0, 6.0, 64, boundary)
+    psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
+    if pauli:
+        psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=4, V=0.1 * grid.coords(0) ** 2,
+                             scheme=scheme)
+    series = dy.evolve(psi0, grid, cfg)
+    kept = psi0.copy()
+    psi0[...] = 0.0
+    assert np.array_equal(series.frames[0], kept)
+    for i, a in enumerate(series.frames):
+        for b in series.frames[i + 1:]:
+            assert not np.shares_memory(a, b)

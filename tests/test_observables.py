@@ -38,7 +38,7 @@ def test_plane_wave_momentum_and_energy():
     h = grid.spacing[0]
     # periodic central stencil: P = k (1 - (k h)^2 / 6 + ...)
     assert np.max(np.abs(P[..., 0] - k)) < k ** 3 * h ** 2 / 6.0 * 1.1
-    E = ob.bohm_energy(series, 1)
+    E = ob.bohm_energy(ob.window(series, 1))
     dt = series.dt
     assert np.max(np.abs(E - k ** 2 / (2 * m))) < (k ** 2 / 2) ** 3 * dt ** 2
 
@@ -66,7 +66,7 @@ def test_schrodinger_qhj_on_exact_packet():
                                 grid, dt=5e-4, t0=0.3)
     state = ob.state_at(series, 1)
     P = ob.bohm_momentum(state)
-    E = ob.bohm_energy(series, 1)
+    E = ob.bohm_energy(ob.window(series, 1))
     Q = ob.quantum_potential(state, m).Q
     res = ob.qhj_residual(E, P, Q, None, m, state.mask)
     support = state.mask & ob.support_mask(state.rho)
@@ -179,7 +179,7 @@ def test_continuity_residual_on_exact_evolution():
     grid = gd.Grid.line(-10.0, 10.0, 401)
     series = schrodinger_series(gd.GaussianPacket(sigma=1.0, k=(0.5, 0, 0)),
                                 grid, dt=1e-3, n=5, t0=0.5)
-    res = ob.continuity_residual(series, 2, 1.0)
+    res = ob.continuity_residual(ob.window(series, 2), 1.0)
     state = ob.state_at(series, 2)
     support = state.mask & ob.support_mask(state.rho)
     assert np.max(np.abs(res[support])) < 5.0 * grid.spacing[0] ** 2
@@ -189,7 +189,7 @@ def test_spin_transport_needs_pauli():
     grid = gd.Grid.line(-5.0, 5.0, 65)
     series = schrodinger_series(gd.GaussianPacket(), grid)
     with pytest.raises(sp.UnsupportedAlgebraError):
-        ob.spin_transport_residual(series, 1, 1.0)
+        ob.spin_transport_residual(ob.window(series, 1), 1.0)
 
 
 def test_quantum_torque_balance_on_exact_solution():
@@ -200,7 +200,7 @@ def test_quantum_torque_balance_on_exact_solution():
     times = dt * np.arange(3)
     frames = [gd.sample(d, grid, t) for t in times]
     series = gd.SnapshotSeries(times, frames, grid)
-    tb = ob.quantum_torque(series, 1, 1.0)
+    tb = ob.quantum_torque(ob.window(series, 1), 1.0)
     state = ob.state_at(series, 1)
     bal = np.sqrt((tb.residual ** 2).sum(axis=-1))
     assert ob.residual_stats(bal, state.mask)["max_abs"] < \
@@ -233,10 +233,12 @@ class RecordingFrames(list):
 
 TIME_STENCIL_FUNCTIONS = {
     "compute_observables": lambda series, k: ob.compute_observables(series, k, 1.0),
-    "bohm_energy": lambda series, k: ob.bohm_energy(series, k),
-    "continuity_residual": lambda series, k: ob.continuity_residual(series, k, 1.0),
-    "spin_transport_residual": lambda series, k: ob.spin_transport_residual(series, k, 1.0),
-    "quantum_torque": lambda series, k: ob.quantum_torque(series, k, 1.0),
+    "bohm_energy": lambda series, k: ob.bohm_energy(ob.window(series, k)),
+    "bohm_energy_weighted": lambda series, k: ob.bohm_energy_weighted(ob.window(series, k)),
+    "continuity_residual": lambda series, k: ob.continuity_residual(ob.window(series, k), 1.0),
+    "spin_transport_residual":
+        lambda series, k: ob.spin_transport_residual(ob.window(series, k), 1.0),
+    "quantum_torque": lambda series, k: ob.quantum_torque(ob.window(series, k), 1.0),
 }
 
 
@@ -262,6 +264,29 @@ def test_time_stencil_rejects_boundary_frames(name):
     for k in (0, 2):
         with pytest.raises(gd.GridError):
             TIME_STENCIL_FUNCTIONS[name](series, k)
+
+
+def test_compute_observables_converts_each_frame_once(monkeypatch):
+    series = recording_pauli_series(9)
+    frames = list(series.frames)
+    k = 4
+    converted, spins = [], []
+    g_from_components, spin_field_from_g = ob.g_from_components, ob.spin_field_from_g
+
+    def counting_g(psi1, psi2):
+        converted.extend(j for j, f in enumerate(frames) if np.shares_memory(psi1, f))
+        return g_from_components(psi1, psi2)
+
+    def counting_spin(g):
+        spins.append(g)
+        return spin_field_from_g(g)
+
+    monkeypatch.setattr(ob, "g_from_components", counting_g)
+    monkeypatch.setattr(ob, "spin_field_from_g", counting_spin)
+    obs = ob.compute_observables(series, k, 1.0)
+    assert sorted(converted) == [k - 1, k, k + 1]
+    assert len(spins) == 3
+    assert obs.window.cur.psi is frames[k]
 
 
 def test_compute_observables_bundle():
@@ -290,14 +315,63 @@ def test_schrodinger_spin_bivector_is_half_e():
 
 def test_schrodinger_bohm_bilinear_matches_e_omega_reference():
     """-<Omega S>_0 and <Omega_t S>_0 equal -<e Omega>_0/2 and <e Omega_t>_0/2 bit for bit."""
-    series = schrodinger_packet_series()
-    state = ob.state_at(series, 1)
-    omega = ob.omega_fields(state, series, 1)
+    win = ob.window(schrodinger_packet_series(), 1)
+    state = win.cur
     e = alg.central_unit(alg.SCHRODINGER).coeffs
+    omega_t = 2.0 * alg.gp_coeffs(alg.SCHRODINGER, win.d_dt(lambda st: st.g),
+                                  alg.conj_coeffs(alg.SCHRODINGER, state.g))
     P_ref = np.zeros(state.grid.shape + (3,))
-    P_ref[..., 0] = -0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega.spatial[0])[..., 0]
+    P_ref[..., 0] = -0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, state.omega[0])[..., 0]
     P_ref[~state.mask] = 0.0
-    E_ref = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega.temporal)[..., 0]
+    E_ref = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega_t)[..., 0]
     E_ref[~state.mask] = 0.0
     assert np.array_equal(ob.bohm_momentum(state), P_ref)
-    assert np.array_equal(ob.bohm_energy(series, 1), E_ref)
+    assert np.array_equal(ob.bohm_energy(win), E_ref)
+
+
+def full_algebra_bilinears(win):
+    """P, E and the Pauli vector part with U embedded in every blade of the
+    algebra and each product taken over the whole Cayley table."""
+    state = win.cur
+    sig, grid = state.signature, state.grid
+    i = alg.central_unit(sig).coeffs
+    u = sp.even_field_coeffs(sig, state.g)
+    u_conj = alg.conj_coeffs(sig, u)
+    if state.is_pauli:
+        v = np.zeros(grid.shape + (8,))
+        v[..., 1:4] = state.spin
+        S = alg.gp_coeffs(sig, i, v)
+    else:
+        S = np.broadcast_to(0.5 * i, grid.shape + (2,))
+    P = np.zeros(grid.shape + (3,))
+    vec = np.zeros(grid.shape + (3, 3))
+    for ax in range(grid.dim):
+        omega = 2.0 * alg.gp_coeffs(sig, gd.deriv(u, grid, ax), u_conj)
+        P[..., ax] = -alg.gp_coeffs(sig, omega, S)[..., 0]
+        vec[..., ax, :] = -0.5 * alg.gp_coeffs(sig, i, omega)[..., 1:4]
+    P[~state.mask] = 0.0
+    du_dt = (sp.even_field_coeffs(sig, win.next.g) - sp.even_field_coeffs(sig, win.prev.g)) \
+        / (2.0 * win.dt)
+    E = alg.gp_coeffs(sig, 2.0 * alg.gp_coeffs(sig, du_dt, u_conj), S)[..., 0]
+    E[~state.mask] = 0.0
+    return P, E, vec
+
+
+def pauli_texture_3d_series():
+    grid = gd.Grid((gd.Axis(0.0, 4.0 * np.pi, 12),) * 3, "periodic")
+    d = gd.EulerTexture(theta0=1.2, theta_k=(0.5, -0.5, 0.5), phi0=0.3, phi_k=(0.5, 0.0, -0.5),
+                        chi0=-0.7, chi_k=(0.0, 0.5, 0.0), omega_t=0.4)
+    times = 0.3 + 1e-3 * np.arange(3)
+    return gd.SnapshotSeries(times, [gd.sample(d, grid, t) for t in times], grid)
+
+
+@pytest.mark.parametrize("make_series", [schrodinger_packet_series, pauli_texture_3d_series],
+                         ids=("schrodinger_1d", "pauli_3d"))
+def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
+    win = ob.window(make_series(), 1)
+    P_ref, E_ref, vec_ref = full_algebra_bilinears(win)
+    assert np.array_equal(ob.bohm_momentum(win.cur), P_ref)
+    assert np.array_equal(ob.bohm_energy(win), E_ref)
+    assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
+    if win.cur.is_pauli:
+        assert np.array_equal(ob.bohm_momentum_vector_part(win.cur), vec_ref)
