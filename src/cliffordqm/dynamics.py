@@ -3,17 +3,24 @@
 Evolution runs in the standard column representation (complex arrays) so
 that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
+
+Crank-Nicolson factors each axis's tridiagonal matrix once per run
+(LAPACK ``zgttrf``) and solves every step against those factors
+(``zgttrs``).  Trajectories read the velocity through a multilinear
+interpolator that extrapolates linearly past the grid's edges, since an
+RK4 stage may step outside the grid before the path is clamped.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grids import Grid, GridError, SnapshotSeries
 
@@ -29,10 +36,10 @@ class EvolutionConfig:
     scheme: str = "crank-nicolson"  # or "split-step"
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise ValueError(f"m must be positive and finite, got {self.m}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.scheme not in ("crank-nicolson", "split-step"):
@@ -56,26 +63,28 @@ def _check_accuracy(grid: Grid, cfg: EvolutionConfig):
 
 
 def _cn_banded(n: int, h: float, dt: float, m: float):
-    """Banded forms of A = I + i dt/2 K and B = I - i dt/2 K, K = -D2/2m."""
+    """A = I + i dt/2 K factored by zgttrf, and the diagonal and off-diagonal
+    of B = I - i dt/2 K, for K = -D2/2m on n clamped nodes."""
     gamma = 1j * dt / (4.0 * m * h * h)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = -gamma  # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * gamma
-    ab[2, :-1] = -gamma  # subdiagonal
-    diag_b = 1.0 - 2.0 * gamma
-    off_b = gamma
-    return ab, diag_b, off_b
+    if not np.isfinite(gamma):  # a subnormal m, say
+        raise GridError("Crank-Nicolson matrix is not finite: dt/(m h^2) overflows")
+    off = np.full(n - 1, -gamma)
+    *lu, _ = zgttrf(off, np.full(n, 1.0 + 2.0 * gamma), off)  # A is diagonally dominant
+    return lu, 1.0 - 2.0 * gamma, gamma
 
 
-def _cn_axis_step(psi: np.ndarray, axis: int, ab, diag_b, off_b) -> np.ndarray:
+def _cn_axis_step(psi: np.ndarray, axis: int, lu, diag_b, off_b) -> np.ndarray:
+    """Solve A psi' = B psi along one axis; psi' is a new C-ordered array."""
     v = np.moveaxis(psi, axis, 0)
     shape = v.shape
     v = v.reshape(shape[0], -1)
-    rhs = diag_b * v
+    rhs = np.multiply(diag_b, v, order="F")  # zgttrs solves in place in F order
     rhs[:-1] += off_b * v[1:]
     rhs[1:] += off_b * v[:-1]
-    out = solve_banded((1, 1), ab, rhs)
-    return np.moveaxis(out.reshape(shape), 0, axis)
+    x, _ = zgttrs(*lu, rhs, overwrite_b=True)
+    out = np.empty(psi.shape, dtype=complex)
+    np.moveaxis(out, axis, 0)[...] = x.reshape(shape)
+    return out
 
 
 def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
@@ -106,6 +115,9 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
         raise GridError("split-step evolution needs a periodic grid")
     if cfg.scheme == "crank-nicolson" and grid.boundary != "clamped":
         raise GridError("Crank-Nicolson evolution needs a clamped grid")
+    # checked once: a unitary step keeps finite data finite
+    if not np.all(np.isfinite(psi0)):
+        raise GridError("psi0 is not finite")
     _check_accuracy(grid, cfg)
 
     half_v = None
@@ -113,6 +125,8 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
         V = np.asarray(cfg.V, dtype=float)
         if V.shape != grid.shape:
             raise GridError("potential must be sampled on the grid")
+        if not np.all(np.isfinite(V)):
+            raise GridError("potential is not finite")
         half_v = np.exp(-0.5j * cfg.dt * V)
         if pauli:
             half_v = half_v[..., None]
@@ -135,8 +149,7 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
             psi = psi * half_v
         if cfg.scheme == "crank-nicolson":
             for ax in range(grid.dim):
-                ab, diag_b, off_b = banded[ax]
-                psi = _cn_axis_step(psi, ax, ab, diag_b, off_b)
+                psi = _cn_axis_step(psi, ax, *banded[ax])
         else:
             psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * kin, axes=fft_axes)
         if half_v is not None:
@@ -190,10 +203,32 @@ class TrajectorySet:
                     writer.writerow(row)
 
 
-def _interp(grid: Grid, field: np.ndarray):
-    pts = [grid.coords(ax) for ax in range(grid.dim)]
-    return RegularGridInterpolator(pts, field, method="linear",
-                                   bounds_error=False, fill_value=None)
+def _cell_weights(coords: list, x: np.ndarray) -> list:
+    """Corners and weights of multilinear interpolation at points x (n, dim).
+
+    Along each axis a point's cell starts at the last node at or below it,
+    clipped to the first and last cells, so a point past an edge
+    extrapolates linearly from the edge cell.  Returns (index tuple, weight)
+    per cell corner, in itertools.product((0, 1), repeat=dim) order.
+    """
+    lower, frac = [], []
+    for ax, c in enumerate(coords):
+        i = np.clip(np.searchsorted(c, x[:, ax], side="right") - 1, 0, c.size - 2)
+        lower.append(i)
+        frac.append((x[:, ax] - c[i]) / (c[i + 1] - c[i]))
+    corners = []
+    for bits in itertools.product((0, 1), repeat=len(coords)):
+        weight = math.prod(y if b else 1 - y for y, b in zip(frac, bits))
+        corners.append((tuple(i + b for i, b in zip(lower, bits)), weight[:, None]))
+    return corners
+
+
+def _interpolate(field: np.ndarray, corners: list) -> np.ndarray:
+    """Sum of corner values times weights; field is (*grid.shape, k)."""
+    value = 0.0  # so that a sum of zeros is +0.0, whatever the signs of its terms
+    for idx, weight in corners:
+        value = value + field[idx] * weight
+    return value
 
 
 def integrate_trajectories(velocity_series: SnapshotSeries, seeds,
@@ -215,14 +250,15 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds,
     if np.any(seeds < lo) or np.any(seeds > hi):
         raise GridError("seed outside grid")
 
-    interps = [[_interp(grid, frame[..., ax]) for ax in range(dim)]
-               for frame in velocity_series.frames]
+    coords = [grid.coords(ax) for ax in range(dim)]
+    frames = [frame[..., :dim] for frame in velocity_series.frames]
 
     def vel(frame_a: int, w: float, x: np.ndarray) -> np.ndarray:
-        va = np.column_stack([interps[frame_a][ax](x) for ax in range(dim)])
+        corners = _cell_weights(coords, x)
+        va = _interpolate(frames[frame_a], corners)
         if w == 0.0:
             return va
-        vb = np.column_stack([interps[frame_a + 1][ax](x) for ax in range(dim)])
+        vb = _interpolate(frames[frame_a + 1], corners)
         return (1.0 - w) * va + w * vb
 
     n_frames = len(velocity_series)

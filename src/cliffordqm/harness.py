@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,10 +73,11 @@ def _number(spec: dict, key: str, section: str, source: str, kind=float, default
 
 
 def _positive(spec: dict, key: str, section: str, source: str, default):
-    """A number that must be > 0 when given; a missing key takes the default."""
+    """A finite number > 0 when given; a missing key takes the default."""
     value = _number(spec, key, section, source, default=default)
-    if value is not None and not value > 0:
-        raise ConfigError(f"{source}: {section}.{key}: must be positive, got {value}")
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{source}: {section}.{key}: must be positive and finite, "
+                          f"got {value}")
     return value
 
 

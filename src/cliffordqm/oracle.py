@@ -7,6 +7,8 @@ arithmetic, so agreement between the two sides is a genuine check.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .algebra import Multivector, Signature, cayley_table
@@ -19,15 +21,20 @@ SIGMA = (
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
-def _blade_matrices(sig: Signature):
+@lru_cache(maxsize=None)
+def _blade_matrices(sig: Signature) -> tuple:
+    """Representation of each blade, in blade order; read-only, one per signature."""
     if (sig.p, sig.q) == (0, 1):
-        return (np.array(1.0 + 0j), np.array(1j))
-    mats = []
-    for blade in ((), (1,), (2,), (3,), (2, 3), (1, 3), (1, 2), (1, 2, 3)):
-        m = IDENTITY2
-        for idx in blade:
-            m = m @ SIGMA[idx - 1]
-        mats.append(m)
+        mats = [np.array(1.0 + 0j), np.array(1j)]
+    else:
+        mats = []
+        for blade in ((), (1,), (2,), (3,), (2, 3), (1, 3), (1, 2), (1, 2, 3)):
+            m = IDENTITY2
+            for idx in blade:
+                m = m @ SIGMA[idx - 1]
+            mats.append(m)
+    for m in mats:
+        m.flags.writeable = False
     return tuple(mats)
 
 

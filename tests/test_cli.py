@@ -122,6 +122,9 @@ MALFORMED = [
     ("n_too_small", SMALL_SCHRODINGER, ("n: 128", "n: 3"), "grid: n must be"),
     ("m_negative", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: -1.0"),
      "evolution: m must be"),
+    ("evolution_m_inf", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: .inf"),
+     "evolution: m must be"),
+    ("dt_inf", SMALL_SCHRODINGER, ("dt: 0.002", "dt: .inf"), "evolution: dt must be"),
     ("m_not_a_number", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: [1.0]"),
      "evolution.m"),
     ("stride_zero", SMALL_SCHRODINGER, ("stride: 10", "stride: 0"), "trajectories.stride"),
@@ -138,6 +141,8 @@ MALFORMED = [
     ("sigma_zero", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: 0.0"), "initial_state.sigma"),
     ("sigma_negative", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: -1.0"), "initial_state.sigma"),
     ("state_m_negative", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: 0.5, m: -1.0"),
+     "initial_state.m"),
+    ("state_m_inf", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: 0.5, m: .inf"),
      "initial_state.m"),
     ("potential_m_negative", SMALL_SCHRODINGER,
      ("potential: {kind: none}", "potential: {kind: harmonic, m: -1.0}"), "potential.m"),

@@ -1,7 +1,14 @@
 """Time evolution schemes and Bohm trajectory integration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import solve_banded
 
 from cliffordqm import dynamics as dy
 from cliffordqm import grids as gd
@@ -15,6 +22,35 @@ def test_config_validation():
         dy.EvolutionConfig(m=1.0, dt=0.1, steps=0)
     with pytest.raises(ValueError):
         dy.EvolutionConfig(m=1.0, dt=0.1, steps=10, scheme="leapfrog")
+    with pytest.raises(ValueError):
+        dy.EvolutionConfig(m=1.0, dt=np.inf, steps=10)
+    with pytest.raises(ValueError):
+        dy.EvolutionConfig(m=np.inf, dt=0.1, steps=10)
+
+
+@pytest.mark.parametrize("scheme, boundary", [("crank-nicolson", "clamped"),
+                                              ("split-step", "periodic")])
+def test_evolve_rejects_non_finite_input(scheme, boundary):
+    grid = gd.Grid.line(-6.0, 6.0, 32, boundary)
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2, scheme=scheme)
+    bad_psi = psi.copy()
+    bad_psi[5] = np.nan
+    with pytest.raises(gd.GridError, match="psi0"):
+        dy.evolve(bad_psi, grid, cfg)
+    V = np.zeros(grid.shape)
+    V[7] = np.inf
+    cfg_v = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2, V=V, scheme=scheme)
+    with pytest.raises(gd.GridError, match="potential"):
+        dy.evolve(psi, grid, cfg_v)
+
+
+def test_crank_nicolson_rejects_an_overflowing_matrix():
+    grid = gd.Grid.line(-6.0, 6.0, 32)
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    cfg = dy.EvolutionConfig(m=1e-320, dt=1e-3, steps=2)
+    with pytest.warns(UserWarning), pytest.raises(gd.GridError, match="not finite"):
+        dy.evolve(psi, grid, cfg)
 
 
 def test_scheme_boundary_pairing():
@@ -183,3 +219,75 @@ def test_evolve_frames_alias_neither_psi0_nor_each_other(scheme, boundary, pauli
     for i, a in enumerate(series.frames):
         for b in series.frames[i + 1:]:
             assert not np.shares_memory(a, b)
+    if scheme == "crank-nicolson":
+        for frame in series.frames:
+            assert frame.flags.c_contiguous and frame.flags.owndata
+    # the frame bytes the benchmark reports: one psi0-sized array per frame
+    assert sum(f.nbytes for f in series.frames) == (cfg.steps + 1) * psi0.nbytes
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the scipy routines the factored solver and the
+# interpolator replace; scipy serves only as the reference here
+
+def _solve_banded_step(psi, axis, h, dt, m):
+    n = psi.shape[axis]
+    gamma = 1j * dt / (4.0 * m * h * h)
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = -gamma
+    ab[1, :] = 1.0 + 2.0 * gamma
+    ab[2, :-1] = -gamma
+    v = np.moveaxis(psi, axis, 0)
+    shape = v.shape
+    v = v.reshape(n, -1)
+    rhs = (1.0 - 2.0 * gamma) * v
+    rhs[:-1] += gamma * v[1:]
+    rhs[1:] += gamma * v[:-1]
+    return np.moveaxis(solve_banded((1, 1), ab, rhs).reshape(shape), 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(37,), (9, 11), (5, 6, 7)])
+@pytest.mark.parametrize("components", [(), (2,)])
+def test_cn_step_equals_solve_banded(shape, components):
+    rng = np.random.default_rng(len(shape) + len(components))
+    psi = rng.normal(size=shape + components) + 1j * rng.normal(size=shape + components)
+    spacing = (0.1, 0.07, 0.13)
+    for ax in range(len(shape)):
+        step = dy._cn_banded(shape[ax], spacing[ax], 1e-3, 1.3)
+        got = dy._cn_axis_step(psi, ax, *step)
+        assert np.array_equal(got, _solve_banded_step(psi, ax, spacing[ax], 1e-3, 1.3))
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim, tol", [(1, 0.0), (2, 1e-14), (3, 0.0)])
+def test_interpolator_equals_regular_grid_interpolator(dim, tol):
+    """Bitwise in 1-D and 3-D; scipy's 2-D fast path rounds differently."""
+    rng = np.random.default_rng(dim)
+    shape = (7, 5, 6)[:dim]
+    coords = [np.linspace(-1.0, 2.0 + ax, n) for ax, n in enumerate(shape)]
+    field = rng.normal(size=shape + (dim,))
+    columns = []
+    for c in coords:
+        h = c[1] - c[0]
+        # nodes, both edges, random interior points and up to one cell outside
+        col = np.concatenate([c, [c[0], c[-1], c[0] - h, c[-1] + h],
+                              rng.uniform(c[0] - h, c[-1] + h, 60)])
+        columns.append(np.concatenate([col, rng.permutation(col)])[:120])
+    x = np.stack(columns, axis=1)
+    got = dy._interpolate(field, dy._cell_weights(coords, x))
+    ref = np.column_stack([
+        RegularGridInterpolator(coords, field[..., ax], bounds_error=False,
+                                fill_value=None)(x)
+        for ax in range(dim)])
+    if tol == 0.0:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= tol
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, cliffordqm; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
