@@ -13,7 +13,6 @@ RK4 stage may step outside the grid before the path is clamped.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -96,7 +95,11 @@ def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
     mesh = np.meshgrid(*ks, indexing="ij")
     for km in mesh:
         k2 += km ** 2
-    return np.exp(-1j * k2 * dt / (2.0 * m))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        phase = np.exp(-1j * k2 * dt / (2.0 * m))
+    if not np.all(np.isfinite(phase)):  # a subnormal m, say
+        raise GridError("split-step kinetic phase is not finite: dt/(m h^2) overflows")
+    return phase
 
 
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
@@ -190,17 +193,16 @@ class TrajectorySet:
     truncated: np.ndarray  # (n_seeds,) bool
 
     def to_csv(self, path) -> None:
-        dim = self.paths.shape[2]
-        cols = ["seed_id", "t"] + ["x", "y", "z"][:dim] + ["truncated_flag"]
+        """One row per seed and frame, seed-major: seed_id,t,x[,y,z],truncated_flag."""
+        n_frames, n_seeds, dim = self.paths.shape
+        rows = np.column_stack([np.repeat(np.arange(n_seeds), n_frames),
+                                np.tile(self.times, n_seeds),
+                                self.paths.transpose(1, 0, 2).reshape(-1, dim),
+                                np.repeat(self.truncated, n_frames)])
+        header = ",".join(["seed_id", "t", *("x", "y", "z")[:dim], "truncated_flag"])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for s in range(self.paths.shape[1]):
-                for f, t in enumerate(self.times):
-                    row = [s, f"{t:.17g}"]
-                    row += [f"{v:.17g}" for v in self.paths[f, s]]
-                    row.append(int(self.truncated[s]))
-                    writer.writerow(row)
+            np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (dim + 1) + ["%d"], delimiter=",",
+                       newline="\r\n", header=header, comments="")
 
 
 def _cell_weights(coords: list, x: np.ndarray) -> list:

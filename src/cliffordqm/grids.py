@@ -9,7 +9,6 @@ ride along untouched.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,17 +337,10 @@ def _euler_texture(d: EulerTexture, grid: Grid, t: float) -> np.ndarray:
 # spinor field text format: `x[ y z] Re(psi1) Im(psi1) [Re(psi2) Im(psi2)]`
 
 def write_spinor_field(path, grid: Grid, psi: np.ndarray) -> None:
-    psi = np.asarray(psi, dtype=complex)
-    comps = [psi] if psi.shape == grid.shape else [psi[..., 0], psi[..., 1]]
+    psi = np.ascontiguousarray(psi, dtype=complex).reshape(grid.n_points, -1)
     xs = [x.ravel() for x in grid.meshgrid()]
     with open(path, "w") as fh:
-        for idx in range(grid.n_points):
-            parts = [f"{x[idx]:.17g}" for x in xs]
-            for c in comps:
-                v = c.ravel()[idx]
-                parts.append(f"{v.real:.17g}")
-                parts.append(f"{v.imag:.17g}")
-            fh.write(" ".join(parts) + "\n")
+        np.savetxt(fh, np.column_stack(xs + [psi.view(float)]), fmt="%.17g")
 
 
 def read_spinor_field(path, grid: Grid) -> np.ndarray:
@@ -371,23 +363,18 @@ def read_spinor_field(path, grid: Grid) -> np.ndarray:
 def export_csv(path, grid: Grid, columns: dict) -> None:
     """Write one row per grid point: coordinates then named values.
 
-    Floats are printed with 17 significant digits for bit-stable dumps.
+    Floats are printed with 17 significant digits for bit-stable dumps;
+    lines end in CRLF.
     """
-    axis_names = ("x", "y", "z")[: grid.dim]
-    xs = [x.ravel() for x in grid.meshgrid()]
-    cols = []
-    names = []
+    names = list(("x", "y", "z")[: grid.dim])
+    cols = [np.column_stack([x.ravel() for x in grid.meshgrid()])]
     for name, arr in columns.items():
-        arr = np.asarray(arr)
-        flat = arr.reshape(grid.n_points, -1)
+        flat = np.asarray(arr).reshape(grid.n_points, -1)
         if flat.shape[1] == 1:
             names.append(name)
         else:
             names.extend(f"{name}_{i}" for i in range(flat.shape[1]))
         cols.append(flat)
-    data = np.hstack([np.column_stack(xs)] + cols)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(axis_names) + names)
-        for row in data:
-            writer.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(fh, np.hstack(cols), fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(names), comments="")

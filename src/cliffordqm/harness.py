@@ -12,7 +12,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +144,11 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
                                        espec.get("scheme", "crank-nicolson"))
     except ValueError as exc:
         raise ConfigError(f"{source}: evolution: {exc}") from exc
+    # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
+    k_max = math.pi / min(grid.spacing)
+    if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
+        raise ConfigError(f"{source}: evolution.m: too small for dt and h, "
+                          f"dt/(m h^2) overflows, got {m}")
 
     tspec = _section(raw, "trajectories", source, {})
     seeds = _numbers(tspec, "seeds", "trajectories", source, [])
@@ -428,6 +433,8 @@ def sweep(sc: Scenario, levels: int) -> dict:
     """Refine h by 2 per level (dt by 4), report per-residual error slopes."""
     if levels < 3:
         raise ConfigError("sweep needs at least 3 refinement levels")
+    if sc.potential_spec.get("kind", "none") == "table":
+        raise ConfigError("table potentials cannot be refined for a sweep")
     rows = []
     base_n = sc.grid.shape[0]
     base_dt = sc.evolution.dt
@@ -438,16 +445,10 @@ def sweep(sc: Scenario, levels: int) -> dict:
                             base_n * factor, sc.grid.boundary)
         dt = base_dt / factor ** 2
         steps = base_steps * factor ** 2
-        if sc.potential_spec.get("kind", "none") == "table":
-            raise ConfigError("table potentials cannot be refined for a sweep")
         pot = _parse_potential(sc.potential_spec, grid, sc.name)
-        level_sc = Scenario(sc.name, sc.description, sc.particle, grid,
-                            sc.descriptor, pot, sc.potential_spec,
-                            dy.EvolutionConfig(sc.evolution.m, dt, steps, pot,
-                                               sc.evolution.scheme),
-                            [], sc.trajectory_stride, sc.tol_C,
-                            sc.support_rel, sc.checks)
-        rows.append(run_scenario(level_sc))
+        evolution = dy.EvolutionConfig(sc.evolution.m, dt, steps, pot, sc.evolution.scheme)
+        rows.append(run_scenario(replace(sc, grid=grid, potential=pot, evolution=evolution,
+                                         seeds=[])))
 
     slopes = {}
     for name in rows[0]["residuals"]:

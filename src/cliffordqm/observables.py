@@ -230,6 +230,11 @@ def _phase_density_gradient(comp: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def _im_conj_product(comp: np.ndarray, dcomp: np.ndarray) -> np.ndarray:
+    """Im(conj(psi_i) d psi_i) = rho_i d S_i for a component and its derivative."""
+    return comp.real * dcomp.imag - comp.imag * dcomp.real
+
+
 def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
     """P_B as the per-component weighted mean of grad(S_i)."""
     comps = [state.psi[..., 0], state.psi[..., 1]] if state.is_pauli else [state.psi]
@@ -247,7 +252,7 @@ def bohm_energy_weighted(win: Window) -> np.ndarray:
         else [(state.psi, dpsi_dt)]
     num = np.zeros(state.grid.shape)
     for comp, dcomp in comps:
-        num -= comp.real * dcomp.imag - comp.imag * dcomp.real
+        num -= _im_conj_product(comp, dcomp)
     return masked_divide(num, state.rho, state.mask)
 
 
@@ -455,8 +460,7 @@ def _dphi_dt(state: SpinorField, dpsi_dt: np.ndarray) -> np.ndarray:
     for i, sign in ((0, 1.0), (1, -1.0)):
         comp, dcomp = state.psi[..., i], dpsi_dt[..., i]
         rho_i = np.abs(comp) ** 2
-        out += sign * masked_divide(comp.real * dcomp.imag - comp.imag * dcomp.real,
-                                    rho_i, rho_i > 0)
+        out += sign * masked_divide(_im_conj_product(comp, dcomp), rho_i, rho_i > 0)
     return out
 
 

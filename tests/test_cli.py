@@ -125,6 +125,10 @@ MALFORMED = [
     ("evolution_m_inf", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: .inf"),
      "evolution: m must be"),
     ("dt_inf", SMALL_SCHRODINGER, ("dt: 0.002", "dt: .inf"), "evolution: dt must be"),
+    ("evolution_m_subnormal", SMALL_SCHRODINGER,
+     ("evolution: {m: 1.0", "evolution: {m: 1.0e-320"), "evolution.m"),
+    ("split_step_m_subnormal", SMALL_PAULI,
+     ("evolution: {m: 1.0", "evolution: {m: 1.0e-320"), "evolution.m"),
     ("m_not_a_number", SMALL_SCHRODINGER, ("evolution: {m: 1.0", "evolution: {m: [1.0]"),
      "evolution.m"),
     ("stride_zero", SMALL_SCHRODINGER, ("stride: 10", "stride: 0"), "trajectories.stride"),

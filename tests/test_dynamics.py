@@ -53,6 +53,15 @@ def test_crank_nicolson_rejects_an_overflowing_matrix():
         dy.evolve(psi, grid, cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_step_rejects_an_overflowing_kinetic_phase():
+    grid = gd.Grid.line(-6.0, 6.0, 64, "periodic")
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    cfg = dy.EvolutionConfig(m=1e-320, dt=1e-3, steps=2, scheme="split-step")
+    with pytest.warns(UserWarning), pytest.raises(gd.GridError, match="not finite"):
+        dy.evolve(psi, grid, cfg)
+
+
 def test_scheme_boundary_pairing():
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=1)
     periodic = gd.Grid.line(0.0, 1.0, 16, "periodic")
@@ -198,6 +207,22 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "seed_id,t,x,truncated_flag"
     assert len(lines) == 4
+    special = dy.TrajectorySet(
+        seeds=np.array([[0.0, 1.0], [2.0, 3.0]]),
+        times=np.array([-0.0, 0.1, 1e-300]),
+        paths=np.array([[[0.0, 1.0], [2.0, 3.0]],
+                        [[-0.0, np.nan], [np.inf, 1 / 3]],
+                        [[1e-300, -np.inf], [2.5, 1e16]]]),
+        truncated=np.array([False, True]))
+    special.to_csv(path)
+    assert path.read_bytes() == (
+        b"seed_id,t,x,y,truncated_flag\r\n"
+        b"0,-0,0,1,0\r\n"
+        b"0,0.10000000000000001,-0,nan,0\r\n"
+        b"0,1e-300,1e-300,-inf,0\r\n"
+        b"1,-0,2,3,1\r\n"
+        b"1,0.10000000000000001,inf,0.33333333333333331,1\r\n"
+        b"1,1e-300,2.5,10000000000000000,1\r\n")
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli", [

@@ -161,6 +161,19 @@ def test_spinor_file_round_trip_pauli(tmp_path):
     # format: x then four real values per line
     line = path.read_text().splitlines()[0].split()
     assert len(line) == 5
+    tiny = gd.Grid.line(0.0, 1.0, 5)
+    special = np.array([[complex(-0.0, 1.0), complex(np.nan, -0.0)],
+                        [complex(np.inf, 0.0), complex(0.0, 1e-300)],
+                        [complex(-np.inf, -0.0), complex(1 / 3, 0.0)],
+                        [0.1, 2j],
+                        [1e16, complex(0.5, np.nan)]])
+    gd.write_spinor_field(path, tiny, special)
+    assert path.read_bytes() == (
+        b"0 -0 1 nan -0\n"
+        b"0.25 inf 0 0 1e-300\n"
+        b"0.5 -inf -0 0.33333333333333331 0\n"
+        b"0.75 0.10000000000000001 0 0 2\n"
+        b"1 10000000000000000 0 0.5 nan\n")
 
 
 def test_export_csv_deterministic(tmp_path):
@@ -173,6 +186,19 @@ def test_export_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "x,rho,P_0,P_1,P_2"
+    tiny = gd.Grid.line(0.0, 1.0, 5)
+    special = {"rho": np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300]),
+               "P": np.array([[0.1, -0.0], [1 / 3, 2.0], [-1e-300, np.nan],
+                              [1e16, -np.inf], [0.5, 1e300]]),
+               "n": np.arange(5)}
+    gd.export_csv(p1, tiny, special)
+    assert p1.read_bytes() == (
+        b"x,rho,P_0,P_1,n\r\n"
+        b"0,-0,0.10000000000000001,-0,0\r\n"
+        b"0.25,nan,0.33333333333333331,2,1\r\n"
+        b"0.5,inf,-1e-300,nan,2\r\n"
+        b"0.75,-inf,10000000000000000,-inf,3\r\n"
+        b"1,1e-300,0.5,1.0000000000000001e+300,4\r\n")
 
 
 @pytest.mark.parametrize("weights", [(0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)],
