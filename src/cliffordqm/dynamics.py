@@ -23,6 +23,8 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grids import Grid, GridError, SnapshotSeries
 
+SCHEME_BOUNDARY = {"crank-nicolson": "clamped", "split-step": "periodic"}
+
 
 @dataclass
 class EvolutionConfig:
@@ -41,7 +43,7 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.scheme not in ("crank-nicolson", "split-step"):
+        if self.scheme not in SCHEME_BOUNDARY:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -114,10 +116,8 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
     pauli = psi0.shape == grid.shape + (2,)
     if not pauli and psi0.shape != grid.shape:
         raise GridError(f"psi0 shape {psi0.shape} does not fit grid {grid.shape}")
-    if cfg.scheme == "split-step" and grid.boundary != "periodic":
-        raise GridError("split-step evolution needs a periodic grid")
-    if cfg.scheme == "crank-nicolson" and grid.boundary != "clamped":
-        raise GridError("Crank-Nicolson evolution needs a clamped grid")
+    if grid.boundary != SCHEME_BOUNDARY[cfg.scheme]:
+        raise GridError(f"{cfg.scheme} evolution needs a {SCHEME_BOUNDARY[cfg.scheme]} grid")
     # checked once: a unitary step keeps finite data finite
     if not np.all(np.isfinite(psi0)):
         raise GridError("psi0 is not finite")

@@ -163,10 +163,7 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def curl(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Curl of a 3-component vector field; missing-axis derivatives are zero."""
-    d = np.zeros(v.shape[:-1] + (3, 3), dtype=np.result_type(v, float))
-    for comp in range(3):
-        for ax in range(grid.dim):
-            d[..., comp, ax] = deriv(v[..., comp], grid, ax)
+    d = gradient(v, grid)  # [..., component, axis]
     out = np.empty_like(v, dtype=np.result_type(v, float))
     out[..., 0] = d[..., 2, 1] - d[..., 1, 2]
     out[..., 1] = d[..., 0, 2] - d[..., 2, 0]
@@ -349,12 +346,8 @@ def read_spinor_field(path, grid: Grid) -> np.ndarray:
     n_val = data.shape[1] - grid.dim
     if n_val not in (2, 4):
         raise GridError(f"unexpected record width {data.shape[1]} in spinor file")
-    vals = data[:, grid.dim:]
-    if n_val == 2:
-        return (vals[:, 0] + 1j * vals[:, 1]).reshape(grid.shape)
-    psi1 = vals[:, 0] + 1j * vals[:, 1]
-    psi2 = vals[:, 2] + 1j * vals[:, 3]
-    return np.stack([psi1.reshape(grid.shape), psi2.reshape(grid.shape)], axis=-1)
+    psi = np.ascontiguousarray(data[:, grid.dim:]).view(complex)
+    return psi.reshape(grid.shape + ((2,) if n_val == 4 else ()))
 
 
 # ---------------------------------------------------------------------------

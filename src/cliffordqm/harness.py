@@ -95,7 +95,6 @@ class Scenario:
     particle: str
     grid: gd.Grid
     descriptor: object
-    potential: np.ndarray  # None for free evolution
     potential_spec: dict
     evolution: dy.EvolutionConfig
     seeds: list
@@ -144,6 +143,9 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
                                        espec.get("scheme", "crank-nicolson"))
     except ValueError as exc:
         raise ConfigError(f"{source}: evolution: {exc}") from exc
+    if grid.boundary != dy.SCHEME_BOUNDARY[evolution.scheme]:
+        raise ConfigError(f"{source}: evolution.scheme: {evolution.scheme} needs a "
+                          f"{dy.SCHEME_BOUNDARY[evolution.scheme]} grid, got {grid.boundary}")
     # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
     k_max = math.pi / min(grid.spacing)
     if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
@@ -172,7 +174,7 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
             raise ConfigError(f"{source}: checks: {c} does not apply to particle: {particle}")
 
     scenario = Scenario(name, raw.get("description", ""), particle, grid,
-                        descriptor, potential, dict(vspec), evolution, seeds,
+                        descriptor, dict(vspec), evolution, seeds,
                         stride, tol_C, support_rel, list(checks))
     _validate(scenario, source)
     return scenario
@@ -289,7 +291,7 @@ def _check(sc: Scenario, series: gd.SnapshotSeries):
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
     k = len(series) // 2
-    obs = ob.compute_observables(series, k, sc.evolution.m, sc.potential)
+    obs = ob.compute_observables(series, k, sc.evolution.m, sc.evolution.V)
     state = obs.window.cur
     support = state.mask & ob.support_mask(state.rho, sc.support_rel)
 
@@ -437,18 +439,26 @@ def sweep(sc: Scenario, levels: int) -> dict:
         raise ConfigError("table potentials cannot be refined for a sweep")
     rows = []
     base_n = sc.grid.shape[0]
-    base_dt = sc.evolution.dt
     base_steps = sc.evolution.steps
+    # every level stores all its frames; refuse, before running any, a level
+    # whose frames alone exceed the machine's memory (levels grow 8x in 1-D)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    components = 2 if sc.particle == "pauli" else 1
+    for lvl in range(levels):
+        frame_bytes = (base_steps * 4 ** lvl + 1) * base_n * 2 ** lvl * 16 * components
+        if frame_bytes > memory:
+            raise ConfigError(f"--levels {levels}: level {lvl + 1} would store "
+                              f"{frame_bytes / 1e9:.1f} GB of frames, more than the "
+                              f"{memory / 1e9:.1f} GB of memory")
     for lvl in range(levels):
         factor = 2 ** lvl
         grid = gd.Grid.line(sc.grid.axes[0].lo, sc.grid.axes[0].hi,
                             base_n * factor, sc.grid.boundary)
-        dt = base_dt / factor ** 2
+        dt = sc.evolution.dt / factor ** 2
         steps = base_steps * factor ** 2
         pot = _parse_potential(sc.potential_spec, grid, sc.name)
         evolution = dy.EvolutionConfig(sc.evolution.m, dt, steps, pot, sc.evolution.scheme)
-        rows.append(run_scenario(replace(sc, grid=grid, potential=pot, evolution=evolution,
-                                         seeds=[])))
+        rows.append(run_scenario(replace(sc, grid=grid, evolution=evolution, seeds=[])))
 
     slopes = {}
     for name in rows[0]["residuals"]:

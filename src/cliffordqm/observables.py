@@ -145,6 +145,31 @@ class SpinorField:
         return [2.0 * gp_coeffs(self.signature, deriv(self.g, self.grid, ax), g_conj)
                 for ax in range(self.grid.dim)]
 
+    @cached_property
+    def P(self) -> np.ndarray:
+        """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
+        out = np.zeros(self.grid.shape + (3,))
+        for ax, om in enumerate(self.omega):
+            out[..., ax] = -gp_coeffs(self.signature, om, self.spin_bivector_coeffs)[..., 0]
+        out[~self.mask] = 0.0
+        return _read_only(out)
+
+    @cached_property
+    def grad_spin(self) -> np.ndarray:
+        """grad(s), laid out as [..., component, axis]; Pauli only."""
+        return _read_only(gradient(self.spin, self.grid))
+
+    @cached_property
+    def lap_spin(self) -> np.ndarray:
+        """lap(s) per component; Pauli only."""
+        return _read_only(laplacian(self.spin, self.grid))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze a field every consumer of the frame shares; an in-place update starts from a copy."""
+    arr.flags.writeable = False
+    return arr
+
 
 def state_at(series: SnapshotSeries, k: int) -> SpinorField:
     return SpinorField(series.grid, series.frames[k])
@@ -186,12 +211,8 @@ def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
 # Bohm momentum and energy: algebraic route
 
 def bohm_momentum(state: SpinorField) -> np.ndarray:
-    """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
-    out = np.zeros(state.grid.shape + (3,))
-    for ax, om in enumerate(state.omega):
-        out[..., ax] = -gp_coeffs(state.signature, om, state.spin_bivector_coeffs)[..., 0]
-    out[~state.mask] = 0.0
-    return out
+    """The frame's read-only P_B, ``state.P``."""
+    return state.P
 
 
 def bohm_momentum_vector_part(state: SpinorField) -> np.ndarray:
@@ -283,7 +304,7 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     s = state.spin
     s_lap = np.zeros(grid.shape)
     for comp in range(3):
-        s_lap += s[..., comp] * laplacian(s[..., comp], grid)
+        s_lap += s[..., comp] * state.lap_spin[..., comp]
     q = -((2.0 * laplacian(ln_rho, grid) + (grad_ln ** 2).sum(axis=-1)) / 4.0 + s_lap) / (2.0 * m)
     q[~state.mask] = 0.0
 
@@ -299,9 +320,8 @@ def euler_q2(state: SpinorField, m: float) -> np.ndarray:
     (grad theta)^2 = (grad a3)^2 / sin^2 theta; poles (sin theta ~ 0) fall
     back to the rotation-invariant form sum_j |d_j a|^2.
     """
-    grid = state.grid
     a = state.spin_direction
-    da = np.stack([gradient(a[..., c], grid) for c in range(3)], axis=-2)  # [..., comp, axis]
+    da = 2.0 * state.grad_spin  # [..., comp, axis]
     sin2 = a[..., 0] ** 2 + a[..., 1] ** 2
     grad_theta2 = (da[..., 2, :] ** 2).sum(axis=-1)
     cross = a[..., 0, None] * da[..., 1, :] - a[..., 1, None] * da[..., 0, :]
@@ -325,15 +345,13 @@ class CurrentSplit:
     v: np.ndarray
 
 
-def pauli_current(state: SpinorField, m: float, P: np.ndarray = None) -> CurrentSplit:
+def pauli_current(state: SpinorField, m: float) -> CurrentSplit:
     """Convective and rotational currents and the trajectory velocity.
 
     m J_conv = rho P_B; m J_rot = curl(rho s); v = (J_conv + J_rot)/rho.
     Schrodinger states have no rotational part.
     """
-    if P is None:
-        P = bohm_momentum(state)
-    j_conv = state.rho[..., None] * P / m
+    j_conv = state.rho[..., None] * state.P / m
     if state.is_pauli:
         j_rot = curl(state.rho[..., None] * state.spin, state.grid) / m
     else:
@@ -362,18 +380,16 @@ def qhj_residual(E: np.ndarray, P: np.ndarray, Q: np.ndarray, V: np.ndarray,
     return res
 
 
-def continuity_residual(win: Window, m: float, P: np.ndarray = None) -> np.ndarray:
+def continuity_residual(win: Window, m: float) -> np.ndarray:
     """d_t rho + div(rho P_B / m) at the window's middle frame."""
     state = win.cur
-    if P is None:
-        P = bohm_momentum(state)
     drho_dt = win.d_dt(lambda st: st.rho)
-    res = drho_dt + divergence(state.rho[..., None] * P / m, state.grid)
+    res = drho_dt + divergence(state.rho[..., None] * state.P / m, state.grid)
     res[~state.mask] = 0.0
     return res
 
 
-def spin_transport_residual(win: Window, m: float, P: np.ndarray = None) -> np.ndarray:
+def spin_transport_residual(win: Window, m: float) -> np.ndarray:
     """LHS - RHS of  ds/dt = (s/m) x [lap(s) + (grad ln rho . grad) s].
 
     ds/dt is the convective derivative d_t s + (P_B . grad) s / m.
@@ -382,19 +398,14 @@ def spin_transport_residual(win: Window, m: float, P: np.ndarray = None) -> np.n
     state = win.cur
     if not state.is_pauli:
         raise UnsupportedAlgebraError("spin transport needs a Pauli field")
-    grid = state.grid
-    if P is None:
-        P = bohm_momentum(state)
     ds_dt = win.d_dt(lambda st: st.spin)
-    s = state.spin
+    s, ds = state.spin, state.grad_spin
     conv = np.zeros_like(s)
-    for ax in range(grid.dim):
-        conv += P[..., ax, None] * deriv(s, grid, ax)
+    term = state.lap_spin.copy()
+    for ax in range(state.grid.dim):
+        conv += state.P[..., ax, None] * ds[..., ax]
+        term += state.grad_ln_rho[..., ax, None] * ds[..., ax]
     lhs = ds_dt + conv / m
-
-    term = laplacian(s, grid)
-    for ax in range(grid.dim):
-        term += state.grad_ln_rho[..., ax, None] * deriv(s, grid, ax)
     rhs = np.cross(s, term) / m
     res = lhs - rhs
     res[~state.mask] = 0.0
@@ -421,22 +432,19 @@ def quantum_torque(win: Window, m: float) -> TorqueBalance:
     if not state.is_pauli:
         raise UnsupportedAlgebraError("quantum torque needs a Pauli field")
     grid = state.grid
-    P = bohm_momentum(state)
-    dP_dt = win.d_dt(bohm_momentum) + gradient((P ** 2).sum(axis=-1), grid) / (2.0 * m)
+    dP_dt = win.d_dt(bohm_momentum) + gradient((state.P ** 2).sum(axis=-1), grid) / (2.0 * m)
 
     qp = quantum_potential(state, m)
     neg_grad_Q = -gradient(qp.Q, grid)
 
-    cos_theta = state.spin_direction[..., 2]
-    rho1 = np.abs(state.psi[..., 0]) ** 2
-    rho2 = np.abs(state.psi[..., 1]) ** 2
-    pole_ok = state.mask & (rho1 > POLE_EPS * np.max(state.rho)) \
-        & (rho2 > POLE_EPS * np.max(state.rho))
+    grad_cos = 2.0 * state.grad_spin[..., 2, :]  # cos theta = a3 = 2 s3
+    comp_rho = np.abs(state.psi) ** 2
+    pole_ok = state.mask & np.all(comp_rho > POLE_EPS * np.max(state.rho), axis=-1)
 
     grad_phi = _grad_phi(state)
     dphi_dt = _dphi_dt(state, win.d_dt(lambda st: st.psi))
     dcos_dt = win.d_dt(lambda st: st.spin_direction[..., 2])
-    torque = -0.5 * (dcos_dt[..., None] * grad_phi - gradient(cos_theta, grid) * dphi_dt[..., None])
+    torque = -0.5 * (dcos_dt[..., None] * grad_phi - grad_cos * dphi_dt[..., None])
 
     residual = dP_dt + (-neg_grad_Q) + torque
     for arr in (dP_dt, neg_grad_Q, torque, residual):
@@ -487,20 +495,20 @@ def compute_observables(series: SnapshotSeries, k: int, m: float,
     """All Bohm fields and the standard residuals at frame k of a series."""
     win = window(series, k)
     state = win.cur
-    P = bohm_momentum(state)
     E = bohm_energy(win)
     qp = quantum_potential(state, m)
-    cur = pauli_current(state, m, P)
+    cur = pauli_current(state, m)
     res = {
-        "qhj": qhj_residual(E, P, qp.Q, V, m, state.mask),
-        "continuity": continuity_residual(win, m, P),
+        "qhj": qhj_residual(E, state.P, qp.Q, V, m, state.mask),
+        "continuity": continuity_residual(win, m),
     }
     s = None
     if state.is_pauli:
         s = state.spin
-        spin_res = spin_transport_residual(win, m, P)
+        spin_res = spin_transport_residual(win, m)
         res["spin_transport"] = np.sqrt((spin_res ** 2).sum(axis=-1))
-    return BohmObservables(win, P, E, qp.Q, qp.Q1, qp.Q2, s, cur.J_conv, cur.J_rot, cur.v, res)
+    return BohmObservables(win, state.P, E, qp.Q, qp.Q1, qp.Q2, s, cur.J_conv, cur.J_rot, cur.v,
+                           res)
 
 
 def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:
@@ -515,8 +523,7 @@ def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:
 
 
 def residual_stats(res: np.ndarray, mask: np.ndarray) -> dict:
-    vals = np.abs(res[mask]) if res.shape == mask.shape else \
-        np.abs(res[mask]).reshape(-1)
+    vals = np.abs(res[mask]).reshape(-1)
     n_total = mask.size
     return {
         "max_abs": float(vals.max()) if vals.size else 0.0,

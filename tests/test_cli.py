@@ -154,6 +154,10 @@ MALFORMED = [
      "initial_state"),
     ("weights_nan", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [.nan, 1.0],"),
      "initial_state.weights"),
+    ("split_step_on_clamped_grid", SMALL_SCHRODINGER,
+     ("scheme: crank-nicolson", "scheme: split-step"), "evolution.scheme"),
+    ("crank_nicolson_on_periodic_grid", SMALL_PAULI,
+     ("scheme: split-step", "scheme: crank-nicolson"), "evolution.scheme"),
 ]
 
 
@@ -186,6 +190,21 @@ def test_sweep_requires_three_levels():
     sc = harness.parse_config(SMALL_PAULI)
     with pytest.raises(harness.ConfigError):
         harness.sweep(sc, 1)
+
+
+@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_superposition"])
+def test_sweep_refuses_levels_whose_frames_exceed_memory(name, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(harness, "run_scenario", never)
+    # 8 levels would store about 5 TB of frames at the last level
+    assert cli.main(["sweep", name, "--levels", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--levels" in captured.err
 
 
 def test_sweep_slopes_second_order():

@@ -375,3 +375,34 @@ def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
     assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
     if win.cur.is_pauli:
         assert np.array_equal(ob.bohm_momentum_vector_part(win.cur), vec_ref)
+
+
+STENCILS = ("deriv", "gradient", "laplacian", "divergence", "curl", "time_derivative")
+
+
+def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch):
+    """P, grad s and lap s are derived once per frame and shared by every consumer."""
+    calls = []
+
+    def data_key(arg):
+        if isinstance(arg, np.ndarray):
+            return arg.shape, arg.dtype.str, arg.tobytes()
+        return arg
+
+    for name in STENCILS:
+        def recording(*args, _name=name, _stencil=getattr(ob, name)):
+            calls.append((_name,) + tuple(data_key(a) for a in args))
+            return _stencil(*args)
+        monkeypatch.setattr(ob, name, recording)
+    ob.compute_observables(pauli_texture_3d_series(), 1, 1.0)
+    assert {c[0] for c in calls} == set(STENCILS)
+    assert len(set(calls)) == len(calls)
+
+
+def test_bohm_momentum_is_the_frames_read_only_P():
+    state = ob.state_at(pauli_texture_3d_series(), 1)
+    P = ob.bohm_momentum(state)
+    assert P is state.P
+    for shared in (P, state.grad_spin, state.lap_spin):
+        with pytest.raises(ValueError):
+            shared[0, 0, 0, 0] = 1.0
