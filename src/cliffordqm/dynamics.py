@@ -6,9 +6,14 @@ against an independent generator of the fields, not against themselves.
 
 Crank-Nicolson factors each axis's tridiagonal matrix once per run
 (LAPACK ``zgttrf``) and solves every step against those factors
-(``zgttrs``).  Trajectories read the velocity through a multilinear
-interpolator that extrapolates linearly past the grid's edges, since an
-RK4 stage may step outside the grid before the path is clamped.
+(``zgttrs``).  ``evolve`` hands every frame to an optional sink,
+``keep(j, psi)``, and stores only the frames it accepts, so a caller that
+needs a few frames, or only numbers taken from them, holds O(N) memory
+rather than O(steps N); without a sink it stores every frame.
+
+Trajectories read the velocity through a multilinear interpolator that
+extrapolates linearly past the grid's edges, since an RK4 stage may step
+outside the grid before the path is clamped.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ class EvolutionConfig:
             raise ValueError("steps must be >= 1")
         if self.scheme not in SCHEME_BOUNDARY:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+
+    def frame_times(self, t0: float = 0.0) -> np.ndarray:
+        """Times of frames 0..steps of an evolution that starts at t0."""
+        return t0 + self.dt * np.arange(self.steps + 1)
 
 
 def norm(psi: np.ndarray, grid: Grid) -> float:
@@ -105,12 +114,17 @@ def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
 
 
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
-           t0: float = 0.0) -> SnapshotSeries:
+           t0: float = 0.0, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
     Strang splitting: half potential phase, full kinetic step (per-axis
     Crank-Nicolson solves, or one FFT step on periodic grids), half
-    potential phase.  Returns steps+1 frames including the initial one.
+    potential phase.  keep(j, psi) is called once per frame, j = 0..steps
+    in order, and the frames it returns true for are stored; psi is never
+    written after the call, so keep may hold on to it.  Returns the stored
+    frames at their times (all steps+1 of them when keep is None), with dt
+    the step of the full time grid times the index spacing of the stored
+    frames; unevenly spaced frames raise GridError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -143,11 +157,18 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
             kin = kin[..., None]
         fft_axes = tuple(range(grid.dim))
 
+    stored, frames = [], []
+
+    def store(j: int, psi: np.ndarray):
+        if keep is None or keep(j, psi):
+            stored.append(j)
+            frames.append(psi)
+
     # one copy keeps the caller's psi0 out of the frames; every step below
     # binds psi to a new array, which the frames keep as it is
     psi = psi0.copy()
-    frames = [psi]
-    for _ in range(cfg.steps):
+    store(0, psi)
+    for j in range(1, cfg.steps + 1):
         if half_v is not None:
             psi = psi * half_v
         if cfg.scheme == "crank-nicolson":
@@ -157,9 +178,10 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
             psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * kin, axes=fft_axes)
         if half_v is not None:
             psi = psi * half_v
-        frames.append(psi)
-    times = t0 + cfg.dt * np.arange(cfg.steps + 1)
-    return SnapshotSeries(times, frames, grid)
+        store(j, psi)
+    times = cfg.frame_times(t0)
+    dt = (times[1] - times[0]) * (stored[1] - stored[0]) if len(stored) >= 2 else None
+    return SnapshotSeries(times[stored], frames, grid, dt)
 
 
 def evolve_schrodinger(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,

@@ -72,6 +72,10 @@ class Grid:
     def meshgrid(self) -> list:
         return list(np.meshgrid(*[self.coords(i) for i in range(self.dim)], indexing="ij"))
 
+    def points(self) -> np.ndarray:
+        """Node coordinates, one (x[, y, z]) row per point in C order."""
+        return np.column_stack([x.ravel() for x in self.meshgrid()])
+
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
@@ -79,11 +83,19 @@ class Grid:
 
 @dataclass
 class SnapshotSeries:
-    """Uniformly spaced time snapshots of a field."""
+    """Uniformly spaced time snapshots of a field.
+
+    dt defaults to times[1] - times[0].  Frames kept from a longer run carry
+    that run's step instead: t[k] - t[k-1] differs from it by a few ulp.
+    Frames are numbered in steps of dt from first: frames[i] is frame
+    first + i, so a window kept from a run can keep the run's numbering.
+    """
 
     times: np.ndarray
     frames: list  # ndarrays sharing one shape
     grid: Grid = None
+    dt: float = None
+    first: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -93,10 +105,12 @@ class SnapshotSeries:
             steps = np.diff(self.times)
             if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
                 raise GridError("times must be strictly increasing with uniform step")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+            if self.dt is None:
+                self.dt = steps[0]
+            if not abs(self.dt - steps[0]) <= 1e-9 * steps[0]:
+                raise GridError(f"dt {self.dt!r} does not match the step of times {steps[0]!r}")
+        if self.dt is not None:
+            self.dt = float(self.dt)
 
     def __len__(self):
         return len(self.frames)
@@ -335,9 +349,8 @@ def _euler_texture(d: EulerTexture, grid: Grid, t: float) -> np.ndarray:
 
 def write_spinor_field(path, grid: Grid, psi: np.ndarray) -> None:
     psi = np.ascontiguousarray(psi, dtype=complex).reshape(grid.n_points, -1)
-    xs = [x.ravel() for x in grid.meshgrid()]
     with open(path, "w") as fh:
-        np.savetxt(fh, np.column_stack(xs + [psi.view(float)]), fmt="%.17g")
+        np.savetxt(fh, np.column_stack([grid.points(), psi.view(float)]), fmt="%.17g")
 
 
 def read_spinor_field(path, grid: Grid) -> np.ndarray:
@@ -346,6 +359,11 @@ def read_spinor_field(path, grid: Grid) -> np.ndarray:
     n_val = data.shape[1] - grid.dim
     if n_val not in (2, 4):
         raise GridError(f"unexpected record width {data.shape[1]} in spinor file")
+    if data.shape[0] != grid.n_points:
+        raise GridError(f"spinor file has {data.shape[0]} points, the grid {grid.n_points}")
+    # the writer's %.17g round-trips, so a file written on this grid matches exactly
+    if not np.array_equal(data[:, :grid.dim], grid.points()):
+        raise GridError("spinor file coordinates differ from the grid's")
     psi = np.ascontiguousarray(data[:, grid.dim:]).view(complex)
     return psi.reshape(grid.shape + ((2,) if n_val == 4 else ()))
 
@@ -360,7 +378,7 @@ def export_csv(path, grid: Grid, columns: dict) -> None:
     lines end in CRLF.
     """
     names = list(("x", "y", "z")[: grid.dim])
-    cols = [np.column_stack([x.ravel() for x in grid.meshgrid()])]
+    cols = [grid.points()]
     for name, arr in columns.items():
         flat = np.asarray(arr).reshape(grid.n_points, -1)
         if flat.shape[1] == 1:

@@ -4,6 +4,13 @@ Configs are YAML documents with a schema_version field; see the bundled
 files under cliffordqm/scenarios for the dialect.  A run produces a fields
 CSV, a trajectories CSV, and a report JSON whose pass/fail flags drive the
 CLI exit code.
+
+A run streams its evolution through a frame sink rather than storing every
+frame.  The sink keeps the norms of the first and last frames (for the
+drift check), frames k-1, k and k+1 around the checked frame
+k = (steps+1)//2, and, when the scenario has trajectory seeds, every
+stride-th raw frame; the trajectory velocities are derived from those after
+the evolution.
 """
 
 from __future__ import annotations
@@ -272,25 +279,56 @@ def _initial_field(sc: Scenario) -> np.ndarray:
     return psi0 / n
 
 
+class _FrameSink:
+    """dynamics.evolve's keep(j, psi) for a run: it accepts frames k-1..k+1
+    and records the drift norms and the stride frames on the side."""
+
+    def __init__(self, sc: Scenario):
+        steps = sc.evolution.steps
+        self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
+        self.stride = min(sc.trajectory_stride, steps) if sc.seeds else 0
+        self.norms = []
+        self.traj_index, self.traj_frames = [], []
+
+    def __call__(self, j: int, psi: np.ndarray) -> bool:
+        if j == 0 or j == self.last:
+            self.norms.append(dy.norm(psi, self.grid))
+        if self.stride and j % self.stride == 0:
+            self.traj_index.append(j)
+            self.traj_frames.append(psi)
+        return abs(j - self.k) <= 1
+
+    @property
+    def drift(self) -> float:
+        return abs(self.norms[-1] - self.norms[0])
+
+
+def _run(sc: Scenario, psi0: np.ndarray):
+    """Evolve through a frame sink and check: (report, BohmObservables, sink)."""
+    sink = _FrameSink(sc)
+    # numbered as the run numbers them, so the window's frame k is the run's
+    window = replace(dy.evolve(psi0, sc.grid, sc.evolution, keep=sink), first=sink.k - 1)
+    return (*_check(sc, window, sink.k, sink.drift), sink)
+
+
 def run_scenario(sc: Scenario, series: gd.SnapshotSeries = None) -> dict:
-    """Evolve (unless a series is supplied), check, assemble the report."""
+    """Evolve (unless a full series is supplied), check, assemble the report."""
     if series is None:
-        series = dy.evolve(_initial_field(sc), sc.grid, sc.evolution)
-    return _check(sc, series)[0]
+        return _run(sc, _initial_field(sc))[0]
+    drift = abs(dy.norm(series.frames[-1], sc.grid) - dy.norm(series.frames[0], sc.grid))
+    return _check(sc, series, len(series) // 2, drift)[0]
 
 
-def _check(sc: Scenario, series: gd.SnapshotSeries):
-    """Report on the middle frame of an evolved series.
+def _check(sc: Scenario, series: gd.SnapshotSeries, k: int, drift: float):
+    """Report on frame k of a run, given a series that holds frames k-1..k+1
+    at the run's dt and the norm drift over the whole run.
 
     Returns the report and the frame's BohmObservables, whose window holds
     the frame and its neighbours.
     """
-    drift = abs(dy.norm(series.frames[-1], sc.grid)
-                - dy.norm(series.frames[0], sc.grid))
     if not drift <= NORM_DRIFT_ABORT:  # a NaN drift aborts too
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
-    k = len(series) // 2
     obs = ob.compute_observables(series, k, sc.evolution.m, sc.evolution.V)
     state = obs.window.cur
     support = state.mask & ob.support_mask(state.rho, sc.support_rel)
@@ -375,18 +413,16 @@ def ob_energy_oracle(win: ob.Window) -> np.ndarray:
     return ob.masked_divide(dens, win.cur.rho, win.cur.mask)
 
 
-def run_trajectories(sc: Scenario, series: gd.SnapshotSeries) -> dy.TrajectorySet:
+def run_trajectories(sc: Scenario, frames: list, times: np.ndarray) -> dy.TrajectorySet:
+    """Bohm paths of the scenario's seeds through the velocities of the given
+    raw frames, which are equally spaced in time."""
     m = sc.evolution.m
-    stride = sc.trajectory_stride
-    if len(series) <= stride:
-        stride = max(1, len(series) - 1)
-    frames, times, masks = [], [], []
-    for f in range(0, len(series), stride):
-        state = ob.SpinorField(sc.grid, series.frames[f])
-        frames.append(ob.pauli_current(state, m).v)
+    velocities, masks = [], []
+    for psi in frames:
+        state = ob.SpinorField(sc.grid, psi)
+        velocities.append(ob.pauli_current(state, m).v)
         masks.append(state.mask)
-        times.append(series.times[f])
-    vser = gd.SnapshotSeries(np.asarray(times), frames, sc.grid)
+    vser = gd.SnapshotSeries(times, velocities, sc.grid)
     seeds = np.asarray(sc.seeds, dtype=float).reshape(-1, 1)
     return dy.integrate_trajectories(vser, seeds, masks)
 
@@ -396,8 +432,7 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     psi0 = _initial_field(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = dy.evolve(psi0, sc.grid, sc.evolution)
-    report, obs = _check(sc, series)
+    report, obs, sink = _run(sc, psi0)
     columns = {
         "rho": obs.window.cur.rho,
         "P": obs.P[..., : sc.grid.dim],
@@ -412,7 +447,8 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     gd.export_csv(out / "fields.csv", sc.grid, columns)
 
     if sc.seeds:
-        traj = run_trajectories(sc, series)
+        times = sc.evolution.frame_times()[sink.traj_index]
+        traj = run_trajectories(sc, sink.traj_frames, times)
         traj.to_csv(out / "trajectories.csv")
         report["trajectories"] = {
             "n_seeds": len(sc.seeds),
@@ -440,8 +476,9 @@ def sweep(sc: Scenario, levels: int) -> dict:
     rows = []
     base_n = sc.grid.shape[0]
     base_steps = sc.evolution.steps
-    # every level stores all its frames; refuse, before running any, a level
-    # whose frames alone exceed the machine's memory (levels grow 8x in 1-D)
+    # a level streams its frames, but refuse, before running any, a level
+    # whose frames would exceed the machine's memory if all were stored: a
+    # conservative ceiling on the work a level takes (8x per level in 1-D)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     components = 2 if sc.particle == "pauli" else 1
     for lvl in range(levels):

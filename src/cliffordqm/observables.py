@@ -172,7 +172,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def state_at(series: SnapshotSeries, k: int) -> SpinorField:
-    return SpinorField(series.grid, series.frames[k])
+    return SpinorField(series.grid, series.frames[k - series.first])
 
 
 @dataclass(eq=False)
@@ -191,8 +191,9 @@ class Window:
 
 def window(series: SnapshotSeries, k: int) -> Window:
     """The window around frame k, with dt = series.dt; boundary frames are rejected."""
-    if not 1 <= k <= len(series) - 2:
-        raise GridError(f"frame {k} has no central-stencil neighbours (len {len(series)})")
+    if not series.first + 1 <= k <= series.first + len(series) - 2:
+        raise GridError(f"frame {k} has no central-stencil neighbours in frames "
+                        f"{series.first}..{series.first + len(series) - 1}")
     return Window(*(state_at(series, j) for j in (k - 1, k, k + 1)), series.dt)
 
 

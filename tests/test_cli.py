@@ -1,6 +1,7 @@
 """Scenario harness and command line contract: exit codes, files, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,50 @@ def test_run_to_files_computes_observables_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.ob, "compute_observables", counting)
     report = harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
     assert calls == [report["frame"]]
+
+
+@pytest.mark.parametrize("config", [SMALL_SCHRODINGER, SMALL_PAULI], ids=["schrodinger", "pauli"])
+def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
+    sc = harness.parse_config(config)
+    windows = []
+    compute = harness.ob.compute_observables
+
+    def recording(series, k, *args):
+        windows.append((len(series), series.dt.hex()))
+        return compute(series, k, *args)
+
+    monkeypatch.setattr(harness.ob, "compute_observables", recording)
+    full = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
+    expected = harness.run_scenario(sc, full)
+    assert harness.run_scenario(sc) == expected
+    report = harness.run_to_files(sc, tmp_path / "out")
+    assert "trajectories" in report if sc.seeds else "trajectories" not in report
+    report.pop("trajectories", None)
+    assert report == expected
+    # the streamed runs check a three-frame window at the full run's dt, bit for bit
+    steps, dt = sc.evolution.steps, sc.evolution.dt.hex()
+    assert windows == [(steps + 1, dt), (3, dt), (3, dt)]
+    if sc.seeds:
+        stride = sc.trajectory_stride
+        traj = harness.run_trajectories(sc, full.frames[::stride], full.times[::stride])
+        traj.to_csv(tmp_path / "full.csv")
+        assert (tmp_path / "out" / "trajectories.csv").read_bytes() == \
+            (tmp_path / "full.csv").read_bytes()
+
+
+def test_run_to_files_memory_does_not_grow_with_steps(tmp_path):
+    steps = 4000
+    sc = harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 64")
+                              .replace("dt: 0.002, steps: 40", f"dt: 0.0005, steps: {steps}")
+                              .replace("stride: 10", "stride: 400"))
+    every_frame = (steps + 1) * sc.grid.n_points * 16
+    tracemalloc.start()
+    try:
+        harness.run_to_files(sc, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < every_frame / 8, (peak, every_frame)
 
 
 def test_default_checks_are_those_of_the_particle():

@@ -251,6 +251,47 @@ def test_evolve_frames_alias_neither_psi0_nor_each_other(scheme, boundary, pauli
     assert sum(f.nbytes for f in series.frames) == (cfg.steps + 1) * psi0.nbytes
 
 
+@pytest.mark.parametrize("scheme, boundary, pauli", [
+    ("crank-nicolson", "clamped", False),
+    ("split-step", "periodic", True),
+])
+def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli):
+    grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
+    psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
+    if pauli:
+        psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=0.1 * grid.coords(0) ** 2,
+                             scheme=scheme)
+    full = dy.evolve(psi0, grid, cfg)
+    for wanted in ([5, 6, 7], [0, 4, 8, 12], [3], list(range(13))):
+        seen = []
+
+        def keep(j, psi):
+            seen.append(j)
+            return j in wanted
+
+        series = dy.evolve(psi0, grid, cfg, keep=keep)
+        assert seen == list(range(cfg.steps + 1))
+        assert len(series) == len(wanted)
+        for j, frame in zip(wanted, series.frames):
+            assert np.array_equal(frame, full.frames[j])
+        assert series.times.tobytes() == full.times[wanted].tobytes()
+    # a window keeps the step of the full time grid, bit for bit, which
+    # t[k] - t[k-1] need not be
+    window = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: 9 <= j <= 11)
+    assert window.times[1] - window.times[0] != cfg.dt
+    assert window.dt == full.dt == cfg.dt
+    assert dy.evolve(psi0, grid, cfg, keep=lambda j, psi: False).frames == []
+
+
+def test_evolve_keep_rejects_unevenly_spaced_frames():
+    grid = gd.Grid.line(-6.0, 6.0, 32)
+    psi0 = gd.sample(gd.GaussianPacket(), grid)
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=6)
+    with pytest.raises(gd.GridError, match="uniform"):
+        dy.evolve(psi0, grid, cfg, keep=lambda j, psi: j in (0, 1, 3))
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the scipy routines the factored solver and the
 # interpolator replace; scipy serves only as the reference here

@@ -94,6 +94,9 @@ def test_snapshot_series_requires_uniform_times():
         gd.SnapshotSeries(np.array([0.0, 0.1, 0.3]), frames, grid)
     with pytest.raises(gd.GridError):
         gd.SnapshotSeries(np.array([0.0, 0.1]), frames, grid)
+    with pytest.raises(gd.GridError, match="dt"):
+        gd.SnapshotSeries(np.array([0.0, 0.1, 0.2]), frames, grid, dt=0.11)
+    assert gd.SnapshotSeries(np.array([0.0, 0.1, 0.2]), frames, grid).dt == 0.1
 
 
 def test_node_mask():
@@ -199,6 +202,18 @@ def test_spinor_file_round_trip_pauli(tmp_path):
         b"0.75 0.10000000000000001 0 0 2\n"
         b"1 10000000000000000 0 0.5 nan\n")
     assert gd.read_spinor_field(path, tiny).tobytes() == special.tobytes()
+
+
+def test_spinor_file_refuses_a_different_grid(tmp_path):
+    grid = gd.Grid.line(0.0, 1.0, 9)
+    path = tmp_path / "field.dat"
+    gd.write_spinor_field(path, grid, np.ones(grid.shape + (2,), dtype=complex))
+    with pytest.raises(gd.GridError, match="9 points.* 17"):
+        gd.read_spinor_field(path, gd.Grid.line(0.0, 1.0, 17))
+    with pytest.raises(gd.GridError, match="coordinates"):
+        gd.read_spinor_field(path, gd.Grid.line(-5.0, 5.0, 9))
+    with pytest.raises(gd.GridError, match="coordinates"):
+        gd.read_spinor_field(path, gd.Grid.line(0.0, 1.0, 9, "periodic"))
 
 
 def test_export_csv_deterministic(tmp_path):
