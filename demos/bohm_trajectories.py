@@ -26,7 +26,7 @@ def main(out_path=None):
     dt = 1e-3
     cfg = dy.EvolutionConfig(m=m, dt=dt, steps=int(t_final / dt))
     print(f"evolving {cfg.steps} Crank-Nicolson steps to t = {t_final} ...")
-    series = dy.evolve_schrodinger(psi0, grid, cfg)
+    series = dy.evolve(psi0, grid, cfg)
 
     stride = 10
     v_frames, v_times, masks = [], [], []

@@ -27,7 +27,7 @@ def main():
           f"{support.mean() * 100:.0f}% of points")
 
     print("\n-- Bohm momentum, three routes --")
-    P_alg = ob.bohm_momentum(state)
+    P_alg = state.P
     P_w = ob.bohm_momentum_weighted(state)
     P_orc = oracle.momentum_density(psi, grid) / np.where(
         support, state.rho, 1.0)[..., None]

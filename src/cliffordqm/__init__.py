@@ -19,17 +19,13 @@ from .algebra import (
     clifford_conjugate,
     commutator_pm,
     geometric_product,
-    grade_project,
     idempotent,
     is_idempotent,
-    scalar_part,
 )
 from .dynamics import (
     EvolutionConfig,
     TrajectorySet,
     evolve,
-    evolve_pauli,
-    evolve_schrodinger,
     integrate_trajectories,
     ordering_preserved,
 )
@@ -53,7 +49,6 @@ from .observables import (
     BohmObservables,
     SpinorField,
     bohm_energy,
-    bohm_momentum,
     compute_observables,
     expectation,
     pauli_current,

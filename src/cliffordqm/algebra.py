@@ -342,14 +342,6 @@ def clifford_conjugate(a: Multivector) -> Multivector:
     return a.conjugate()
 
 
-def grade_project(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
-
-
-def scalar_part(a: Multivector) -> float:
-    return a.scalar_part
-
-
 def commutator_pm(a: Multivector, b: Multivector, sign: str) -> Multivector:
     """[a,b]- = ab - ba  or  [a,b]+ = ab + ba, selected by sign '-'/'+'."""
     if sign not in ("+", "-"):

@@ -184,26 +184,6 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
     return SnapshotSeries(times[stored], frames, grid, dt)
 
 
-def evolve_schrodinger(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
-                       t0: float = 0.0, norm_tol: float = 1e-8) -> SnapshotSeries:
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != grid.shape:
-        raise GridError("evolve_schrodinger expects a single-component field")
-    if abs(norm(psi0, grid) - 1.0) > norm_tol:
-        raise ValueError("initial state is not normalized")
-    return evolve(psi0, grid, cfg, t0)
-
-
-def evolve_pauli(Psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
-                 t0: float = 0.0, norm_tol: float = 1e-8) -> SnapshotSeries:
-    Psi0 = np.asarray(Psi0, dtype=complex)
-    if Psi0.shape != grid.shape + (2,):
-        raise GridError("evolve_pauli expects a two-component field")
-    if abs(norm(Psi0, grid) - 1.0) > norm_tol:
-        raise ValueError("initial state is not normalized")
-    return evolve(Psi0, grid, cfg, t0)
-
-
 # ---------------------------------------------------------------------------
 # Bohm trajectories
 

@@ -49,10 +49,12 @@ _STATE_KINDS = ("plane-wave", "gaussian", "pauli-superposition", "euler-texture"
 _REQUIRED = object()
 
 
-def _require(cfg: dict, key: str, ctx: str):
-    if key not in cfg:
-        raise ConfigError(f"missing key {key!r} in {ctx}")
-    return cfg[key]
+def _require(spec: dict, where: str, source: str):
+    """spec's value under the last part of where, a dotted key path."""
+    key = where.rsplit(".", 1)[-1]
+    if key not in spec:
+        raise ConfigError(f"{source}: {where}: missing")
+    return spec[key]
 
 
 def _section(raw: dict, key: str, source: str, default=_REQUIRED) -> dict:
@@ -125,6 +127,9 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
         raise ConfigError(f"{source}: unsupported schema_version {version}")
 
     name = _require(raw, "name", source)
+    # without --out the run writes to <output root>/<name>
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"{source}: name: expected a directory name, got {name!r}")
     particle = _require(raw, "particle", source)
     if particle not in ("schrodinger", "pauli"):
         raise ConfigError(f"{source}: particle must be schrodinger or pauli")
@@ -145,9 +150,12 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     espec = _section(raw, "evolution", source)
     m, dt = _number(espec, "m", "evolution", source), _number(espec, "dt", "evolution", source)
     steps = _number(espec, "steps", "evolution", source, int)
+    scheme = espec.get("scheme", "crank-nicolson")
+    if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
+        raise ConfigError(f"{source}: evolution.scheme: expected one of "
+                          f"{', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}")
     try:
-        evolution = dy.EvolutionConfig(m, dt, steps, potential,
-                                       espec.get("scheme", "crank-nicolson"))
+        evolution = dy.EvolutionConfig(m, dt, steps, potential, scheme)
     except ValueError as exc:
         raise ConfigError(f"{source}: evolution: {exc}") from exc
     if grid.boundary != dy.SCHEME_BOUNDARY[evolution.scheme]:
@@ -166,8 +174,12 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
         raise ConfigError(f"{source}: trajectories.stride: must be at least 1, got {stride}")
 
     tol = _section(raw, "tolerances", source, {})
-    tol_C = _number(tol, "C", "tolerances", source, default=1.0)
+    tol_C = _positive(tol, "C", "tolerances", source, 1.0)
+    # a support_rel >= 1 leaves at most the density's peak: every residual would pass
     support_rel = _number(tol, "support_rel", "tolerances", source, default=1e-8)
+    if not 0.0 < support_rel < 1.0:
+        raise ConfigError(f"{source}: tolerances.support_rel: must lie in (0, 1), "
+                          f"got {support_rel}")
 
     checks = raw.get("checks")
     if checks is None:
@@ -188,9 +200,10 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
 
 
 def _parse_state(spec: dict, particle: str, source: str):
-    kind = _require(spec, "kind", "initial_state")
+    kind = _require(spec, "initial_state.kind", source)
     if kind not in _STATE_KINDS:
-        raise ConfigError(f"{source}: unknown initial_state kind {kind!r}")
+        raise ConfigError(f"{source}: initial_state.kind: expected one of "
+                          f"{', '.join(_STATE_KINDS)}, got {kind!r}")
 
     def num(key, default):
         return _number(spec, key, "initial_state", source, default=default)

@@ -211,11 +211,6 @@ def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # Bohm momentum and energy: algebraic route
 
-def bohm_momentum(state: SpinorField) -> np.ndarray:
-    """The frame's read-only P_B, ``state.P``."""
-    return state.P
-
-
 def bohm_momentum_vector_part(state: SpinorField) -> np.ndarray:
     """Diagnostic non-scalar term -i Omega^j / 2 of the Pauli momentum.
 
@@ -433,7 +428,7 @@ def quantum_torque(win: Window, m: float) -> TorqueBalance:
     if not state.is_pauli:
         raise UnsupportedAlgebraError("quantum torque needs a Pauli field")
     grid = state.grid
-    dP_dt = win.d_dt(bohm_momentum) + gradient((state.P ** 2).sum(axis=-1), grid) / (2.0 * m)
+    dP_dt = win.d_dt(lambda st: st.P) + gradient((state.P ** 2).sum(axis=-1), grid) / (2.0 * m)
 
     qp = quantum_potential(state, m)
     neg_grad_Q = -gradient(qp.Q, grid)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Multivector, Signature, cayley_table
+from .algebra import Multivector, Signature
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -58,10 +58,6 @@ def density_matrix(psi1: complex, psi2: complex) -> np.ndarray:
     """Outer product Psi Psi^dagger."""
     col = np.array([psi1, psi2], dtype=complex)
     return np.outer(col, col.conjugate())
-
-
-def blade_names(sig: Signature):
-    return cayley_table(sig).names
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ U is kept through its g-coefficients, which are the subalgebra layout of
 ``algebra``; ``algebra._G_SLOTS`` is the one table of their blade slots.
 The field maps below produce g, and the observables compute in that layout
 directly.  A single point is the zero-dimensional field, shape (n_g,): the
-constructors embed U into the full layout with ``even_field_coeffs``, and
-``spin_vector_from_g`` is ``spin_field_from_g``.  The constructors keep
-their own normalisation (``math.hypot`` on Python complex numbers): for one
-point it is faster than ``g_from_components``/``g_from_wavefunction``, and it
-stays exact where the field's sqrt(|psi1|^2 + |psi2|^2) loses precision
-(|psi| below about 1e-154) and underflows to 0 (below about 1e-162).
+constructors embed U into the full layout with ``even_field_coeffs``.  The
+constructors keep their own normalisation (``math.hypot`` on Python complex
+numbers): for one point it is faster than
+``g_from_components``/``g_from_wavefunction``, and it stays exact where the
+field's sqrt(|psi1|^2 + |psi2|^2) loses precision (|psi| below about
+1e-154) and underflows to 0 (below about 1e-162).
 """
 
 from __future__ import annotations
@@ -217,15 +217,6 @@ def spin_vector(phi: IdealSpinor) -> tuple[np.ndarray, Multivector]:
     return a, rotated / 2.0
 
 
-def spin_vector_from_components(psi1: complex, psi2: complex) -> np.ndarray:
-    """Standard column-spinor form of the unit spin direction."""
-    norm = abs(psi1) ** 2 + abs(psi2) ** 2
-    a1 = (psi1 * psi2.conjugate() + psi2 * psi1.conjugate()).real
-    a2 = (1j * (psi1 * psi2.conjugate() - psi2 * psi1.conjugate())).real
-    a3 = abs(psi1) ** 2 - abs(psi2) ** 2
-    return np.array([a1, a2, a3]) / norm
-
-
 def phase_rotate(phi: IdealSpinor, lam: float) -> IdealSpinor:
     """Right-multiply by the phase generator: exp(e*lam) or exp(e12*lam)."""
     sig = phi.signature
@@ -290,9 +281,6 @@ def spin_field_from_g(g: np.ndarray) -> np.ndarray:
         2.0 * (g0 * g1 - g2 * g3),
         g0 * g0 - g1 * g1 - g2 * g2 + g3 * g3,
     ], axis=-1)
-
-
-spin_vector_from_g = spin_field_from_g  # the single point is the zero-dimensional field
 
 
 def even_field_coeffs(sig: Signature, g: np.ndarray) -> np.ndarray:

@@ -84,8 +84,8 @@ def test_criterion_02_spinor_bridge():
                             - oracle.density_matrix(psi1, psi2)))
         worst = max(worst, float(gap))
         a_def, _ = sp.spin_vector(phi)
-        a_g = sp.spin_vector_from_g(phi.g)
-        a_psi = sp.spin_vector_from_components(psi1, psi2)
+        a_g = sp.spin_field_from_g(phi.g)
+        a_psi = oracle.spin_direction(np.array([psi1, psi2]))
         worst = max(worst, float(np.max(np.abs(a_g - a_psi))),
                     float(np.max(np.abs(a_def - a_psi))))
         rho = abs(psi1) ** 2 + abs(psi2) ** 2
@@ -142,7 +142,7 @@ def test_criterion_04_schrodinger_identities():
         psi0 = gd.sample(gd.HarmonicGroundState(), grid)
         psi0 /= dy.norm(psi0, grid)
         cfg = dy.EvolutionConfig(m=m, dt=dt, steps=steps, V=V)
-        series = dy.evolve_schrodinger(psi0, grid, cfg)
+        series = dy.evolve(psi0, grid, cfg)
         k = steps // 2
         obs = ob.compute_observables(series, k, m, V)
         state = ob.state_at(series, k)
@@ -197,7 +197,7 @@ def test_criterion_05_pauli_triple_agreement():
         series = gd.SnapshotSeries(times, [gd.sample(d, grid, t) for t in times], grid)
         state = ob.state_at(series, 1)
         support = state.mask & ob.support_mask(state.rho)
-        P_alg = ob.bohm_momentum(state)
+        P_alg = state.P
         P_w = ob.bohm_momentum_weighted(state)
         P_orc = oracle.momentum_density(state.psi, grid) \
             / np.where(support, state.rho, 1.0)[..., None]
@@ -216,10 +216,10 @@ def test_criterion_05_pauli_triple_agreement():
     psi0 = gd.sample(gd.PauliSuperposition(), pg)
     psi0 /= dy.norm(psi0, pg)
     cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=100, scheme="split-step")
-    series = dy.evolve_pauli(psi0, pg, cfg)
+    series = dy.evolve(psi0, pg, cfg)
     k = 50
     state = ob.state_at(series, k)
-    P_alg = ob.bohm_momentum(state)
+    P_alg = state.P
     P_w = ob.bohm_momentum_weighted(state)
     P_orc = oracle.momentum_density(state.psi, pg) / state.rho[..., None]
     worst_p = max(worst_p, float(np.max(np.abs(P_alg - P_w))),
@@ -280,7 +280,7 @@ def test_criterion_07_conservation():
     psi0 /= dy.norm(psi0, grid)
     dt = 5e-4
     cfg = dy.EvolutionConfig(m=m, dt=dt, steps=200)
-    series = dy.evolve_pauli(psi0, grid, cfg)
+    series = dy.evolve(psi0, grid, cfg)
     k = 100
     state = ob.state_at(series, k)
     support = state.mask & ob.support_mask(state.rho)
@@ -317,7 +317,7 @@ def test_criterion_08_current_decomposition():
         gap = np.sqrt(((total - cur.J_conv - cur.J_rot) ** 2).sum(axis=-1))
         worst = max(worst, float(np.max(gap[support])))
         # m rho v = rho P_B + curl(rho s), verified as stated
-        P = ob.bohm_momentum(state)
+        P = state.P
         lhs = m * state.rho[..., None] * cur.v
         rhs = state.rho[..., None] * P + gd.curl(state.rho[..., None] * state.spin, grid)
         worst = max(worst, float(np.max(np.abs(lhs - rhs)[support])))
@@ -335,7 +335,7 @@ def test_criterion_09_bohm_trajectories():
     dt = 1e-3
     steps = int(round(t_final / dt))
     cfg = dy.EvolutionConfig(m=m, dt=dt, steps=steps)
-    series = dy.evolve_schrodinger(psi0, grid, cfg)
+    series = dy.evolve(psi0, grid, cfg)
 
     stride = 10
     v_frames, v_times, masks = [], [], []
@@ -374,7 +374,7 @@ def test_criterion_10_schrodinger_in_pauli_nesting():
 
     st_s = ob.state_at(ser_s, 1)
     st_p = ob.state_at(ser_p, 1)
-    P_gap = float(np.max(np.abs(ob.bohm_momentum(st_s) - ob.bohm_momentum(st_p))))
+    P_gap = float(np.max(np.abs(st_s.P - st_p.P)))
     E_gap = float(np.max(np.abs(ob.bohm_energy(ob.window(ser_s, 1))
                                 - ob.bohm_energy(ob.window(ser_p, 1)))))
     qp_s = ob.quantum_potential(st_s, m)

@@ -181,6 +181,31 @@ MALFORMED = [
      "trajectories.seeds[1]"),
     ("tolerance_not_a_number", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {C: one,"),
      "tolerances.C"),
+    ("tolerance_negative", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {C: -1,"),
+     "tolerances.C"),
+    ("tolerance_zero", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {C: 0,"),
+     "tolerances.C"),
+    ("tolerance_inf", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {C: .inf,"),
+     "tolerances.C"),
+    # a support_rel >= 1 empties the support and every residual would pass
+    ("support_rel_above_one", SMALL_SCHRODINGER, ("support_rel: 1.0e-8", "support_rel: 2.0"),
+     "tolerances.support_rel"),
+    ("support_rel_one", SMALL_SCHRODINGER, ("support_rel: 1.0e-8", "support_rel: 1.0"),
+     "tolerances.support_rel"),
+    ("support_rel_zero", SMALL_SCHRODINGER, ("support_rel: 1.0e-8", "support_rel: 0.0"),
+     "tolerances.support_rel"),
+    ("support_rel_nan", SMALL_SCHRODINGER, ("support_rel: 1.0e-8", "support_rel: .nan"),
+     "tolerances.support_rel"),
+    ("name_not_a_string", SMALL_SCHRODINGER, ("name: small_gaussian", "name: 123"), "name:"),
+    ("name_empty", SMALL_SCHRODINGER, ("name: small_gaussian", "name: ''"), "name:"),
+    ("name_leaves_the_output_root", SMALL_SCHRODINGER,
+     ("name: small_gaussian", "name: ../escaped"), "name:"),
+    ("scheme_not_a_string", SMALL_SCHRODINGER,
+     ("scheme: crank-nicolson", "scheme: [a]"), "evolution.scheme"),
+    ("scheme_unknown", SMALL_SCHRODINGER,
+     ("scheme: crank-nicolson", "scheme: leapfrog"), "evolution.scheme"),
+    ("state_kind_missing", SMALL_SCHRODINGER, ("{kind: gaussian, ", "{"),
+     "initial_state.kind: missing"),
     ("schrodinger_spin_transport", SMALL_SCHRODINGER,
      ("checks: [qhj, continuity, triple_agreement]", "checks: [spin_transport]"),
      "checks: spin_transport"),
@@ -221,6 +246,30 @@ def test_cli_malformed_config_names_the_key(config, change, key, tmp_path, capsy
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert key in err
+    assert str(cfg) in err
+
+
+def test_cli_non_string_name_is_refused_without_out(tmp_path, monkeypatch, capsys):
+    """Without --out the name is a directory under the output root."""
+    monkeypatch.setenv(harness.ENV_OUT_ROOT, str(tmp_path / "runs"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SCHRODINGER.replace("name: small_gaussian", "name: 123"))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert not (tmp_path / "runs").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{cfg}: name:" in err
+
+
+def test_cli_sweep_refuses_a_non_string_scheme(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SCHRODINGER.replace("scheme: crank-nicolson", "scheme: [a]"))
+    assert cli.main(["sweep", str(cfg), "--levels", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"{cfg}: evolution.scheme:" in captured.err
 
 
 def test_nan_norm_drift_aborts():

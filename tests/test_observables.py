@@ -34,7 +34,7 @@ def test_plane_wave_momentum_and_energy():
     k, m = 2.0, 1.0
     series = schrodinger_series(gd.PlaneWave(k=(k, 0.0, 0.0), m=m), grid)
     state = ob.state_at(series, 1)
-    P = ob.bohm_momentum(state)
+    P = state.P
     h = grid.spacing[0]
     # periodic central stencil: P = k (1 - (k h)^2 / 6 + ...)
     assert np.max(np.abs(P[..., 0] - k)) < k ** 3 * h ** 2 / 6.0 * 1.1
@@ -65,7 +65,7 @@ def test_schrodinger_qhj_on_exact_packet():
     series = schrodinger_series(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0), m=m),
                                 grid, dt=5e-4, t0=0.3)
     state = ob.state_at(series, 1)
-    P = ob.bohm_momentum(state)
+    P = state.P
     E = ob.bohm_energy(ob.window(series, 1))
     Q = ob.quantum_potential(state, m).Q
     res = ob.qhj_residual(E, P, Q, None, m, state.mask)
@@ -81,7 +81,7 @@ def test_weighted_and_algebraic_momentum_agree():
     for _ in range(10):
         psi = gd.sample(random_texture(grid, rng), grid)
         state = ob.SpinorField(grid, psi)
-        P_alg = ob.bohm_momentum(state)
+        P_alg = state.P
         P_w = ob.bohm_momentum_weighted(state)
         mask = state.mask & ob.support_mask(state.rho)
         diff = np.abs(P_alg - P_w)[mask]
@@ -93,7 +93,7 @@ def test_momentum_vector_part_contracts_to_momentum():
     grid = gd.Grid.line(-6.0, 6.0, 129)
     psi = gd.sample(gd.EulerTexture(theta0=1.1, chi_k=(0.4, 0, 0), sigma=2.0), grid)
     state = ob.SpinorField(grid, psi)
-    P = ob.bohm_momentum(state)
+    P = state.P
     vec = ob.bohm_momentum_vector_part(state)
     a = state.spin_direction
     contracted = (vec[..., 0, :] * a).sum(axis=-1)
@@ -169,7 +169,7 @@ def test_phase_blindness_of_field_observables():
     s1 = ob.SpinorField(grid, psi_rot)
     assert np.max(np.abs(s0.rho - s1.rho)) < 1e-14
     assert np.max(np.abs(s0.spin - s1.spin)) < 1e-13
-    assert np.max(np.abs(ob.bohm_momentum(s0) - ob.bohm_momentum(s1))) < 1e-12
+    assert np.max(np.abs(s0.P - s1.P)) < 1e-12
     q0 = ob.quantum_potential(s0, 1.0)
     q1 = ob.quantum_potential(s1, 1.0)
     assert np.max(np.abs(q0.Q - q1.Q)) < 1e-12
@@ -325,7 +325,7 @@ def test_schrodinger_bohm_bilinear_matches_e_omega_reference():
     P_ref[~state.mask] = 0.0
     E_ref = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega_t)[..., 0]
     E_ref[~state.mask] = 0.0
-    assert np.array_equal(ob.bohm_momentum(state), P_ref)
+    assert np.array_equal(state.P, P_ref)
     assert np.array_equal(ob.bohm_energy(win), E_ref)
 
 
@@ -370,7 +370,7 @@ def pauli_texture_3d_series():
 def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
     win = ob.window(make_series(), 1)
     P_ref, E_ref, vec_ref = full_algebra_bilinears(win)
-    assert np.array_equal(ob.bohm_momentum(win.cur), P_ref)
+    assert np.array_equal(win.cur.P, P_ref)
     assert np.array_equal(ob.bohm_energy(win), E_ref)
     assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
     if win.cur.is_pauli:
@@ -401,7 +401,7 @@ def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch
 
 def test_bohm_momentum_is_the_frames_read_only_P():
     state = ob.state_at(pauli_texture_3d_series(), 1)
-    P = ob.bohm_momentum(state)
+    P = state.P
     assert P is state.P
     for shared in (P, state.grad_spin, state.lap_spin):
         with pytest.raises(ValueError):

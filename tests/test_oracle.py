@@ -5,12 +5,30 @@ algebraic pipeline, so everything here compares against hand-computable
 expressions only.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cliffordqm import algebra as alg
 from cliffordqm import grids as gd
 from cliffordqm import oracle
+
+
+def test_oracle_imports_only_the_element_types():
+    """The oracle is an independent referee: from the package it takes the
+    element and signature types, never the Clifford products, the Cayley
+    table, the stencils or the algebraic observables."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.startswith("cliffordqm"):
+                package.append((node.level, node.module, sorted(a.name for a in node.names)))
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("cliffordqm") for a in node.names)
+    assert package == [(1, "algebra", ["Multivector", "Signature"])]
 
 
 def test_sigma_algebra():
