@@ -89,29 +89,16 @@ def _generator_square(sig: Signature, idx: int) -> int:
 
 
 def _blade_product(sig: Signature, a: tuple, b: tuple) -> tuple:
-    """Multiply two ascending blades, returning (resulting blade, sign)."""
-    factors = list(a) + list(b)
-    sign = 1
-    # bubble sort, counting transpositions of distinct generators
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            if factors[i] > factors[i + 1]:
-                factors[i], factors[i + 1] = factors[i + 1], factors[i]
-                sign = -sign
-                changed = True
-    # contract equal adjacent generators using the metric
-    out = []
-    i = 0
-    while i < len(factors):
-        if i + 1 < len(factors) and factors[i] == factors[i + 1]:
-            sign *= _generator_square(sig, factors[i])
-            i += 2
-        else:
-            out.append(factors[i])
-            i += 1
-    return tuple(out), sign
+    """Multiply two ascending blades, returning (resulting blade, sign).
+
+    Sorting a's and b's generators into one ascending word swaps each pair
+    x in a, y in b with x > y once; each generator they share then squares
+    to its metric sign.
+    """
+    sign = (-1) ** sum(x > y for x in a for y in b)
+    for shared in set(a) & set(b):
+        sign *= _generator_square(sig, shared)
+    return tuple(sorted(set(a) ^ set(b))), sign
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,9 @@ class EvolutionConfig:
         if self.scheme not in SCHEME_BOUNDARY:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    def frame_times(self, t0: float = 0.0) -> np.ndarray:
-        """Times of frames 0..steps of an evolution that starts at t0."""
-        return t0 + self.dt * np.arange(self.steps + 1)
+    def frame_times(self) -> np.ndarray:
+        """Times of frames 0..steps of an evolution that starts at t = 0."""
+        return self.dt * np.arange(self.steps + 1)
 
 
 def norm(psi: np.ndarray, grid: Grid) -> float:
@@ -113,8 +113,7 @@ def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
     return phase
 
 
-def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
-           t0: float = 0.0, keep=None) -> SnapshotSeries:
+def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
     Strang splitting: half potential phase, full kinetic step (per-axis
@@ -179,7 +178,7 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig,
         if half_v is not None:
             psi = psi * half_v
         store(j, psi)
-    times = cfg.frame_times(t0)
+    times = cfg.frame_times()
     dt = (times[1] - times[0]) * (stored[1] - stored[0]) if len(stored) >= 2 else None
     return SnapshotSeries(times[stored], frames, grid, dt)
 

@@ -150,6 +150,8 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     espec = _section(raw, "evolution", source)
     m, dt = _number(espec, "m", "evolution", source), _number(espec, "dt", "evolution", source)
     steps = _number(espec, "steps", "evolution", source, int)
+    if steps < 2:  # the checked frame (steps+1)//2 needs a frame on each side
+        raise ConfigError(f"{source}: evolution.steps: must be at least 2, got {steps}")
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
         raise ConfigError(f"{source}: evolution.scheme: expected one of "
@@ -250,14 +252,22 @@ def _parse_potential(spec: dict, grid: gd.Grid, source: str):
     if kind == "harmonic":
         omega = _number(spec, "omega", "potential", source, default=1.0)
         m = _positive(spec, "m", "potential", source, default=1.0)
-        x = grid.coords(0)
-        return 0.5 * m * omega ** 2 * x ** 2
-    if kind == "table":
+        key = "omega"
+        try:
+            with np.errstate(all="ignore"):  # a non-finite V is refused below
+                V = 0.5 * m * omega ** 2 * grid.coords(0) ** 2
+        except OverflowError:  # omega ** 2 of a Python float
+            V = np.array(np.inf)
+    elif kind == "table":
         values = _numbers(spec, "values", "potential", source, [])
         if len(values) != grid.shape[0]:
             raise ConfigError(f"{source}: potential table must list one value per grid point")
-        return np.asarray(values, dtype=float)
-    raise ConfigError(f"{source}: unknown potential kind {kind!r}")
+        V, key = np.asarray(values, dtype=float), "values"
+    else:
+        raise ConfigError(f"{source}: unknown potential kind {kind!r}")
+    if not np.all(np.isfinite(V)):
+        raise ConfigError(f"{source}: potential.{key}: the sampled potential is not finite")
+    return V
 
 
 def _validate(sc: Scenario, source: str):

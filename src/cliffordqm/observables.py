@@ -164,6 +164,21 @@ class SpinorField:
         """lap(s) per component; Pauli only."""
         return _read_only(laplacian(self.spin, self.grid))
 
+    @cached_property
+    def components(self) -> np.ndarray:
+        """psi's components along the first axis, as views: [component, ...]."""
+        return np.moveaxis(self.psi, -1, 0) if self.is_pauli else self.psi[None]
+
+    @cached_property
+    def phase_gradient(self) -> np.ndarray:
+        """rho_i grad(S_i) = Re psi_i D Im psi_i - Im psi_i D Re psi_i: [component, ..., axis]."""
+        out = np.zeros(self.components.shape + (3,))
+        for comp, rate in zip(self.components, out):
+            for ax in range(self.grid.dim):
+                rate[..., ax] = (comp.real * deriv(comp.imag, self.grid, ax)
+                                 - comp.imag * deriv(comp.real, self.grid, ax))
+        return _read_only(out)
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """Freeze a field every consumer of the frame shares; an in-place update starts from a copy."""
@@ -188,6 +203,11 @@ class Window:
         """Central time difference at the middle frame of quantity(SpinorField)."""
         return time_derivative(quantity(self.prev), quantity(self.next), self.dt)
 
+    @cached_property
+    def dpsi_dt(self) -> np.ndarray:
+        """d_t of the middle frame's components, as [component, ...]."""
+        return _read_only(self.d_dt(lambda st: st.components))
+
 
 def window(series: SnapshotSeries, k: int) -> Window:
     """The window around frame k, with dt = series.dt; boundary frames are rejected."""
@@ -200,7 +220,7 @@ def window(series: SnapshotSeries, k: int) -> Window:
 def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """num / den where mask holds, zero elsewhere.
 
-    den and mask have the grid shape; num may carry trailing value axes.
+    den and mask have one shape; num may carry trailing value axes.
     """
     safe = np.where(mask, den, 1.0)
     out = num / safe.reshape(safe.shape + (1,) * (num.ndim - safe.ndim))
@@ -239,37 +259,20 @@ def bohm_energy(win: Window) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weighted-mean route (component polar data, branch-free)
 
-def _phase_density_gradient(comp: np.ndarray, grid: Grid) -> np.ndarray:
-    """rho_i * grad(S_i) = Re psi_i D Im psi_i - Im psi_i D Re psi_i."""
-    out = np.zeros(comp.shape + (3,))
-    for ax in range(grid.dim):
-        out[..., ax] = comp.real * deriv(comp.imag, grid, ax) - comp.imag * deriv(comp.real, grid, ax)
-    return out
-
-
 def _im_conj_product(comp: np.ndarray, dcomp: np.ndarray) -> np.ndarray:
-    """Im(conj(psi_i) d psi_i) = rho_i d S_i for a component and its derivative."""
+    """Im(conj(psi_i) d psi_i) = rho_i d S_i for components and their derivatives."""
     return comp.real * dcomp.imag - comp.imag * dcomp.real
 
 
 def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
     """P_B as the per-component weighted mean of grad(S_i)."""
-    comps = [state.psi[..., 0], state.psi[..., 1]] if state.is_pauli else [state.psi]
-    num = np.zeros(state.grid.shape + (3,))
-    for comp in comps:
-        num += _phase_density_gradient(comp, state.grid)
-    return masked_divide(num, state.rho, state.mask)
+    return masked_divide(sum(state.phase_gradient), state.rho, state.mask)
 
 
 def bohm_energy_weighted(win: Window) -> np.ndarray:
     """E_B as the per-component weighted mean of -d_t S_i."""
     state = win.cur
-    dpsi_dt = win.d_dt(lambda st: st.psi)
-    comps = [(state.psi[..., i], dpsi_dt[..., i]) for i in range(2)] if state.is_pauli \
-        else [(state.psi, dpsi_dt)]
-    num = np.zeros(state.grid.shape)
-    for comp, dcomp in comps:
-        num -= _im_conj_product(comp, dcomp)
+    num = sum(-_im_conj_product(state.components, win.dpsi_dt))
     return masked_divide(num, state.rho, state.mask)
 
 
@@ -321,9 +324,9 @@ def euler_q2(state: SpinorField, m: float) -> np.ndarray:
     sin2 = a[..., 0] ** 2 + a[..., 1] ** 2
     grad_theta2 = (da[..., 2, :] ** 2).sum(axis=-1)
     cross = a[..., 0, None] * da[..., 1, :] - a[..., 1, None] * da[..., 0, :]
-    sin2_grad_phi2 = (cross ** 2).sum(axis=-1)
+    sin2_phi_grad2 = (cross ** 2).sum(axis=-1)
     safe = np.where(sin2 > POLE_EPS, sin2, 1.0)
-    q2 = (grad_theta2 + sin2_grad_phi2) / safe / (8.0 * m)
+    q2 = (grad_theta2 + sin2_phi_grad2) / safe / (8.0 * m)
     # at the poles the full |grad a|^2 is the well-defined limit
     full = (da ** 2).sum(axis=(-2, -1)) / (8.0 * m)
     q2 = np.where(sin2 > POLE_EPS, q2, full)
@@ -434,11 +437,14 @@ def quantum_torque(win: Window, m: float) -> TorqueBalance:
     neg_grad_Q = -gradient(qp.Q, grid)
 
     grad_cos = 2.0 * state.grad_spin[..., 2, :]  # cos theta = a3 = 2 s3
-    comp_rho = np.abs(state.psi) ** 2
-    pole_ok = state.mask & np.all(comp_rho > POLE_EPS * np.max(state.rho), axis=-1)
+    comp_rho = np.abs(state.components) ** 2
+    pole_ok = state.mask & np.all(comp_rho > POLE_EPS * np.max(state.rho), axis=0)
 
-    grad_phi = _grad_phi(state)
-    dphi_dt = _dphi_dt(state, win.d_dt(lambda st: st.psi))
+    # phi = S1 - S2, from each component's phase rates grad(S_i) and d_t S_i
+    grad_S = masked_divide(state.phase_gradient, comp_rho, comp_rho > 0)
+    dS_dt = masked_divide(_im_conj_product(state.components, win.dpsi_dt), comp_rho, comp_rho > 0)
+    grad_phi = grad_S[0] - grad_S[1]
+    dphi_dt = 0.0 + dS_dt[0] - dS_dt[1]  # summed from +0.0, as the weighted means are
     dcos_dt = win.d_dt(lambda st: st.spin_direction[..., 2])
     torque = -0.5 * (dcos_dt[..., None] * grad_phi - grad_cos * dphi_dt[..., None])
 
@@ -446,26 +452,6 @@ def quantum_torque(win: Window, m: float) -> TorqueBalance:
     for arr in (dP_dt, neg_grad_Q, torque, residual):
         arr[~pole_ok] = 0.0
     return TorqueBalance(dP_dt, neg_grad_Q, torque, residual)
-
-
-def _grad_phi(state: SpinorField) -> np.ndarray:
-    """grad(phi) = grad(S1) - grad(S2), branch-free per component."""
-    grads = []
-    for i in range(2):
-        comp = state.psi[..., i]
-        rho_i = np.abs(comp) ** 2
-        grads.append(masked_divide(_phase_density_gradient(comp, state.grid), rho_i, rho_i > 0))
-    return grads[0] - grads[1]
-
-
-def _dphi_dt(state: SpinorField, dpsi_dt: np.ndarray) -> np.ndarray:
-    """d_t phi = d_t S1 - d_t S2 from the frame's state and d_t psi."""
-    out = np.zeros(state.grid.shape)
-    for i, sign in ((0, 1.0), (1, -1.0)):
-        comp, dcomp = state.psi[..., i], dpsi_dt[..., i]
-        rho_i = np.abs(comp) ** 2
-        out += sign * masked_divide(_im_conj_product(comp, dcomp), rho_i, rho_i > 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -157,31 +157,23 @@ def to_euler(phi: IdealSpinor) -> EulerAngles:
             chi = 2.0 * cmath.phase(psi1) if c > 0 else 0.0
         else:
             chi = 2.0 * cmath.phase(psi2 / 1j) if s > 0 else 0.0
-        chi = _wrap_angle(chi)
-        return EulerAngles(_clip_theta(theta), 0.0, chi, R)
+        return EulerAngles(_clip_theta(theta), 0.0, _wrap_angle(chi, 2.0 * math.pi), R)
     a1 = cmath.phase(psi1)  # (phi + chi)/2
     a2 = cmath.phase(psi2 / 1j)  # (chi - phi)/2
-    phi_angle = _wrap_angle(a1 - a2)
+    phi_angle = _wrap_angle(a1 - a2, 2.0 * math.pi)
     chi = a1 + a2
     if phi_angle != a1 - a2:
         # wrapping phi by 2 pi shifts chi by the same amount mod 4 pi
         chi += phi_angle - (a1 - a2)
-    return EulerAngles(_clip_theta(theta), phi_angle, _wrap_chi(chi), R)
+    return EulerAngles(_clip_theta(theta), phi_angle, _wrap_angle(chi, 4.0 * math.pi), R)
 
 
-def _wrap_angle(a: float) -> float:
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
+def _wrap_angle(a: float, period: float) -> float:
+    """a into (-period/2, period/2]; the overall phase chi is a half-angle, of period 4 pi."""
+    w = math.fmod(a + period / 2.0, period)
     if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
-def _wrap_chi(a: float) -> float:
-    """The overall phase chi is a half-angle: it lives mod 4 pi, not 2 pi."""
-    w = math.fmod(a + 2.0 * math.pi, 4.0 * math.pi)
-    if w <= 0.0:
-        w += 4.0 * math.pi
-    return w - 2.0 * math.pi
+        w += period
+    return w - period / 2.0
 
 
 def _clip_theta(t: float) -> float:
@@ -245,10 +237,7 @@ def g_from_components(psi1: np.ndarray, psi2: np.ndarray) -> tuple[np.ndarray, n
     Zero points get g = (1,0,0,0); callers mask them through the node mask.
     """
     R = np.sqrt(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)
-    safe = np.where(R > 0.0, R, 1.0)
-    g = np.stack([psi1.real, psi2.imag, psi2.real, psi1.imag], axis=-1) / safe[..., None]
-    g[R == 0.0] = (1.0, 0.0, 0.0, 0.0)
-    return R, g
+    return R, _unit_g(R, [psi1.real, psi2.imag, psi2.real, psi1.imag])
 
 
 def components_from_g(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +249,15 @@ def components_from_g(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
 def g_from_wavefunction(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map a complex Cl(0,1) field to (R, g) with g normalized pointwise."""
     R = np.abs(psi)
-    safe = np.where(R > 0.0, R, 1.0)
-    g = np.stack([psi.real, psi.imag], axis=-1) / safe[..., None]
-    g[R == 0.0] = (1.0, 0.0)
-    return R, g
+    return R, _unit_g(R, [psi.real, psi.imag])
+
+
+def _unit_g(R: np.ndarray, parts: list) -> np.ndarray:
+    """The g-coefficients of R U (parts) over R, U = 1 where R = 0.  Each map
+    keeps its own R: np.abs and the sqrt of the summed squares differ in the last ulp."""
+    g = np.stack(parts, axis=-1) / np.where(R > 0.0, R, 1.0)[..., None]
+    g[R == 0.0] = np.eye(len(parts))[0]
+    return g
 
 
 def spin_field_from_g(g: np.ndarray) -> np.ndarray:

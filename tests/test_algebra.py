@@ -102,6 +102,15 @@ def test_matrix_rep_homomorphism(sig):
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=("cl01", "cl30"))
+def test_cayley_table_matches_the_matrix_representation(sig):
+    """e_i e_j = sign[i,j] e_index[i,j] for every blade pair, in the oracle's matrices."""
+    tab = alg.cayley_table(sig)
+    rep = [oracle.matrix_rep(alg.Multivector.blade(sig, name)) for name in tab.names]
+    for i, j in np.ndindex(tab.index.shape):
+        assert np.array_equal(np.dot(rep[i], rep[j]), tab.sign[i, j] * rep[tab.index[i, j]])
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=("cl01", "cl30"))
 def test_trace_matches_representation(sig):
     for _ in range(100):
         a = random_mv(sig)

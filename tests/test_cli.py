@@ -228,6 +228,13 @@ MALFORMED = [
      ("scheme: crank-nicolson", "scheme: split-step"), "evolution.scheme"),
     ("crank_nicolson_on_periodic_grid", SMALL_PAULI,
      ("scheme: split-step", "scheme: crank-nicolson"), "evolution.scheme"),
+    # the checked frame (steps+1)//2 needs a frame on each side
+    ("steps_one", SMALL_SCHRODINGER, ("steps: 40", "steps: 1"), "evolution.steps"),
+    ("harmonic_omega_nan", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: harmonic, omega: .nan}"), "potential.omega"),
+    ("table_value_inf", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: table, values: [" + ", ".join(["0.0"] * 127)
+      + ", .inf]}"), "potential.values"),
 ]
 
 

@@ -380,8 +380,8 @@ def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
 STENCILS = ("deriv", "gradient", "laplacian", "divergence", "curl", "time_derivative")
 
 
-def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch):
-    """P, grad s and lap s are derived once per frame and shared by every consumer."""
+def record_stencil_calls(monkeypatch) -> list:
+    """Replace each of observables' stencils by one that records its inputs' data."""
     calls = []
 
     def data_key(arg):
@@ -394,15 +394,33 @@ def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch
             calls.append((_name,) + tuple(data_key(a) for a in args))
             return _stencil(*args)
         monkeypatch.setattr(ob, name, recording)
+    return calls
+
+
+def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch):
+    """P, grad s and lap s are derived once per frame and shared by every consumer."""
+    calls = record_stencil_calls(monkeypatch)
     ob.compute_observables(pauli_texture_3d_series(), 1, 1.0)
     assert {c[0] for c in calls} == set(STENCILS)
     assert len(set(calls)) == len(calls)
 
 
+def test_weighted_means_and_torque_derive_each_phase_rate_once(monkeypatch):
+    """The components' gradients and d_t psi are shared by both weighted means and the torque."""
+    win = ob.window(pauli_texture_3d_series(), 1)
+    calls = record_stencil_calls(monkeypatch)
+    ob.bohm_momentum_weighted(win.cur)
+    ob.bohm_energy_weighted(win)
+    ob.quantum_torque(win, 1.0)
+    assert {"deriv", "time_derivative"} <= {c[0] for c in calls}
+    assert len(set(calls)) == len(calls)
+
+
 def test_bohm_momentum_is_the_frames_read_only_P():
-    state = ob.state_at(pauli_texture_3d_series(), 1)
+    win = ob.window(pauli_texture_3d_series(), 1)
+    state = win.cur
     P = state.P
     assert P is state.P
-    for shared in (P, state.grad_spin, state.lap_spin):
+    for shared in (P, state.grad_spin, state.lap_spin, state.phase_gradient, win.dpsi_dt):
         with pytest.raises(ValueError):
             shared[0, 0, 0, 0] = 1.0

@@ -108,7 +108,7 @@ def test_euler_round_trip():
     for _ in range(100):
         theta = float(RNG.uniform(0.05, np.pi - 0.05))
         phi_a = float(RNG.uniform(-np.pi + 0.05, np.pi - 0.05))
-        chi = float(RNG.uniform(-np.pi + 0.05, np.pi - 0.05))
+        chi = float(RNG.uniform(-2.0 * np.pi + 0.05, 2.0 * np.pi - 0.05))  # a half-angle
         R = float(RNG.uniform(0.2, 2.0))
         ang = sp.EulerAngles(theta, phi_a, chi, R)
         back = sp.to_euler(sp.from_euler(ang))
