@@ -45,56 +45,60 @@ class RunAborted(RuntimeError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-_STATE_KINDS = ("plane-wave", "gaussian", "pauli-superposition", "euler-texture")
+# each initial-state kind and the particle it describes
+_STATE_KINDS = {"plane-wave": "schrodinger", "gaussian": "schrodinger",
+                "pauli-superposition": "pauli", "euler-texture": "pauli"}
 _REQUIRED = object()
 
 
-def _require(spec: dict, where: str, source: str):
-    """spec's value under the last part of where, a dotted key path."""
-    key = where.rsplit(".", 1)[-1]
-    if key not in spec:
-        raise ConfigError(f"{source}: {where}: missing")
-    return spec[key]
+class _Spec:
+    """A config mapping at a key path.  Every config value is read through one,
+    and every refusal it raises reads <source>: <path>.<key>: <problem>."""
 
+    def __init__(self, mapping, path: str, source: str):
+        self.mapping, self.path, self.source = mapping, path, source
 
-def _section(raw: dict, key: str, source: str, default=_REQUIRED) -> dict:
-    spec = _require(raw, key, source) if default is _REQUIRED else raw.get(key, default)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{source}: {key}: expected a mapping, got {spec!r}")
-    return spec
+    def error(self, problem: str, key: str = "") -> ConfigError:
+        where = ".".join(part for part in (self.path, key) if part)
+        return ConfigError(f"{self.source}: {where + ': ' if where else ''}{problem}")
 
+    def get(self, key: str, default=_REQUIRED):
+        if key not in self.mapping and default is _REQUIRED:
+            raise self.error("missing", key)
+        return self.mapping.get(key, default)
 
-def _as_number(value, where: str, source: str, kind=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{source}: {where}: expected a number, got {value!r}")
-    if kind is int and not float(value).is_integer():
-        raise ConfigError(f"{source}: {where}: expected an integer, got {value!r}")
-    return kind(value)
+    def section(self, key: str, default=_REQUIRED) -> _Spec:
+        spec = self.get(key, default)
+        if not isinstance(spec, dict):
+            raise self.error(f"expected a mapping, got {spec!r}", key)
+        return _Spec(spec, key, self.source)  # sections sit at the top level
 
+    def number(self, key: str, default=_REQUIRED, kind=float):
+        """The value as a float (or int); a missing or null key takes the default."""
+        value = self.mapping.get(key)
+        if value is None and default is _REQUIRED:
+            raise self.error("missing", key)
+        return default if value is None else self._coerce(value, key, kind)
 
-def _number(spec: dict, key: str, section: str, source: str, kind=float, default=_REQUIRED):
-    """spec[key] as a float (or int); a missing or null key takes the default."""
-    if spec.get(key) is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{source}: {section}.{key}: missing")
-        return default
-    return _as_number(spec[key], f"{section}.{key}", source, kind)
+    def positive(self, key: str, default):
+        """A finite number > 0 when given; a missing key takes the default."""
+        value = self.number(key, default)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise self.error(f"must be positive and finite, got {value}", key)
+        return value
 
+    def numbers(self, key: str, default) -> list:
+        values = self.get(key, default)
+        if not isinstance(values, (list, tuple)):
+            raise self.error(f"expected a list, got {values!r}", key)
+        return [self._coerce(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
-def _positive(spec: dict, key: str, section: str, source: str, default):
-    """A finite number > 0 when given; a missing key takes the default."""
-    value = _number(spec, key, section, source, default=default)
-    if value is not None and not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{source}: {section}.{key}: must be positive and finite, "
-                          f"got {value}")
-    return value
-
-
-def _numbers(spec: dict, key: str, section: str, source: str, default) -> list:
-    values = spec.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{source}: {section}.{key}: expected a list, got {values!r}")
-    return [_as_number(v, f"{section}.{key}[{i}]", source) for i, v in enumerate(values)]
+    def _coerce(self, value, key: str, kind=float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise self.error(f"expected a number, got {value!r}", key)
+        if kind is int and not float(value).is_integer():
+            raise self.error(f"expected an integer, got {value!r}", key)
+        return kind(value)
 
 
 @dataclass
@@ -104,7 +108,7 @@ class Scenario:
     particle: str
     grid: gd.Grid
     descriptor: object
-    potential_spec: dict
+    config: dict  # the parsed YAML mapping, which a sweep refines level by level
     evolution: dy.EvolutionConfig
     seeds: list
     trajectory_stride: int
@@ -119,139 +123,150 @@ def parse_config(text: str, source: str = "<config>") -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark else ""
-        raise ConfigError(f"{source}: YAML parse error{line}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: config must be a mapping")
-    version = _require(raw, "schema_version", source)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{source}: unsupported schema_version {version}")
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{source}: YAML parse error{line}: {problem}") from exc
+    return _scenario(raw, source)
 
-    name = _require(raw, "name", source)
+
+def _memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _scenario(raw, source: str) -> Scenario:
+    root = _Spec(raw, "", source)
+    if not isinstance(raw, dict):
+        raise root.error("config must be a mapping")
+    version = root.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise root.error(f"expected {SCHEMA_VERSION}, got {version!r}", "schema_version")
+
+    name = root.get("name")
     # without --out the run writes to <output root>/<name>
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-        raise ConfigError(f"{source}: name: expected a directory name, got {name!r}")
-    particle = _require(raw, "particle", source)
+        raise root.error(f"expected a directory name, got {name!r}", "name")
+    particle = root.get("particle")
     if particle not in ("schrodinger", "pauli"):
-        raise ConfigError(f"{source}: particle must be schrodinger or pauli")
+        raise root.error(f"expected schrodinger or pauli, got {particle!r}", "particle")
 
-    gspec = _section(raw, "grid", source)
-    lo, hi = _number(gspec, "lo", "grid", source), _number(gspec, "hi", "grid", source)
-    n = _number(gspec, "n", "grid", source, int)
+    gspec = root.section("grid")
+    lo, hi = gspec.number("lo"), gspec.number("hi")
+    for key, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise gspec.error(f"must be finite, got {value}", key)
+    n = gspec.number("n", kind=int)
+    frame_bytes, memory = n * 16 * (2 if particle == "pauli" else 1), _memory_bytes()
+    if frame_bytes > memory:
+        raise gspec.error(f"one frame of {n} points takes {frame_bytes / 1e9:.1f} GB, more "
+                          f"than the {memory / 1e9:.1f} GB of memory", "n")
+    boundary = gspec.get("boundary", "clamped")
+    if boundary not in ("clamped", "periodic"):
+        raise gspec.error(f"expected clamped or periodic, got {boundary!r}", "boundary")
     try:
-        grid = gd.Grid.line(lo, hi, n, gspec.get("boundary", "clamped"))
+        grid = gd.Grid.line(lo, hi, n, boundary)
     except ValueError as exc:
-        raise ConfigError(f"{source}: grid: {exc}") from exc
+        raise gspec.error(str(exc)) from exc
 
-    descriptor = _parse_state(_section(raw, "initial_state", source), particle, source)
+    descriptor = _parse_state(root.section("initial_state"), particle, grid)
+    potential = _parse_potential(root.section("potential", {"kind": "none"}), grid)
 
-    vspec = _section(raw, "potential", source, {"kind": "none"})
-    potential = _parse_potential(vspec, grid, source)
-
-    espec = _section(raw, "evolution", source)
-    m, dt = _number(espec, "m", "evolution", source), _number(espec, "dt", "evolution", source)
-    steps = _number(espec, "steps", "evolution", source, int)
+    espec = root.section("evolution")
+    m, dt = espec.number("m"), espec.number("dt")
+    steps = espec.number("steps", kind=int)
     if steps < 2:  # the checked frame (steps+1)//2 needs a frame on each side
-        raise ConfigError(f"{source}: evolution.steps: must be at least 2, got {steps}")
+        raise espec.error(f"must be at least 2, got {steps}", "steps")
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
-        raise ConfigError(f"{source}: evolution.scheme: expected one of "
-                          f"{', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}")
+        raise espec.error(f"expected one of {', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}",
+                          "scheme")
     try:
         evolution = dy.EvolutionConfig(m, dt, steps, potential, scheme)
     except ValueError as exc:
-        raise ConfigError(f"{source}: evolution: {exc}") from exc
-    if grid.boundary != dy.SCHEME_BOUNDARY[evolution.scheme]:
-        raise ConfigError(f"{source}: evolution.scheme: {evolution.scheme} needs a "
-                          f"{dy.SCHEME_BOUNDARY[evolution.scheme]} grid, got {grid.boundary}")
+        raise espec.error(str(exc)) from exc
+    if grid.boundary != dy.SCHEME_BOUNDARY[scheme]:
+        raise espec.error(f"{scheme} needs a {dy.SCHEME_BOUNDARY[scheme]} grid, "
+                          f"got {grid.boundary}", "scheme")
     # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
     k_max = math.pi / min(grid.spacing)
     if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
-        raise ConfigError(f"{source}: evolution.m: too small for dt and h, "
-                          f"dt/(m h^2) overflows, got {m}")
+        raise espec.error(f"too small for dt and h, dt/(m h^2) overflows, got {m}", "m")
 
-    tspec = _section(raw, "trajectories", source, {})
-    seeds = _numbers(tspec, "seeds", "trajectories", source, [])
-    stride = _number(tspec, "stride", "trajectories", source, int, 10)
+    tspec = root.section("trajectories", {})
+    seeds = tspec.numbers("seeds", [])
+    for i, s in enumerate(seeds):
+        if not lo <= s <= hi:
+            raise tspec.error(f"seed {s} lies outside the grid [{lo}, {hi}]", f"seeds[{i}]")
+    stride = tspec.number("stride", 10, int)
     if stride < 1:
-        raise ConfigError(f"{source}: trajectories.stride: must be at least 1, got {stride}")
+        raise tspec.error(f"must be at least 1, got {stride}", "stride")
 
-    tol = _section(raw, "tolerances", source, {})
-    tol_C = _positive(tol, "C", "tolerances", source, 1.0)
+    tol = root.section("tolerances", {})
+    tol_C = tol.positive("C", 1.0)
     # a support_rel >= 1 leaves at most the density's peak: every residual would pass
-    support_rel = _number(tol, "support_rel", "tolerances", source, default=1e-8)
+    support_rel = tol.number("support_rel", 1e-8)
     if not 0.0 < support_rel < 1.0:
-        raise ConfigError(f"{source}: tolerances.support_rel: must lie in (0, 1), "
-                          f"got {support_rel}")
+        raise tol.error(f"must lie in (0, 1), got {support_rel}", "support_rel")
 
-    checks = raw.get("checks")
+    checks = root.get("checks", None)
     if checks is None:
         checks = [c for c, (_, particles) in _CHECKS.items() if particle in particles]
     if not isinstance(checks, list):
-        raise ConfigError(f"{source}: checks: expected a list of check names, got {checks!r}")
+        raise root.error(f"expected a list of check names, got {checks!r}", "checks")
     for c in checks:
         if not isinstance(c, str) or c not in _CHECKS:
-            raise ConfigError(f"{source}: checks: unknown check {c!r}")
+            raise root.error(f"unknown check {c!r}", "checks")
         if particle not in _CHECKS[c][1]:
-            raise ConfigError(f"{source}: checks: {c} does not apply to particle: {particle}")
+            raise root.error(f"{c} does not apply to particle: {particle}", "checks")
 
-    scenario = Scenario(name, raw.get("description", ""), particle, grid,
-                        descriptor, dict(vspec), evolution, seeds,
-                        stride, tol_C, support_rel, list(checks))
-    _validate(scenario, source)
-    return scenario
+    return Scenario(name, root.get("description", ""), particle, grid, descriptor, raw,
+                    evolution, seeds, stride, tol_C, support_rel, list(checks))
 
 
-def _parse_state(spec: dict, particle: str, source: str):
-    kind = _require(spec, "initial_state.kind", source)
-    if kind not in _STATE_KINDS:
-        raise ConfigError(f"{source}: initial_state.kind: expected one of "
-                          f"{', '.join(_STATE_KINDS)}, got {kind!r}")
-
-    def num(key, default):
-        return _number(spec, key, "initial_state", source, default=default)
-
-    def positive(key, default):
-        return _positive(spec, key, "initial_state", source, default)
+def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+        raise spec.error(f"expected one of {', '.join(_STATE_KINDS)}, got {kind!r}", "kind")
+    if _STATE_KINDS[kind] != particle:
+        raise spec.error(f"{kind} needs particle: {_STATE_KINDS[kind]}, got {particle}", "kind")
 
     def vec(key, default):
-        return (num(key, default), 0.0, 0.0)
+        return (spec.number(key, default), 0.0, 0.0)
 
     if kind == "plane-wave":
-        return gd.PlaneWave(k=vec("k", 1.0), m=positive("m", 1.0))
+        return gd.PlaneWave(k=vec("k", 1.0), m=spec.positive("m", 1.0))
     if kind == "gaussian":
-        return gd.GaussianPacket(sigma=positive("sigma", 1.0), x0=vec("x0", 0.0),
-                                 k=vec("k", 0.0), m=positive("m", 1.0))
+        sigma, x0 = spec.positive("sigma", 1.0), vec("x0", 0.0)
+        lo, hi = grid.axes[0].lo, grid.axes[0].hi
+        if x0[0] - 6.0 * sigma < lo or x0[0] + 6.0 * sigma > hi:
+            raise spec.error(f"the packet needs 6 sigma = {6.0 * sigma} of margin to each "
+                             f"edge of the grid [{lo}, {hi}], got x0 = {x0[0]}", "x0")
+        return gd.GaussianPacket(sigma=sigma, x0=x0, k=vec("k", 0.0), m=spec.positive("m", 1.0))
     if kind == "pauli-superposition":
-        if particle != "pauli":
-            raise ConfigError(f"{source}: pauli-superposition needs particle: pauli")
-        w = _numbers(spec, "weights", "initial_state", source, [1.0, 1.0])
+        w = spec.numbers("weights", [1.0, 1.0])
         if len(w) != 2:
-            raise ConfigError(f"{source}: initial_state.weights: expected two numbers, got {w}")
+            raise spec.error(f"expected two numbers, got {w}", "weights")
         try:
             return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
-                                         weights=(w[0], w[1]), m=positive("m", 1.0))
-        except gd.GridError as exc:
-            raise ConfigError(f"{source}: initial_state.{exc}") from exc
-    if particle != "pauli":
-        raise ConfigError(f"{source}: euler-texture needs particle: pauli")
+                                         weights=(w[0], w[1]), m=spec.positive("m", 1.0))
+        except gd.GridError as exc:  # its only refusal: "weights: <problem>"
+            raise spec.error(str(exc).removeprefix("weights: "), "weights") from exc
     return gd.EulerTexture(
-        theta0=num("theta", np.pi / 2),
+        theta0=spec.number("theta", np.pi / 2),
         theta_k=vec("theta_k", 0.0),
-        phi0=num("phi", 0.0),
+        phi0=spec.number("phi", 0.0),
         phi_k=vec("phi_k", 0.0),
         chi_k=vec("chi_k", 0.0),
-        sigma=positive("sigma", None),
+        sigma=spec.positive("sigma", None),
         x0=vec("x0", 0.0),
     )
 
 
-def _parse_potential(spec: dict, grid: gd.Grid, source: str):
+def _parse_potential(spec: _Spec, grid: gd.Grid):
     kind = spec.get("kind", "none")
     if kind == "none":
         return None
     if kind == "harmonic":
-        omega = _number(spec, "omega", "potential", source, default=1.0)
-        m = _positive(spec, "m", "potential", source, default=1.0)
+        omega = spec.number("omega", 1.0)
+        m = spec.positive("m", 1.0)
         key = "omega"
         try:
             with np.errstate(all="ignore"):  # a non-finite V is refused below
@@ -259,29 +274,15 @@ def _parse_potential(spec: dict, grid: gd.Grid, source: str):
         except OverflowError:  # omega ** 2 of a Python float
             V = np.array(np.inf)
     elif kind == "table":
-        values = _numbers(spec, "values", "potential", source, [])
+        values = spec.numbers("values", [])
         if len(values) != grid.shape[0]:
-            raise ConfigError(f"{source}: potential table must list one value per grid point")
+            raise spec.error(f"expected {grid.shape[0]} values, got {len(values)}", "values")
         V, key = np.asarray(values, dtype=float), "values"
     else:
-        raise ConfigError(f"{source}: unknown potential kind {kind!r}")
+        raise spec.error(f"expected none, harmonic or table, got {kind!r}", "kind")
     if not np.all(np.isfinite(V)):
-        raise ConfigError(f"{source}: potential.{key}: the sampled potential is not finite")
+        raise spec.error("the sampled potential is not finite", key)
     return V
-
-
-def _validate(sc: Scenario, source: str):
-    if isinstance(sc.descriptor, gd.GaussianPacket):
-        margin = 6.0 * sc.descriptor.sigma
-        lo, hi = sc.grid.axes[0].lo, sc.grid.axes[0].hi
-        x0 = sc.descriptor.x0[0]
-        if x0 - margin < lo or x0 + margin > hi:
-            raise ConfigError(f"{source}: packet needs >=6 sigma of margin to each edge")
-    if sc.particle == "pauli" and isinstance(sc.descriptor, (gd.PlaneWave, gd.GaussianPacket)):
-        raise ConfigError(f"{source}: scalar initial state with particle: pauli")
-    for s in sc.seeds:
-        if not sc.grid.axes[0].lo <= s <= sc.grid.axes[0].hi:
-            raise ConfigError(f"{source}: trajectory seed {s} outside grid")
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +495,13 @@ def sweep(sc: Scenario, levels: int) -> dict:
     """Refine h by 2 per level (dt by 4), report per-residual error slopes."""
     if levels < 3:
         raise ConfigError("sweep needs at least 3 refinement levels")
-    if sc.potential_spec.get("kind", "none") == "table":
+    if sc.config.get("potential", {}).get("kind") == "table":
         raise ConfigError("table potentials cannot be refined for a sweep")
-    rows = []
-    base_n = sc.grid.shape[0]
-    base_steps = sc.evolution.steps
+    base_n, base_steps = sc.grid.shape[0], sc.evolution.steps
     # a level streams its frames, but refuse, before running any, a level
     # whose frames would exceed the machine's memory if all were stored: a
     # conservative ceiling on the work a level takes (8x per level in 1-D)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _memory_bytes()
     components = 2 if sc.particle == "pauli" else 1
     for lvl in range(levels):
         frame_bytes = (base_steps * 4 ** lvl + 1) * base_n * 2 ** lvl * 16 * components
@@ -510,15 +509,15 @@ def sweep(sc: Scenario, levels: int) -> dict:
             raise ConfigError(f"--levels {levels}: level {lvl + 1} would store "
                               f"{frame_bytes / 1e9:.1f} GB of frames, more than the "
                               f"{memory / 1e9:.1f} GB of memory")
+    # each level is the config at n 2^l, dt 4^-l and steps 4^l, without trajectories
+    grid, evolution = sc.config["grid"], sc.config["evolution"]
+    rows = []
     for lvl in range(levels):
-        factor = 2 ** lvl
-        grid = gd.Grid.line(sc.grid.axes[0].lo, sc.grid.axes[0].hi,
-                            base_n * factor, sc.grid.boundary)
-        dt = sc.evolution.dt / factor ** 2
-        steps = base_steps * factor ** 2
-        pot = _parse_potential(sc.potential_spec, grid, sc.name)
-        evolution = dy.EvolutionConfig(sc.evolution.m, dt, steps, pot, sc.evolution.scheme)
-        rows.append(run_scenario(replace(sc, grid=grid, evolution=evolution, seeds=[])))
+        f = 2 ** lvl
+        level = dict(sc.config, grid={**grid, "n": grid["n"] * f}, evolution={
+            **evolution, "dt": evolution["dt"] / f ** 2, "steps": evolution["steps"] * f ** 2})
+        level.pop("trajectories", None)
+        rows.append(run_scenario(_scenario(level, sc.name)))
 
     slopes = {}
     for name in rows[0]["residuals"]:
@@ -557,9 +556,9 @@ def list_scenarios() -> list:
     for entry in sorted(root.iterdir()):
         if entry.name.endswith(".cfg"):
             try:
-                raw = yaml.safe_load(entry.read_text())
-                out.append((raw.get("name", entry.name), raw.get("description", "")))
-            except yaml.YAMLError:
+                sc = parse_config(entry.read_text(), str(entry))
+                out.append((sc.name, sc.description))
+            except ConfigError:
                 out.append((entry.name, "<unparseable>"))
     return out
 

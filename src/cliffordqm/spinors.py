@@ -157,7 +157,7 @@ def to_euler(phi: IdealSpinor) -> EulerAngles:
             chi = 2.0 * cmath.phase(psi1) if c > 0 else 0.0
         else:
             chi = 2.0 * cmath.phase(psi2 / 1j) if s > 0 else 0.0
-        return EulerAngles(_clip_theta(theta), 0.0, _wrap_angle(chi, 2.0 * math.pi), R)
+        return EulerAngles(_clip_theta(theta), 0.0, _wrap_angle(chi, 4.0 * math.pi), R)
     a1 = cmath.phase(psi1)  # (phi + chi)/2
     a2 = cmath.phase(psi2 / 1j)  # (chi - phi)/2
     phi_angle = _wrap_angle(a1 - a2, 2.0 * math.pi)

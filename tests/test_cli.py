@@ -235,25 +235,64 @@ MALFORMED = [
     ("table_value_inf", SMALL_SCHRODINGER,
      ("potential: {kind: none}", "potential: {kind: table, values: [" + ", ".join(["0.0"] * 127)
       + ", .inf]}"), "potential.values"),
+    ("table_length_wrong", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: table, values: [0.0, 0.0]}"),
+     "potential.values"),
+    ("potential_kind_unknown", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: square}"), "potential.kind"),
+    ("seed_outside_grid", SMALL_SCHRODINGER, ("seeds: [-1.0, 0.0, 1.0]", "seeds: [-1.0, 0.0, 11.0]"),
+     "trajectories.seeds[2]"),
+    ("pauli_state_for_schrodinger", SMALL_SCHRODINGER,
+     ("{kind: gaussian, sigma: 1.0, x0: 0.0, k: 0.5, m: 1.0}", "{kind: pauli-superposition}"),
+     "initial_state.kind"),
+    ("scalar_state_for_pauli", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0", "kind: plane-wave, k: 1.0"),
+     "initial_state.kind"),
+    ("packet_margin", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: 3.0"), "initial_state.x0"),
+    ("boundary_unknown", SMALL_SCHRODINGER, ("boundary: clamped", "boundary: open"),
+     "grid.boundary"),
+    ("particle_unknown", SMALL_SCHRODINGER, ("particle: schrodinger", "particle: dirac"),
+     "particle:"),
+    ("schema_version_unknown", SMALL_SCHRODINGER, ("schema_version: 1", "schema_version: 2"),
+     "schema_version:"),
+    ("grid_hi_inf", SMALL_SCHRODINGER, ("hi: 10.0", "hi: .inf"), "grid.hi"),
+    ("grid_lo_inf", SMALL_SCHRODINGER, ("lo: -10.0", "lo: -.inf"), "grid.lo"),
+    # one frame of 10^15 points exceeds any machine's memory: refused before any allocation
+    ("n_exceeds_memory", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+15"), "grid.n"),
 ]
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-@pytest.mark.parametrize("config, change, key", [row[1:] for row in MALFORMED],
-                         ids=[row[0] for row in MALFORMED])
-def test_cli_malformed_config_names_the_key(config, change, key, tmp_path, capsys):
+@pytest.mark.parametrize("command, config, change, key", [
+    pytest.param(command, *row[1:], id=row[0] if command == "run" else f"sweep-{row[0]}")
+    for command in ("run", "sweep") for row in MALFORMED])
+def test_cli_malformed_config_names_the_key(command, config, change, key, tmp_path, capsys):
+    """run and sweep build their scenarios through the same refusals."""
     old, new = change
     assert config.count(old) == 1
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config.replace(old, new))
     out = tmp_path / "never"
-    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    options = ["--out", str(out)] if command == "run" else ["--levels", "3"]
+    assert cli.main([command, str(cfg), *options]) == 2
     assert not out.exists()
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert key in err
     assert str(cfg) in err
+
+
+def test_cli_yaml_error_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("schema_version: 1\nname: [unclosed\n  bad")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(cfg) in err
+    assert "line 3" in err
 
 
 def test_cli_non_string_name_is_refused_without_out(tmp_path, monkeypatch, capsys):

@@ -116,6 +116,11 @@ def test_euler_round_trip():
         assert back.phi == pytest.approx(phi_a, abs=1e-12)
         assert back.chi == pytest.approx(chi, abs=1e-12)
         assert back.R == pytest.approx(R, abs=1e-12)
+    # at the poles the returned gauge is phi = 0, and chi keeps its 4 pi period
+    for theta in (0.0, np.pi):
+        for chi in (-1.9 * np.pi, -1.5 * np.pi, 0.5 * np.pi, 1.5 * np.pi, 1.9 * np.pi):
+            back = sp.to_euler(sp.from_euler(sp.EulerAngles(theta, 0.0, chi, 1.0)))
+            assert (back.theta, back.phi, back.chi) == pytest.approx((theta, 0.0, chi), abs=1e-12)
 
 
 def test_euler_pole_gauge():
