@@ -121,9 +121,9 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     potential phase.  keep(j, psi) is called once per frame, j = 0..steps
     in order, and the frames it returns true for are stored; psi is never
     written after the call, so keep may hold on to it.  Returns the stored
-    frames at their times (all steps+1 of them when keep is None), with dt
-    the step of the full time grid times the index spacing of the stored
-    frames; unevenly spaced frames raise GridError.
+    frames at their times (all steps+1 of them when keep is None), numbered
+    as the run numbers them in steps of dt, the full time grid's step times
+    their index spacing; unevenly spaced frames raise GridError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -179,8 +179,9 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
             psi = psi * half_v
         store(j, psi)
     times = cfg.frame_times()
-    dt = (times[1] - times[0]) * (stored[1] - stored[0]) if len(stored) >= 2 else None
-    return SnapshotSeries(times[stored], frames, grid, dt)
+    spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
+    dt = (times[1] - times[0]) * spacing if len(stored) >= 2 else None
+    return SnapshotSeries(times[stored], frames, grid, dt, stored[0] // spacing if stored else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,16 @@ _STATE_KINDS = {"plane-wave": "schrodinger", "gaussian": "schrodinger",
 _REQUIRED = object()
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads 5e-4 and 1.0e308 as strings: it wants a dot and a signed
+    exponent.  This loader reads every decimal with an exponent as a float."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
+                              list("-+0123456789."))
+
+
 class _Spec:
     """A config mapping at a key path.  Every config value is read through one,
     and every refusal it raises reads <source>: <path>.<key>: <problem>."""
@@ -80,10 +91,17 @@ class _Spec:
             raise self.error("missing", key)
         return default if value is None else self._coerce(value, key, kind)
 
+    def finite(self, key: str, default=_REQUIRED):
+        """A finite number when given; a missing or null key takes the default."""
+        value = self.number(key, default)
+        if value is not None and not math.isfinite(value):
+            raise self.error(f"must be finite, got {value}", key)
+        return value
+
     def positive(self, key: str, default):
         """A finite number > 0 when given; a missing key takes the default."""
-        value = self.number(key, default)
-        if value is not None and not (value > 0 and math.isfinite(value)):
+        value = self.finite(key, default)
+        if value is not None and not value > 0:
             raise self.error(f"must be positive and finite, got {value}", key)
         return value
 
@@ -96,7 +114,12 @@ class _Spec:
     def _coerce(self, value, key: str, kind=float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.error(f"expected a number, got {value!r}", key)
-        if kind is int and not float(value).is_integer():
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal past 1.8e308
+            raise self.error(f"must lie within the float range, got an integer of "
+                             f"{len(str(abs(value)))} digits", key) from None
+        if kind is int and not number.is_integer():
             raise self.error(f"expected an integer, got {value!r}", key)
         return kind(value)
 
@@ -119,7 +142,7 @@ class Scenario:
 
 def parse_config(text: str, source: str = "<config>") -> Scenario:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark else ""
@@ -149,10 +172,7 @@ def _scenario(raw, source: str) -> Scenario:
         raise root.error(f"expected schrodinger or pauli, got {particle!r}", "particle")
 
     gspec = root.section("grid")
-    lo, hi = gspec.number("lo"), gspec.number("hi")
-    for key, value in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(value):
-            raise gspec.error(f"must be finite, got {value}", key)
+    lo, hi = gspec.finite("lo"), gspec.finite("hi")
     n = gspec.number("n", kind=int)
     frame_bytes, memory = n * 16 * (2 if particle == "pauli" else 1), _memory_bytes()
     if frame_bytes > memory:
@@ -229,7 +249,7 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
         raise spec.error(f"{kind} needs particle: {_STATE_KINDS[kind]}, got {particle}", "kind")
 
     def vec(key, default):
-        return (spec.number(key, default), 0.0, 0.0)
+        return (spec.finite(key, default), 0.0, 0.0)
 
     if kind == "plane-wave":
         return gd.PlaneWave(k=vec("k", 1.0), m=spec.positive("m", 1.0))
@@ -250,9 +270,9 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
         except gd.GridError as exc:  # its only refusal: "weights: <problem>"
             raise spec.error(str(exc).removeprefix("weights: "), "weights") from exc
     return gd.EulerTexture(
-        theta0=spec.number("theta", np.pi / 2),
+        theta0=spec.finite("theta", np.pi / 2),
         theta_k=vec("theta_k", 0.0),
-        phi0=spec.number("phi", 0.0),
+        phi0=spec.finite("phi", 0.0),
         phi_k=vec("phi_k", 0.0),
         chi_k=vec("chi_k", 0.0),
         sigma=spec.positive("sigma", None),
@@ -327,29 +347,22 @@ class _FrameSink:
         return abs(self.norms[-1] - self.norms[0])
 
 
-def _run(sc: Scenario, psi0: np.ndarray):
-    """Evolve through a frame sink and check: (report, BohmObservables, sink)."""
+def _run(sc: Scenario):
+    """Sample, evolve through a frame sink and check: (report, BohmObservables, sink)."""
     sink = _FrameSink(sc)
-    # numbered as the run numbers them, so the window's frame k is the run's
-    window = replace(dy.evolve(psi0, sc.grid, sc.evolution, keep=sink), first=sink.k - 1)
+    window = dy.evolve(_initial_field(sc), sc.grid, sc.evolution, keep=sink)
     return (*_check(sc, window, sink.k, sink.drift), sink)
 
 
-def run_scenario(sc: Scenario, series: gd.SnapshotSeries = None) -> dict:
-    """Evolve (unless a full series is supplied), check, assemble the report."""
-    if series is None:
-        return _run(sc, _initial_field(sc))[0]
-    drift = abs(dy.norm(series.frames[-1], sc.grid) - dy.norm(series.frames[0], sc.grid))
-    return _check(sc, series, len(series) // 2, drift)[0]
+def run_scenario(sc: Scenario) -> dict:
+    """Evolve, check, assemble the report."""
+    return _run(sc)[0]
 
 
 def _check(sc: Scenario, series: gd.SnapshotSeries, k: int, drift: float):
-    """Report on frame k of a run, given a series that holds frames k-1..k+1
-    at the run's dt and the norm drift over the whole run.
-
-    Returns the report and the frame's BohmObservables, whose window holds
-    the frame and its neighbours.
-    """
+    """Report on frame k of a run from a series that holds frames k-1..k+1 at
+    the run's dt and from the run's norm drift: (report, BohmObservables of
+    frame k, whose window holds the frame and its neighbours)."""
     if not drift <= NORM_DRIFT_ABORT:  # a NaN drift aborts too
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 
@@ -453,10 +466,9 @@ def run_trajectories(sc: Scenario, frames: list, times: np.ndarray) -> dy.Trajec
 
 def run_to_files(sc: Scenario, out_dir) -> dict:
     """Full pipeline: run, export fields/trajectories CSV and report JSON."""
-    psi0 = _initial_field(sc)
+    report, obs, sink = _run(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, obs, sink = _run(sc, psi0)
     columns = {
         "rho": obs.window.cur.rho,
         "P": obs.P[..., : sc.grid.dim],
@@ -494,9 +506,10 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
 def sweep(sc: Scenario, levels: int) -> dict:
     """Refine h by 2 per level (dt by 4), report per-residual error slopes."""
     if levels < 3:
-        raise ConfigError("sweep needs at least 3 refinement levels")
+        raise ConfigError(f"--levels {levels}: sweep needs at least 3 refinement levels")
     if sc.config.get("potential", {}).get("kind") == "table":
-        raise ConfigError("table potentials cannot be refined for a sweep")
+        raise ConfigError(f"{sc.name}: potential.kind: table potentials cannot be refined "
+                          "for a sweep")
     base_n, base_steps = sc.grid.shape[0], sc.evolution.steps
     # a level streams its frames, but refuse, before running any, a level
     # whose frames would exceed the machine's memory if all were stored: a

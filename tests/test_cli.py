@@ -118,7 +118,8 @@ def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness.ob, "compute_observables", recording)
     full = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
-    expected = harness.run_scenario(sc, full)
+    norms = [harness.dy.norm(frame, sc.grid) for frame in (full.frames[0], full.frames[-1])]
+    expected = harness._check(sc, full, len(full) // 2, abs(norms[1] - norms[0]))[0]
     assert harness.run_scenario(sc) == expected
     report = harness.run_to_files(sc, tmp_path / "out")
     assert "trajectories" in report if sc.seeds else "trajectories" not in report
@@ -259,6 +260,14 @@ MALFORMED = [
     ("grid_lo_inf", SMALL_SCHRODINGER, ("lo: -10.0", "lo: -.inf"), "grid.lo"),
     # one frame of 10^15 points exceeds any machine's memory: refused before any allocation
     ("n_exceeds_memory", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+15"), "grid.n"),
+    # integer literals that float() cannot hold
+    ("n_beyond_float_range", SMALL_SCHRODINGER, ("n: 128", "n: 1" + "0" * 400), "grid.n"),
+    ("dt_beyond_float_range", SMALL_SCHRODINGER, ("dt: 0.002", "dt: 1" + "0" * 400),
+     "evolution.dt"),
+    # a non-finite state number is refused at parse, not when the state is sampled
+    ("state_k_nan", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: .nan, m: 1.0"), "initial_state.k"),
+    ("state_x0_nan", SMALL_SCHRODINGER, ("x0: 0.0", "x0: .nan"), "initial_state.x0"),
+    ("state_k1_nan", SMALL_PAULI, ("k1: 1.0", "k1: .nan"), "initial_state.k1"),
 ]
 
 
@@ -283,6 +292,35 @@ def test_cli_malformed_config_names_the_key(command, config, change, key, tmp_pa
     assert len(err.strip().splitlines()) == 1
     assert key in err
     assert str(cfg) in err
+
+
+def test_scientific_notation_reads_as_a_number():
+    """YAML 1.1 alone would read 5e-4 as a string; the config reader takes it as 5.0e-4."""
+    dotted = harness.parse_config(SMALL_SCHRODINGER.replace("dt: 0.002", "dt: 5.0e-4"))
+    short = harness.parse_config(SMALL_SCHRODINGER.replace("dt: 0.002", "dt: 5e-4"))
+    assert short.evolution.dt == dotted.evolution.dt == 5e-4
+    with pytest.raises(harness.ConfigError, match="grid.n: one frame of"):
+        harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 1e15"))
+    with pytest.raises(harness.ConfigError, match="name: expected a directory name, got 1000.0"):
+        harness.parse_config(SMALL_SCHRODINGER.replace("name: small_gaussian", "name: 1e3"))
+
+
+TABLE_POTENTIAL = ("potential: {kind: none}",
+                   "potential: {kind: table, values: [" + ", ".join(["0.0"] * 128) + "]}")
+
+
+@pytest.mark.parametrize("change, levels, text", [
+    (None, "2", "--levels 2:"),
+    (TABLE_POTENTIAL, "3", "small_gaussian: potential.kind:"),
+], ids=["levels_below_three", "table_potential"])
+def test_cli_sweep_refusals_name_what_they_refuse(change, levels, text, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_SCHRODINGER.replace(*change) if change else SMALL_SCHRODINGER)
+    assert cli.main(["sweep", str(cfg), "--levels", levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert text in captured.err
 
 
 def test_cli_yaml_error_is_one_line(tmp_path, capsys):
@@ -322,8 +360,16 @@ def test_nan_norm_drift_aborts():
     sc = harness.parse_config(SMALL_SCHRODINGER)
     series = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
     series.frames[-1] = np.full_like(series.frames[-1], np.nan)
+    norms = [harness.dy.norm(frame, sc.grid) for frame in (series.frames[0], series.frames[-1])]
     with pytest.raises(harness.RunAborted, match="nan"):
-        harness.run_scenario(sc, series)
+        harness._check(sc, series, len(series) // 2, abs(norms[1] - norms[0]))
+
+
+def test_aborted_run_leaves_no_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness._FrameSink, "drift", float("nan"))
+    with pytest.raises(harness.RunAborted, match="nan"):
+        harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_three_levels():

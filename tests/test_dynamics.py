@@ -278,6 +278,34 @@ def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli):
     assert dy.evolve(psi0, grid, cfg, keep=lambda j, psi: False).frames == []
 
 
+@pytest.mark.parametrize("scheme, boundary, pauli", [
+    ("crank-nicolson", "clamped", False),
+    ("split-step", "periodic", True),
+])
+def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli):
+    grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
+    psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
+    if pauli:
+        psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, scheme=scheme)
+    full = dy.evolve(psi0, grid, cfg)
+    window = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: 9 <= j <= 11)
+    assert (full.first, window.first) == (0, 9)
+    # frame 10 of the window is frame 10 of the run, field by field
+    expected = ob.compute_observables(full, 10, cfg.m)
+    got = ob.compute_observables(window, 10, cfg.m)
+    for name in ("P", "E", "Q", "Q1", "Q2", "s", "J_conv", "J_rot", "v"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    assert got.residuals.keys() == expected.residuals.keys()
+    for name in expected.residuals:
+        assert got.residuals[name].tobytes() == expected.residuals[name].tobytes(), name
+    # frames kept every 4th step are numbered in steps of their dt, 4 cfg.dt
+    strided = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: j in (4, 8, 12))
+    assert (strided.first, strided.dt) == (1, 4 * cfg.dt)
+    assert dy.evolve(psi0, grid, cfg, keep=lambda j, psi: False).first == 0
+
+
 def test_evolve_keep_rejects_unevenly_spaced_frames():
     grid = gd.Grid.line(-6.0, 6.0, 32)
     psi0 = gd.sample(gd.GaussianPacket(), grid)
