@@ -54,12 +54,35 @@ _REQUIRED = object()
 
 class _Loader(yaml.SafeLoader):
     """YAML 1.1 reads 5e-4 and 1.0e308 as strings: it wants a dot and a signed
-    exponent.  This loader reads every decimal with an exponent as a float."""
+    exponent.  This loader reads every decimal with an exponent as a float.
+    An integer that int() will not read stays text, for _Spec to refuse."""
+
+
+class _LongInt(str):
+    """A decimal integer literal of more digits than int() reads from a string
+    (sys.get_int_max_str_digits()), kept as its text."""
+
+
+def _construct_int(loader, node):
+    try:
+        return loader.construct_yaml_int(node)
+    except ValueError:  # a decimal past int()'s digit limit, or text tagged !!int
+        text = loader.construct_scalar(node)
+        return _LongInt(text) if re.fullmatch(r"[-+]?[\d_]+", text) else text
+
+
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n > 0, which str() refuses past int()'s digit limit."""
+    d = int((n.bit_length() - 1) * math.log10(2))  # never above the count
+    while n >= 10 ** d:
+        d += 1
+    return d
 
 
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float",
                               re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
                               list("-+0123456789."))
+_Loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 
 class _Spec:
@@ -112,13 +135,15 @@ class _Spec:
         return [self._coerce(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
     def _coerce(self, value, key: str, kind=float):
+        beyond = "must lie within the float range, got an integer of {} digits"
+        if isinstance(value, _LongInt):  # so long that it lies past 1.8e308 too
+            raise self.error(beyond.format(len(value.lstrip("+-").replace("_", ""))), key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.error(f"expected a number, got {value!r}", key)
         try:
             number = float(value)
         except OverflowError:  # an integer literal past 1.8e308
-            raise self.error(f"must lie within the float range, got an integer of "
-                             f"{len(str(abs(value)))} digits", key) from None
+            raise self.error(beyond.format(_decimal_digits(abs(value))), key) from None
         if kind is int and not number.is_integer():
             raise self.error(f"expected an integer, got {value!r}", key)
         return kind(value)

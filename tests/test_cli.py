@@ -264,6 +264,10 @@ MALFORMED = [
     ("n_beyond_float_range", SMALL_SCHRODINGER, ("n: 128", "n: 1" + "0" * 400), "grid.n"),
     ("dt_beyond_float_range", SMALL_SCHRODINGER, ("dt: 0.002", "dt: 1" + "0" * 400),
      "evolution.dt"),
+    # literals that int() or str() refuse past 4300 decimal digits
+    ("n_beyond_int_digits", SMALL_SCHRODINGER, ("n: 128", "n: 1" + "0" * 5000), "grid.n"),
+    ("n_hex_beyond_int_digits", SMALL_SCHRODINGER, ("n: 128", "n: 0x" + "f" * 4000), "grid.n"),
+    ("n_tagged_int_text", SMALL_SCHRODINGER, ("n: 128", "n: !!int abc"), "grid.n"),
     # a non-finite state number is refused at parse, not when the state is sampled
     ("state_k_nan", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: .nan, m: 1.0"), "initial_state.k"),
     ("state_x0_nan", SMALL_SCHRODINGER, ("x0: 0.0", "x0: .nan"), "initial_state.x0"),

@@ -245,6 +245,30 @@ def test_evolve_frames_alias_neither_psi0_nor_each_other(scheme, boundary, pauli
     assert sum(f.nbytes for f in series.frames) == (cfg.steps + 1) * psi0.nbytes
 
 
+@pytest.mark.parametrize("scheme", ["crank-nicolson", "split-step"])
+@pytest.mark.parametrize("shape", [(64,), (7, 11, 13)])
+@pytest.mark.parametrize("harmonic", [False, True])
+def test_evolve_never_writes_a_frame_after_keep_sees_it(scheme, shape, harmonic):
+    # without a potential the kinetic step starts from the stored frame
+    # itself, so a transform that wrote its input would rewrite that frame
+    grid = gd.Grid(tuple(gd.Axis(-6.0, 6.0, n) for n in shape), dy.SCHEME_BOUNDARY[scheme])
+    rng = np.random.default_rng(len(shape))
+    psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    V = 0.05 * sum(x ** 2 for x in grid.meshgrid()) if harmonic else None
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=4, V=V, scheme=scheme)
+    seen = []
+
+    def keep(j, psi):
+        seen.append(psi.copy())
+        return True
+
+    series = dy.evolve(psi0, grid, cfg, keep=keep)
+    assert len(series.frames) == len(seen) == cfg.steps + 1
+    for frame, copy in zip(series.frames, seen):
+        assert frame.tobytes() == copy.tobytes()
+        assert frame.flags.c_contiguous
+
+
 @pytest.mark.parametrize("scheme, boundary, pauli", [
     ("crank-nicolson", "clamped", False),
     ("split-step", "periodic", True),
@@ -347,6 +371,41 @@ def test_cn_step_equals_solve_banded(shape, components):
         assert got.flags.c_contiguous
 
 
+def _numpy_split_step_frames(psi0, grid, cfg):
+    """Every frame of a split-step run on numpy's multi-axis FFT."""
+    axes = tuple(range(grid.dim))
+    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
+    half_v = None if cfg.V is None else np.exp(-0.5j * cfg.dt * cfg.V)
+    if psi0.ndim > grid.dim:
+        kin = kin[..., None]
+        half_v = None if half_v is None else half_v[..., None]
+    psi = psi0.copy()
+    frames = [psi]
+    for _ in range(cfg.steps):
+        if half_v is not None:
+            psi = psi * half_v
+        psi = np.fft.ifftn(np.fft.fftn(psi, axes=axes) * kin, axes=axes)
+        if half_v is not None:
+            psi = psi * half_v
+        frames.append(psi)
+    return frames
+
+
+@pytest.mark.parametrize("shape", [(64,), (30, 20), (7, 11, 13)])
+@pytest.mark.parametrize("components", [(), (2,)])
+@pytest.mark.parametrize("harmonic", [False, True])
+def test_split_step_equals_numpy_fftn_bit_for_bit(shape, components, harmonic):
+    """One FFT pass per axis, last axis first, rounds exactly as numpy.fft.fftn."""
+    grid = gd.Grid(tuple(gd.Axis(-3.0, 3.0 + ax, n) for ax, n in enumerate(shape)), "periodic")
+    rng = np.random.default_rng(len(shape) + len(components))
+    psi0 = rng.normal(size=shape + components) + 1j * rng.normal(size=shape + components)
+    V = 0.5 * sum(x ** 2 for x in grid.meshgrid()) if harmonic else None
+    cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=3, V=V, scheme="split-step")
+    got = dy.evolve(psi0, grid, cfg).frames
+    want = _numpy_split_step_frames(psi0, grid, cfg)
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
 @pytest.mark.parametrize("dim, tol", [(1, 0.0), (2, 1e-14), (3, 0.0)])
 def test_interpolator_equals_regular_grid_interpolator(dim, tol):
     """Bitwise in 1-D and 3-D; scipy's 2-D fast path rounds differently."""
@@ -373,9 +432,27 @@ def test_interpolator_equals_regular_grid_interpolator(dim, tol):
         assert np.max(np.abs(got - ref)) <= tol
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    code = "import sys, cliffordqm; print('scipy.interpolate' in sys.modules)"
+def _fresh_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, cliffordqm; print('scipy.interpolate' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_scipy_fft_loads_on_the_first_split_step_past_one_axis():
+    code = """
+import sys, numpy as np, cliffordqm
+from cliffordqm import dynamics as dy, grids as gd
+for scheme, shape in (("crank-nicolson", (32,)), ("crank-nicolson", (8, 8)),
+                      ("split-step", (32,)), ("split-step", (8, 8))):
+    grid = gd.Grid(tuple(gd.Axis(-6.0, 6.0, n) for n in shape), dy.SCHEME_BOUNDARY[scheme])
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2, scheme=scheme)
+    dy.evolve(np.ones(shape, dtype=complex), grid, cfg)
+    print("scipy.fft" in sys.modules)
+"""
+    assert _fresh_python(code).split() == ["False", "False", "False", "True"]
