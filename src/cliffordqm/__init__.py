@@ -40,9 +40,7 @@ from .grids import (
     PlaneWave,
     SnapshotSeries,
     export_csv,
-    read_spinor_field,
     sample,
-    write_spinor_field,
 )
 from .harness import ConfigError, Scenario, load_bundled, parse_config, run_to_files, sweep
 from .observables import (

@@ -14,10 +14,11 @@ table is the full one restricted to its slots.  ``gp_coeffs`` picks its code
 path from the operands' broadcast shape:
 
 - a single element, shape (n,): one contraction a_i (b[inv] s)[i,k];
-- a field, shape (..., n): the blade axis is moved first so that each
-  blade is one contiguous array, and each output blade accumulates its n
-  products over i = 0 .. n-1 in preallocated buffers; the result is a
-  (..., n) view of that blade-first buffer.
+- a field, shape (..., n): each output blade accumulates its n products
+  over i = 0 .. n-1 in preallocated buffers, one contiguous array per
+  blade, and the result is a (..., n) view of that blade-first buffer.
+  The operands' blade axis is moved first too, which copies nothing for
+  the component-first fields of ``grids``.
 
 Both paths add the same products in the same order of i, starting from
 zero, and a sign of +-1 is exact, so a field product equals, bit for bit,

@@ -4,7 +4,10 @@ All stencils are second order: central in the interior, one-sided
 second-order at clamped boundaries, wrap-around for periodic grids.
 Derivative helpers work directly on ndarrays whose leading axes are the
 grid axes; trailing axes (vector components, multivector coefficients)
-ride along untouched.
+ride along in the input's memory order.  Derived fields keep that shape but
+are stored component-first (``component_first``), one contiguous block per
+component; a vector field's gradient, [..., component, axis], is stored as
+(axis, component, *grid).
 """
 
 from __future__ import annotations
@@ -119,34 +122,28 @@ class SnapshotSeries:
 # ---------------------------------------------------------------------------
 # stencils
 
-def _deriv1(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v, dtype=np.result_type(v, float))
-    if periodic:
-        out[:] = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
+def component_first(shape: tuple, grid_ndim: int, dtype=float) -> np.ndarray:
+    """Zeros of shape, its value axes (past the first grid_ndim) stored outermost,
+    the last one first: np.moveaxis(out, -1, 0) of a (..., n) field is C-ordered."""
+    order = tuple(range(len(shape) - 1, grid_ndim - 1, -1)) + tuple(range(grid_ndim))
+    return np.zeros([shape[i] for i in order], dtype).transpose(np.argsort(order))
+
+
+def deriv(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray = None) -> np.ndarray:
+    """First derivative along one grid axis, written into out (values' shape)
+    when given, else into a new array in values' memory order."""
+    if out is None:
+        out = np.empty_like(values, dtype=np.result_type(values, float))
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    if grid.boundary == "periodic":
+        o[0] = v[1] - v[-1]
+        o[-1] = v[0] - v[-2]
     else:
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _deriv2(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v, dtype=np.result_type(v, float))
-    h2 = h * h
-    if periodic:
-        out[:] = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / h2
-    else:
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return np.moveaxis(out, 0, axis)
-
-
-def deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """First derivative along one grid axis."""
-    return _deriv1(values, grid.spacing[axis], axis, grid.boundary == "periodic")
+        o[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+        o[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+    o /= 2.0 * grid.spacing[axis]  # one rounding per point, as dividing each difference
+    return out
 
 
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -154,16 +151,28 @@ def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     Components along axes the grid does not have are zero.
     """
-    out = np.zeros(values.shape + (3,), dtype=np.result_type(values, float))
+    out = component_first(values.shape + (3,), grid.dim, np.result_type(values, float))
     for ax in range(grid.dim):
-        out[..., ax] = deriv(values, grid, ax)
+        deriv(values, grid, ax, out[..., ax])
     return out
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros_like(values, dtype=np.result_type(values, float))
-    for ax in range(grid.dim):
-        out += _deriv2(values, grid.spacing[ax], ax, grid.boundary == "periodic")
+    term = np.empty_like(out)
+    for ax, h in enumerate(grid.spacing):
+        v, t = np.moveaxis(values, ax, 0), np.moveaxis(term, ax, 0)
+        np.multiply(v[1:-1], 2.0, out=t[1:-1])
+        np.subtract(v[2:], t[1:-1], out=t[1:-1])
+        t[1:-1] += v[:-2]
+        if grid.boundary == "periodic":
+            t[0] = v[1] - 2.0 * v[0] + v[-1]
+            t[-1] = v[0] - 2.0 * v[-1] + v[-2]
+        else:
+            t[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
+            t[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
+        t /= h * h
+        out += term
     return out
 
 
@@ -176,18 +185,19 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def curl(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Curl of a 3-component vector field; missing-axis derivatives are zero."""
+    """Curl of a 3-component vector field, stored component-first; missing-axis terms are 0."""
     d = gradient(v, grid)  # [..., component, axis]
-    out = np.empty_like(v, dtype=np.result_type(v, float))
-    out[..., 0] = d[..., 2, 1] - d[..., 1, 2]
-    out[..., 1] = d[..., 0, 2] - d[..., 2, 0]
-    out[..., 2] = d[..., 1, 0] - d[..., 0, 1]
+    out = component_first(v.shape, grid.dim, np.result_type(v, float))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[..., k] = d[..., j, i] - d[..., i, j]
     return out
 
 
 def time_derivative(prev: np.ndarray, next: np.ndarray, dt: float) -> np.ndarray:
     """Central time difference at a frame from the frames dt before and after it."""
-    return (next - prev) / (2.0 * dt)
+    out = next - prev
+    out /= 2.0 * dt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,30 +352,6 @@ def _euler_texture(d: EulerTexture, grid: Grid, t: float) -> np.ndarray:
     psi1 = R * np.cos(theta / 2.0) * np.exp(1j * (phi + chi) / 2.0)
     psi2 = 1j * R * np.sin(theta / 2.0) * np.exp(1j * (chi - phi) / 2.0)
     return np.stack([psi1, psi2], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# spinor field text format: `x[ y z] Re(psi1) Im(psi1) [Re(psi2) Im(psi2)]`
-
-def write_spinor_field(path, grid: Grid, psi: np.ndarray) -> None:
-    psi = np.ascontiguousarray(psi, dtype=complex).reshape(grid.n_points, -1)
-    with open(path, "w") as fh:
-        np.savetxt(fh, np.column_stack([grid.points(), psi.view(float)]), fmt="%.17g")
-
-
-def read_spinor_field(path, grid: Grid) -> np.ndarray:
-    """Read a spinor field written by write_spinor_field onto a known grid."""
-    data = np.loadtxt(path, ndmin=2)
-    n_val = data.shape[1] - grid.dim
-    if n_val not in (2, 4):
-        raise GridError(f"unexpected record width {data.shape[1]} in spinor file")
-    if data.shape[0] != grid.n_points:
-        raise GridError(f"spinor file has {data.shape[0]} points, the grid {grid.n_points}")
-    # the writer's %.17g round-trips, so a file written on this grid matches exactly
-    if not np.array_equal(data[:, :grid.dim], grid.points()):
-        raise GridError("spinor file coordinates differ from the grid's")
-    psi = np.ascontiguousarray(data[:, grid.dim:]).view(complex)
-    return psi.reshape(grid.shape + ((2,) if n_val == 4 else ()))
 
 
 # ---------------------------------------------------------------------------

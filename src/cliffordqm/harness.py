@@ -199,10 +199,10 @@ def _scenario(raw, source: str) -> Scenario:
     gspec = root.section("grid")
     lo, hi = gspec.finite("lo"), gspec.finite("hi")
     n = gspec.number("n", kind=int)
-    frame_bytes, memory = n * 16 * (2 if particle == "pauli" else 1), _memory_bytes()
-    if frame_bytes > memory:
-        raise gspec.error(f"one frame of {n} points takes {frame_bytes / 1e9:.1f} GB, more "
-                          f"than the {memory / 1e9:.1f} GB of memory", "n")
+    gb, memory = n * (32e-9 if particle == "pauli" else 16e-9), _memory_bytes() / 1e9
+    if gb > memory:  # n lies within the float range, so both figures are finite
+        raise gspec.error(f"one frame of {n:.3g} points takes {gb:.3g} GB, more than the "
+                          f"{memory:.1f} GB of memory", "n")
     boundary = gspec.get("boundary", "clamped")
     if boundary not in ("clamped", "periodic"):
         raise gspec.error(f"expected clamped or periodic, got {boundary!r}", "boundary")
@@ -210,6 +210,10 @@ def _scenario(raw, source: str) -> Scenario:
         grid = gd.Grid.line(lo, hi, n, boundary)
     except ValueError as exc:
         raise gspec.error(str(exc)) from exc
+    h = min(grid.spacing)
+    k_max = math.pi / h  # the largest wavenumber
+    if not math.isfinite(h * h + k_max * k_max):
+        raise gspec.error(f"the spacing {h:.3g} puts h^2 or (pi/h)^2 past the float range", "hi")
 
     descriptor = _parse_state(root.section("initial_state"), particle, grid)
     potential = _parse_potential(root.section("potential", {"kind": "none"}), grid)
@@ -231,7 +235,6 @@ def _scenario(raw, source: str) -> Scenario:
         raise espec.error(f"{scheme} needs a {dy.SCHEME_BOUNDARY[scheme]} grid, "
                           f"got {grid.boundary}", "scheme")
     # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
-    k_max = math.pi / min(grid.spacing)
     if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
         raise espec.error(f"too small for dt and h, dt/(m h^2) overflows, got {m}", "m")
 
@@ -276,10 +279,16 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
     def vec(key, default):
         return (spec.finite(key, default), 0.0, 0.0)
 
+    def width(default):  # both packets divide by sigma^2
+        sigma = spec.positive("sigma", default)
+        if sigma is not None and not 0.0 < sigma * sigma < math.inf:
+            raise spec.error(f"sigma^2 must be a positive finite float, got {sigma}", "sigma")
+        return sigma
+
     if kind == "plane-wave":
         return gd.PlaneWave(k=vec("k", 1.0), m=spec.positive("m", 1.0))
     if kind == "gaussian":
-        sigma, x0 = spec.positive("sigma", 1.0), vec("x0", 0.0)
+        sigma, x0 = width(1.0), vec("x0", 0.0)
         lo, hi = grid.axes[0].lo, grid.axes[0].hi
         if x0[0] - 6.0 * sigma < lo or x0[0] + 6.0 * sigma > hi:
             raise spec.error(f"the packet needs 6 sigma = {6.0 * sigma} of margin to each "
@@ -300,7 +309,7 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
         phi0=spec.finite("phi", 0.0),
         phi_k=vec("phi_k", 0.0),
         chi_k=vec("chi_k", 0.0),
-        sigma=spec.positive("sigma", None),
+        sigma=width(None),
         x0=vec("x0", 0.0),
     )
 

@@ -11,7 +11,9 @@ Omega = 2 (dU) ~U and S = U gamma ~U / 2 for the ideal's phase generator
 gamma, P^j = -<Omega^j S>_0 and E = <Omega_t S>_0.  In Cl(3,0) S = i s; in
 Cl(0,1) gamma = e is central and S = e/2.  U, Omega and S all lie in U's
 subalgebra (C, or the even part of Cl(3,0)), so these products run in the
-subalgebra layout of ``algebra``, on the 2 or 4 g-coefficients.
+subalgebra layout of ``algebra``, on the 2 or 4 g-coefficients.  Like every
+derived field here, they are stored component-first (see ``grids``), so
+products and component loops read one contiguous block per component.
 
 A quantity at frame k that needs a time derivative reads frames k-1, k and
 k+1 through one ``Window``: ``window(series, k)`` turns each of the three
@@ -38,6 +40,7 @@ from .grids import (
     Grid,
     GridError,
     SnapshotSeries,
+    component_first,
     curl,
     deriv,
     divergence,
@@ -134,7 +137,7 @@ class SpinorField:
         if not self.is_pauli:
             half_e = 0.5 * phase_generator(SCHRODINGER).coeffs
             return np.broadcast_to(half_e, self.grid.shape + (2,))
-        S = np.zeros(self.grid.shape + (4,))
+        S = component_first(self.grid.shape + (4,), self.grid.dim)
         S[..., 1:] = _DUAL * self.spin
         return S
 
@@ -148,7 +151,7 @@ class SpinorField:
     @cached_property
     def P(self) -> np.ndarray:
         """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
-        out = np.zeros(self.grid.shape + (3,))
+        out = component_first(self.grid.shape + (3,), self.grid.dim)
         for ax, om in enumerate(self.omega):
             out[..., ax] = -gp_coeffs(self.signature, om, self.spin_bivector_coeffs)[..., 0]
         out[~self.mask] = 0.0
@@ -156,7 +159,7 @@ class SpinorField:
 
     @cached_property
     def grad_spin(self) -> np.ndarray:
-        """grad(s), laid out as [..., component, axis]; Pauli only."""
+        """grad(s), laid out as [..., component, axis] and stored axis-first; Pauli only."""
         return _read_only(gradient(self.spin, self.grid))
 
     @cached_property
@@ -172,7 +175,7 @@ class SpinorField:
     @cached_property
     def phase_gradient(self) -> np.ndarray:
         """rho_i grad(S_i) = Re psi_i D Im psi_i - Im psi_i D Re psi_i: [component, ..., axis]."""
-        out = np.zeros(self.components.shape + (3,))
+        out = component_first(self.components.shape + (3,), self.grid.dim + 1)
         for comp, rate in zip(self.components, out):
             for ax in range(self.grid.dim):
                 rate[..., ax] = (comp.real * deriv(comp.imag, self.grid, ax)
@@ -240,7 +243,7 @@ def bohm_momentum_vector_part(state: SpinorField) -> np.ndarray:
     """
     if not state.is_pauli:
         raise UnsupportedAlgebraError("vector part is a Pauli diagnostic")
-    out = np.zeros(state.grid.shape + (3, 3))
+    out = component_first(state.grid.shape + (3, 3), state.grid.dim)
     for ax, om in enumerate(state.omega):
         out[..., ax, :] = 0.5 * om[..., 1:] * _DUAL
     return out
@@ -325,11 +328,10 @@ def euler_q2(state: SpinorField, m: float) -> np.ndarray:
     grad_theta2 = (da[..., 2, :] ** 2).sum(axis=-1)
     cross = a[..., 0, None] * da[..., 1, :] - a[..., 1, None] * da[..., 0, :]
     sin2_phi_grad2 = (cross ** 2).sum(axis=-1)
-    safe = np.where(sin2 > POLE_EPS, sin2, 1.0)
-    q2 = (grad_theta2 + sin2_phi_grad2) / safe / (8.0 * m)
-    # at the poles the full |grad a|^2 is the well-defined limit
-    full = (da ** 2).sum(axis=(-2, -1)) / (8.0 * m)
-    q2 = np.where(sin2 > POLE_EPS, q2, full)
+    pole = ~(sin2 > POLE_EPS)
+    q2 = (grad_theta2 + sin2_phi_grad2) / np.where(pole, 1.0, sin2) / (8.0 * m)
+    # at the poles |grad a|^2 is the limit; C-ordered da[pole] sums as trailing axes do
+    q2[pole] = (da[pole] ** 2).sum(axis=(-2, -1)) / (8.0 * m)
     q2[~state.mask] = 0.0
     return q2
 
@@ -400,13 +402,13 @@ def spin_transport_residual(win: Window, m: float) -> np.ndarray:
     ds_dt = win.d_dt(lambda st: st.spin)
     s, ds = state.spin, state.grad_spin
     conv = np.zeros_like(s)
-    term = state.lap_spin.copy()
+    term = state.lap_spin.copy(order="K")
     for ax in range(state.grid.dim):
         conv += state.P[..., ax, None] * ds[..., ax]
         term += state.grad_ln_rho[..., ax, None] * ds[..., ax]
-    lhs = ds_dt + conv / m
-    rhs = np.cross(s, term) / m
-    res = lhs - rhs
+    res = ds_dt + conv / m
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # minus s x term / m, as np.cross forms it
+        res[..., k] -= (s[..., i] * term[..., j] - s[..., j] * term[..., i]) / m
     res[~state.mask] = 0.0
     return res
 

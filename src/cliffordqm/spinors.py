@@ -8,14 +8,14 @@ degenerate points.
 
 U is kept through its g-coefficients, which are the subalgebra layout of
 ``algebra``; ``algebra._G_SLOTS`` is the one table of their blade slots.
-The field maps below produce g, and the observables compute in that layout
-directly.  A single point is the zero-dimensional field, shape (n_g,): the
-constructors embed U into the full layout with ``even_field_coeffs``.  The
-constructors keep their own normalisation (``math.hypot`` on Python complex
-numbers): for one point it is faster than
-``g_from_components``/``g_from_wavefunction``, and it stays exact where the
-field's sqrt(|psi1|^2 + |psi2|^2) loses precision (|psi| below about
-1e-154) and underflows to 0 (below about 1e-162).
+The field maps below produce g and the spin direction stored component-first
+(see ``grids``), and the observables compute in that layout directly.  A
+single point is the zero-dimensional field, shape (n_g,): the constructors
+embed U into the full layout with ``even_field_coeffs``.  They keep their own
+normalisation (``math.hypot`` on Python complex numbers): for one point it is
+faster than ``g_from_components``/``g_from_wavefunction``, and it stays exact
+where the field's sqrt(|psi1|^2 + |psi2|^2) loses precision (|psi| below
+about 1e-154) and underflows to 0 (below about 1e-162).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .algebra import (
     Signature,
     idempotent,
 )
+from .grids import component_first
 
 # the generator of the ideal's phase rotations, exp(gamma lam) acting on the right
 _PHASE_GENERATOR = {SCHRODINGER: "e", PAULI: "e12"}
@@ -255,7 +256,10 @@ def g_from_wavefunction(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _unit_g(R: np.ndarray, parts: list) -> np.ndarray:
     """The g-coefficients of R U (parts) over R, U = 1 where R = 0.  Each map
     keeps its own R: np.abs and the sqrt of the summed squares differ in the last ulp."""
-    g = np.stack(parts, axis=-1) / np.where(R > 0.0, R, 1.0)[..., None]
+    safe = np.where(R > 0.0, R, 1.0)
+    g = component_first(R.shape + (len(parts),), R.ndim)
+    for i, part in enumerate(parts):
+        np.divide(part, safe, out=g[..., i])
     g[R == 0.0] = np.eye(len(parts))[0]
     return g
 
@@ -270,11 +274,11 @@ def spin_field_from_g(g: np.ndarray) -> np.ndarray:
         a3 = g0^2 - g1^2 - g2^2 + g3^2
     """
     g0, g1, g2, g3 = (g[..., i] for i in range(4))
-    return np.stack([
+    return np.moveaxis(np.stack([
         2.0 * (g1 * g3 + g0 * g2),
         2.0 * (g0 * g1 - g2 * g3),
         g0 * g0 - g1 * g1 - g2 * g2 + g3 * g3,
-    ], axis=-1)
+    ]), 0, -1)
 
 
 def even_field_coeffs(sig: Signature, g: np.ndarray) -> np.ndarray:

@@ -260,6 +260,17 @@ MALFORMED = [
     ("grid_lo_inf", SMALL_SCHRODINGER, ("lo: -10.0", "lo: -.inf"), "grid.lo"),
     # one frame of 10^15 points exceeds any machine's memory: refused before any allocation
     ("n_exceeds_memory", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+15"), "grid.n"),
+    # the refusal's figures stay finite next to the float maximum
+    ("n_near_float_max", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+308"), "grid.n"),
+    # h^2 or (pi/h)^2 past the float range
+    ("grid_hi_spacing_squared_overflows", SMALL_SCHRODINGER, ("hi: 10.0", "hi: 1.2e+301"),
+     "grid.hi"),
+    # the packets divide by sigma^2, which underflows or overflows
+    ("sigma_squared_underflows", SMALL_SCHRODINGER, ("sigma: 1.0", "sigma: 1.0e-300"),
+     "initial_state.sigma"),
+    ("texture_sigma_squared_overflows", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0",
+      "kind: euler-texture, sigma: 1.0e+200"), "initial_state.sigma"),
     # integer literals that float() cannot hold
     ("n_beyond_float_range", SMALL_SCHRODINGER, ("n: 128", "n: 1" + "0" * 400), "grid.n"),
     ("dt_beyond_float_range", SMALL_SCHRODINGER, ("dt: 0.002", "dt: 1" + "0" * 400),
@@ -305,6 +316,8 @@ def test_scientific_notation_reads_as_a_number():
     assert short.evolution.dt == dotted.evolution.dt == 5e-4
     with pytest.raises(harness.ConfigError, match="grid.n: one frame of"):
         harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 1e15"))
+    with pytest.raises(harness.ConfigError, match=r"of 1e\+308 points takes 1.6e\+300 GB, more"):
+        harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 1.0e+308"))
     with pytest.raises(harness.ConfigError, match="name: expected a directory name, got 1000.0"):
         harness.parse_config(SMALL_SCHRODINGER.replace("name: small_gaussian", "name: 1e3"))
 

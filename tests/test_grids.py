@@ -155,67 +155,6 @@ def test_euler_texture_components():
     assert np.max(np.abs(np.abs(psi[..., 0]) - np.cos(np.pi / 6))) < 1e-12
 
 
-# values that re + 1j * im would not rebuild: the sign of a zero real part, and
-# an infinite imaginary part (0 * inf is nan)
-UNREBUILDABLE = [complex(-0.0, 1.0), complex(1.0, np.inf)]
-
-
-@pytest.mark.filterwarnings("error")
-def test_spinor_file_round_trip_scalar(tmp_path):
-    grid = gd.Grid.line(-1.0, 1.0, 17)
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    psi[:2] = UNREBUILDABLE
-    path = tmp_path / "field.dat"
-    gd.write_spinor_field(path, grid, psi)
-    back = gd.read_spinor_field(path, grid)
-    assert back.shape == psi.shape
-    assert back.tobytes() == psi.tobytes()
-
-
-@pytest.mark.filterwarnings("error")
-def test_spinor_file_round_trip_pauli(tmp_path):
-    grid = gd.Grid.line(-1.0, 1.0, 9)
-    rng = np.random.default_rng(4)
-    psi = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
-    psi[0] = UNREBUILDABLE
-    psi[1] = UNREBUILDABLE[::-1]
-    path = tmp_path / "field.dat"
-    gd.write_spinor_field(path, grid, psi)
-    back = gd.read_spinor_field(path, grid)
-    assert back.shape == psi.shape
-    assert back.tobytes() == psi.tobytes()
-    # format: x then four real values per line
-    line = path.read_text().splitlines()[0].split()
-    assert len(line) == 5
-    tiny = gd.Grid.line(0.0, 1.0, 5)
-    special = np.array([[complex(-0.0, 1.0), complex(np.nan, -0.0)],
-                        [complex(np.inf, 0.0), complex(0.0, 1e-300)],
-                        [complex(-np.inf, -0.0), complex(1 / 3, 0.0)],
-                        [0.1, 2j],
-                        [1e16, complex(0.5, np.nan)]])
-    gd.write_spinor_field(path, tiny, special)
-    assert path.read_bytes() == (
-        b"0 -0 1 nan -0\n"
-        b"0.25 inf 0 0 1e-300\n"
-        b"0.5 -inf -0 0.33333333333333331 0\n"
-        b"0.75 0.10000000000000001 0 0 2\n"
-        b"1 10000000000000000 0 0.5 nan\n")
-    assert gd.read_spinor_field(path, tiny).tobytes() == special.tobytes()
-
-
-def test_spinor_file_refuses_a_different_grid(tmp_path):
-    grid = gd.Grid.line(0.0, 1.0, 9)
-    path = tmp_path / "field.dat"
-    gd.write_spinor_field(path, grid, np.ones(grid.shape + (2,), dtype=complex))
-    with pytest.raises(gd.GridError, match="9 points.* 17"):
-        gd.read_spinor_field(path, gd.Grid.line(0.0, 1.0, 17))
-    with pytest.raises(gd.GridError, match="coordinates"):
-        gd.read_spinor_field(path, gd.Grid.line(-5.0, 5.0, 9))
-    with pytest.raises(gd.GridError, match="coordinates"):
-        gd.read_spinor_field(path, gd.Grid.line(0.0, 1.0, 9, "periodic"))
-
-
 def test_export_csv_deterministic(tmp_path):
     grid = gd.Grid.line(0.0, 1.0, 6)
     x = grid.coords(0)
