@@ -180,6 +180,11 @@ def _memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _frame_gb(n, particle: str) -> float:
+    """One frame of n points in GB, as a float: 16 bytes per complex component."""
+    return n * (32e-9 if particle == "pauli" else 16e-9)
+
+
 def _scenario(raw, source: str) -> Scenario:
     root = _Spec(raw, "", source)
     if not isinstance(raw, dict):
@@ -199,7 +204,7 @@ def _scenario(raw, source: str) -> Scenario:
     gspec = root.section("grid")
     lo, hi = gspec.finite("lo"), gspec.finite("hi")
     n = gspec.number("n", kind=int)
-    gb, memory = n * (32e-9 if particle == "pauli" else 16e-9), _memory_bytes() / 1e9
+    gb, memory = _frame_gb(n, particle), _memory_bytes() / 1e9
     if gb > memory:  # n lies within the float range, so both figures are finite
         raise gspec.error(f"one frame of {n:.3g} points takes {gb:.3g} GB, more than the "
                           f"{memory:.1f} GB of memory", "n")
@@ -449,7 +454,7 @@ def _triple_agreement(sc, obs):
     p_oracle = ob.masked_divide(orc.momentum_density(state.psi, sc.grid), state.rho, state.mask)
     yield "p_alg_vs_oracle", _vec_mag(obs.P - p_oracle), "space"
     yield "e_alg_vs_weighted", np.abs(obs.E - ob.bohm_energy_weighted(obs.window)), "time"
-    yield "e_alg_vs_oracle", np.abs(obs.E - ob_energy_oracle(obs.window)), "time"
+    yield "e_alg_vs_oracle", np.abs(obs.E - _energy_oracle(obs.window)), "time"
 
 
 def _q_split(sc, obs):
@@ -479,7 +484,7 @@ def _vec_mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v ** 2).sum(axis=-1))
 
 
-def ob_energy_oracle(win: ob.Window) -> np.ndarray:
+def _energy_oracle(win: ob.Window) -> np.ndarray:
     dens = orc.energy_density((win.prev.psi, win.cur.psi, win.next.psi), win.dt)
     return ob.masked_divide(dens, win.cur.rho, win.cur.mask)
 
@@ -547,15 +552,16 @@ def sweep(sc: Scenario, levels: int) -> dict:
     base_n, base_steps = sc.grid.shape[0], sc.evolution.steps
     # a level streams its frames, but refuse, before running any, a level
     # whose frames would exceed the machine's memory if all were stored: a
-    # conservative ceiling on the work a level takes (8x per level in 1-D)
-    memory = _memory_bytes()
-    components = 2 if sc.particle == "pauli" else 1
+    # conservative ceiling on the work a level takes (8x per level in 1-D).
+    # Counted in floats, the first level refused has a finite frame count
+    # and frame size even when steps is near the float range.
+    memory = _memory_bytes() / 1e9
     for lvl in range(levels):
-        frame_bytes = (base_steps * 4 ** lvl + 1) * base_n * 2 ** lvl * 16 * components
-        if frame_bytes > memory:
-            raise ConfigError(f"--levels {levels}: level {lvl + 1} would store "
-                              f"{frame_bytes / 1e9:.1f} GB of frames, more than the "
-                              f"{memory / 1e9:.1f} GB of memory")
+        frames, frame_gb = base_steps * 4.0 ** lvl + 1, _frame_gb(base_n * 2 ** lvl, sc.particle)
+        if frames * frame_gb > memory:
+            raise ConfigError(f"--levels {levels}: level {lvl + 1} would store {frames:.3g} "
+                              f"frames of {frame_gb:.3g} GB, more than the {memory:.1f} GB "
+                              "of memory")
     # each level is the config at n 2^l, dt 4^-l and steps 4^l, without trajectories
     grid, evolution = sc.config["grid"], sc.config["evolution"]
     rows = []

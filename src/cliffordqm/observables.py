@@ -3,7 +3,7 @@
 Every quantity here is computed on the algebraic side (g-coefficients,
 geometric products, the Omega fields), with alternative standard-formalism
 routes provided where the theory gives more than one expression for the
-same field (weighted means, Euler-angle forms).  The oracle module holds
+same field (weighted means).  The oracle module holds
 the fully independent wavefunction versions used for cross checks.
 
 The Bohm momentum and energy are one bilinear for both particles: with
@@ -57,8 +57,6 @@ from .spinors import (
     phase_generator,
     spin_field_from_g,
 )
-
-POLE_EPS = 1e-10
 
 # i e1 = e23, i e2 = -e13, i e3 = e12 in Cl(3,0): the signs that take a
 # vector's components to its dual bivector's (e23, e13, e12) and back
@@ -120,11 +118,6 @@ class SpinorField:
         if not self.is_pauli:
             raise UnsupportedAlgebraError("spin needs a Pauli field")
         return 0.5 * spin_field_from_g(self.g)
-
-    @cached_property
-    def spin_direction(self) -> np.ndarray:
-        """Unit spin direction a, Pauli only."""
-        return 2.0 * self.spin
 
     @cached_property
     def spin_bivector_coeffs(self) -> np.ndarray:
@@ -206,11 +199,6 @@ class Window:
         """Central time difference at the middle frame of quantity(SpinorField)."""
         return time_derivative(quantity(self.prev), quantity(self.next), self.dt)
 
-    @cached_property
-    def dpsi_dt(self) -> np.ndarray:
-        """d_t of the middle frame's components, as [component, ...]."""
-        return _read_only(self.d_dt(lambda st: st.components))
-
 
 def window(series: SnapshotSeries, k: int) -> Window:
     """The window around frame k, with dt = series.dt; boundary frames are rejected."""
@@ -262,11 +250,6 @@ def bohm_energy(win: Window) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weighted-mean route (component polar data, branch-free)
 
-def _im_conj_product(comp: np.ndarray, dcomp: np.ndarray) -> np.ndarray:
-    """Im(conj(psi_i) d psi_i) = rho_i d S_i for components and their derivatives."""
-    return comp.real * dcomp.imag - comp.imag * dcomp.real
-
-
 def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
     """P_B as the per-component weighted mean of grad(S_i)."""
     return masked_divide(sum(state.phase_gradient), state.rho, state.mask)
@@ -275,7 +258,8 @@ def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
 def bohm_energy_weighted(win: Window) -> np.ndarray:
     """E_B as the per-component weighted mean of -d_t S_i."""
     state = win.cur
-    num = sum(-_im_conj_product(state.components, win.dpsi_dt))
+    comp, dcomp = state.components, win.d_dt(lambda st: st.components)
+    num = sum(-(comp.real * dcomp.imag - comp.imag * dcomp.real))  # -rho_i d_t S_i
     return masked_divide(num, state.rho, state.mask)
 
 
@@ -295,7 +279,7 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     Schrodinger: Q = Q1 = -lap(R)/(2 m R), Q2 = 0.
     Pauli: Q from the density/spin closed form
         Q = -[ (2 lap(ln rho) + |grad ln rho|^2)/4 + s . lap(s) ] / (2 m),
-    Q1 from the amplitude Laplacian, Q2 from the Euler-angle gradients.
+    Q1 from the amplitude Laplacian, Q2 = |grad s|^2 / 2m (``euler_q2``).
     """
     grid = state.grid
     q1 = masked_divide(-laplacian(state.R, grid), 2.0 * m * state.R, state.mask)
@@ -317,21 +301,12 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
 def euler_q2(state: SpinorField, m: float) -> np.ndarray:
     """Spin part Q2 = [(grad theta)^2 + sin^2 theta (grad phi)^2] / 8m.
 
-    Evaluated branch-free from the unit spin direction a:
-    sin^2 theta (grad phi)^2 = (a1 grad a2 - a2 grad a1)^2 / sin^2 theta,
-    (grad theta)^2 = (grad a3)^2 / sin^2 theta; poles (sin theta ~ 0) fall
-    back to the rotation-invariant form sum_j |d_j a|^2.
+    For the unit spin direction a = 2s = (sin theta sin phi, sin theta cos phi,
+    cos theta), |grad a|^2 = (grad theta)^2 + sin^2 theta (grad phi)^2 exactly,
+    so Q2 = |grad a|^2 / 8m = |grad s|^2 / 2m: the sum of grad(s) squared over
+    components and axes, regular at the poles, where the angles are not.
     """
-    a = state.spin_direction
-    da = 2.0 * state.grad_spin  # [..., comp, axis]
-    sin2 = a[..., 0] ** 2 + a[..., 1] ** 2
-    grad_theta2 = (da[..., 2, :] ** 2).sum(axis=-1)
-    cross = a[..., 0, None] * da[..., 1, :] - a[..., 1, None] * da[..., 0, :]
-    sin2_phi_grad2 = (cross ** 2).sum(axis=-1)
-    pole = ~(sin2 > POLE_EPS)
-    q2 = (grad_theta2 + sin2_phi_grad2) / np.where(pole, 1.0, sin2) / (8.0 * m)
-    # at the poles |grad a|^2 is the limit; C-ordered da[pole] sums as trailing axes do
-    q2[pole] = (da[pole] ** 2).sum(axis=(-2, -1)) / (8.0 * m)
+    q2 = (state.grad_spin ** 2).sum(axis=(-2, -1)) / (2.0 * m)
     q2[~state.mask] = 0.0
     return q2
 
@@ -424,10 +399,11 @@ class TorqueBalance:
 def quantum_torque(win: Window, m: float) -> TorqueBalance:
     """Momentum balance dP_B/dt = -grad Q - torque for the free Pauli particle.
 
-    dP_B/dt is d_t P_B + grad(P_B^2)/2m; the torque term is
-    -[d_t(cos theta) grad phi - grad(cos theta) d_t phi]/2 with the angles
-    read off branch-free from the spinor components.  Points near the spin
-    poles (either component's density ~ 0) are masked.
+    dP_B/dt is d_t P_B + grad(P_B^2)/2m.  The torque term
+    -[d_t(cos theta) d_j phi - d_j(cos theta) d_t phi]/2 is the triple product
+    -a . (d_t a x d_j a)/2 = -4 s . (d_t s x d_j s) for the package's
+    a = 2s = (sin theta sin phi, sin theta cos phi, cos theta), so it needs
+    no angles and is regular at the poles.
     """
     state = win.cur
     if not state.is_pauli:
@@ -438,21 +414,17 @@ def quantum_torque(win: Window, m: float) -> TorqueBalance:
     qp = quantum_potential(state, m)
     neg_grad_Q = -gradient(qp.Q, grid)
 
-    grad_cos = 2.0 * state.grad_spin[..., 2, :]  # cos theta = a3 = 2 s3
-    comp_rho = np.abs(state.components) ** 2
-    pole_ok = state.mask & np.all(comp_rho > POLE_EPS * np.max(state.rho), axis=0)
-
-    # phi = S1 - S2, from each component's phase rates grad(S_i) and d_t S_i
-    grad_S = masked_divide(state.phase_gradient, comp_rho, comp_rho > 0)
-    dS_dt = masked_divide(_im_conj_product(state.components, win.dpsi_dt), comp_rho, comp_rho > 0)
-    grad_phi = grad_S[0] - grad_S[1]
-    dphi_dt = 0.0 + dS_dt[0] - dS_dt[1]  # summed from +0.0, as the weighted means are
-    dcos_dt = win.d_dt(lambda st: st.spin_direction[..., 2])
-    torque = -0.5 * (dcos_dt[..., None] * grad_phi - grad_cos * dphi_dt[..., None])
+    s, ds_dt = state.spin, win.d_dt(lambda st: st.spin)
+    torque = np.zeros_like(dP_dt)
+    for ax in range(grid.dim):
+        ds = state.grad_spin[..., ax]
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            torque[..., ax] -= 4.0 * s[..., k] * (ds_dt[..., i] * ds[..., j]
+                                                  - ds_dt[..., j] * ds[..., i])
 
     residual = dP_dt + (-neg_grad_Q) + torque
     for arr in (dP_dt, neg_grad_Q, torque, residual):
-        arr[~pole_ok] = 0.0
+        arr[~state.mask] = 0.0
     return TorqueBalance(dP_dt, neg_grad_Q, torque, residual)
 
 

@@ -395,19 +395,33 @@ def test_sweep_requires_three_levels():
         harness.sweep(sc, 1)
 
 
-@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_superposition"])
-def test_sweep_refuses_levels_whose_frames_exceed_memory(name, monkeypatch, capsys):
+@pytest.mark.parametrize("name, steps, levels", [
+    # 8 levels would store about 5 TB of frames at the last level
+    ("schrodinger_gaussian", None, "8"),
+    ("pauli_superposition", None, "8"),
+    # the first level's frame count is near the float range
+    ("pauli_superposition", "1.0e+308", "3"),
+], ids=["schrodinger_gaussian", "pauli_superposition", "pauli_superposition-steps_1e308"])
+def test_sweep_refuses_levels_whose_frames_exceed_memory(name, steps, levels, tmp_path,
+                                                         monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a level ran")
 
     monkeypatch.setattr(harness, "run_scenario", never)
-    # 8 levels would store about 5 TB of frames at the last level
-    assert cli.main(["sweep", name, "--levels", "8"]) == 2
+    config = name
+    if steps is not None:
+        config = tmp_path / "steps.cfg"
+        text = (harness.bundled_dir() / f"{name}.cfg").read_text()
+        assert text.count("steps: 400") == 1
+        config.write_text(text.replace("steps: 400", f"steps: {steps}"))
+    assert cli.main(["sweep", str(config), "--levels", levels]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert "--levels" in captured.err
+    assert "inf" not in captured.err
+    assert len(captured.err) < 200  # no long integer
 
 
 def test_sweep_slopes_second_order():
@@ -415,6 +429,43 @@ def test_sweep_slopes_second_order():
     result = harness.sweep(sc, 3)
     slopes = result["residual_slopes"]["qhj"]["log2_ratios"]
     assert all(1.8 <= s <= 2.2 for s in slopes)
+
+
+# a periodic Euler texture without an envelope; theta = 1 + x/2 passes the
+# spin poles at x = 2 pi - 2 and 4 pi - 2, and Q is regular there
+TEXTURE = """\
+schema_version: 1
+name: texture
+particle: pauli
+grid: {lo: 0.0, hi: 12.566370614359172, n: 256, boundary: periodic}
+initial_state: {kind: euler-texture, theta: 1.0, theta_k: 0.5, phi_k: 0.5, chi_k: 1.0}
+evolution: {m: 1.0, dt: 5.0e-4, steps: 400, scheme: split-step}
+tolerances: {C: 2.0}
+checks: [q_split]
+"""
+
+
+def test_texture_q_split_converges_through_the_spin_poles():
+    """Q2 = |grad s|^2/2m has no 1/sin^2 theta, so the node nearest a pole
+    does not set the error: q_split falls by 4x per halving of h."""
+    errs = harness.sweep(harness.parse_config(TEXTURE), 3)["residual_slopes"]["q_split"]["max_abs"]
+    assert all(a >= 3.0 * b > 0.0 for a, b in zip(errs, errs[1:])), errs
+
+
+def test_texture_torque_balance_converges_at_second_order():
+    """dP_B/dt + grad Q + torque falls at order 2 over n = 256, 512, 1024 and
+    dt = 5e-4, 1.25e-4, 3.125e-5, poles included."""
+    errs = []
+    for lvl in range(3):
+        f = 2 ** lvl
+        level = TEXTURE.replace("n: 256", f"n: {256 * f}").replace(
+            "dt: 5.0e-4, steps: 400", f"dt: {5e-4 / f ** 2}, steps: {400 * f ** 2}")
+        _, obs, _ = harness._run(harness.parse_config(level))
+        state = obs.window.cur
+        balance = np.sqrt((harness.ob.quantum_torque(obs.window, 1.0).residual ** 2).sum(axis=-1))
+        errs.append(balance[state.mask & harness.ob.support_mask(state.rho)].max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
 
 
 def test_list_scenarios_bundled():

@@ -95,7 +95,7 @@ def test_momentum_vector_part_contracts_to_momentum():
     state = ob.SpinorField(grid, psi)
     P = state.P
     vec = ob.bohm_momentum_vector_part(state)
-    a = state.spin_direction
+    a = 2.0 * state.spin
     contracted = (vec[..., 0, :] * a).sum(axis=-1)
     contracted[~state.mask] = 0.0
     assert np.max(np.abs(contracted - P[..., 0])) < 1e-10
@@ -406,7 +406,7 @@ def test_compute_observables_applies_each_stencil_to_each_input_once(monkeypatch
 
 
 def test_weighted_means_and_torque_derive_each_phase_rate_once(monkeypatch):
-    """The components' gradients and d_t psi are shared by both weighted means and the torque."""
+    """No stencil input is differenced twice by both weighted means and the torque."""
     win = ob.window(pauli_texture_3d_series(), 1)
     calls = record_stencil_calls(monkeypatch)
     ob.bohm_momentum_weighted(win.cur)
@@ -421,6 +421,6 @@ def test_bohm_momentum_is_the_frames_read_only_P():
     state = win.cur
     P = state.P
     assert P is state.P
-    for shared in (P, state.grad_spin, state.lap_spin, state.phase_gradient, win.dpsi_dt):
+    for shared in (P, state.grad_spin, state.lap_spin, state.phase_gradient):
         with pytest.raises(ValueError):
             shared[0, 0, 0, 0] = 1.0
