@@ -4,19 +4,22 @@ Evolution runs in the standard column representation (complex arrays) so
 that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
 
-Crank-Nicolson factors each axis's tridiagonal matrix once per run
-(LAPACK ``zgttrf``) and solves every step against those factors
-(``zgttrs``).  Split-step transforms a line with ``numpy.fft.fft``.  On 2-D
-and 3-D grids it runs ``scipy.fft`` one axis at a time, last axis first as
-``numpy.fft.fftn`` does, so every frame stays bit-identical to ``fftn``'s,
-and a 40^3 step takes about 40 % less time.  ``scipy.fft`` is imported on
-the first such step, not with this module: the import loads ``scipy.special``
-and costs about 0.1 s and 3-7 MB of peak memory, which Crank-Nicolson runs
-and lines, where ``numpy.fft.fft`` is about as fast, do not pay.  ``evolve``
-hands every frame to an optional sink, ``keep(j, psi)``, and stores only
-the frames it accepts, so a caller that needs a few frames, or only numbers
-taken from them, holds O(N) memory rather than O(steps N); without a sink
-it stores every frame.
+Crank-Nicolson factors each axis's tridiagonal matrix once per run (LAPACK
+``zgttrf``) and solves every step against those factors (``zgttrs``).
+Split-step carries the spectrum from step to step: a step multiplies it by
+the kinetic phase and transforms it back, and only with a potential
+transforms the frame, times the half potential phase, forward again.  So a
+free step costs one inverse FFT; with a potential every frame is
+bit-identical to an ``fftn``/``ifftn`` loop's.  A line uses ``numpy.fft``;
+2-D and 3-D grids run ``scipy.fft`` one axis at a time, last axis first,
+which rounds as ``numpy.fft.fftn`` does and is about 40 % faster at 40^3.
+``scipy.fft`` is imported on the first such step, not with this module: the
+import loads ``scipy.special`` and costs about 0.1 s and 3-7 MB of peak
+memory, which Crank-Nicolson runs and lines, where ``numpy.fft.fft`` is
+about as fast, do not pay.  ``evolve`` hands every frame to an optional
+sink, ``keep(j, psi)``, and stores only the frames it accepts, so a caller
+that needs a few frames, or only numbers taken from them, holds O(N) memory
+rather than O(steps N); without a sink it stores every frame.
 
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past the grid's edges, since an RK4 stage may step
@@ -58,10 +61,6 @@ class EvolutionConfig:
         if self.scheme not in SCHEME_BOUNDARY:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    def frame_times(self) -> np.ndarray:
-        """Times of frames 0..steps of an evolution that starts at t = 0."""
-        return self.dt * np.arange(self.steps + 1)
-
 
 def norm(psi: np.ndarray, grid: Grid) -> float:
     """L2 norm of a (possibly two-component) field, trapezoid-free sum."""
@@ -92,7 +91,7 @@ def _cn_banded(n: int, h: float, dt: float, m: float):
 
 def _cn_axis_step(psi: np.ndarray, axis: int, lu, diag_b, off_b) -> np.ndarray:
     """Solve A psi' = B psi along one axis; psi' is a new C-ordered array."""
-    v = np.moveaxis(psi, axis, 0)
+    v = psi.swapaxes(0, axis)
     shape = v.shape
     v = v.reshape(shape[0], -1)
     rhs = np.multiply(diag_b, v, order="F")  # zgttrs solves in place in F order
@@ -100,7 +99,7 @@ def _cn_axis_step(psi: np.ndarray, axis: int, lu, diag_b, off_b) -> np.ndarray:
     rhs[1:] += off_b * v[:-1]
     x, _ = zgttrs(*lu, rhs, overwrite_b=True)
     out = np.empty(psi.shape, dtype=complex)
-    np.moveaxis(out, axis, 0)[...] = x.reshape(shape)
+    out.swapaxes(0, axis)[...] = x.reshape(shape)
     return out
 
 
@@ -120,12 +119,22 @@ def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
     return phase
 
 
+def _fft_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
+    """transform along each of axes in turn, into a new array: x is never written."""
+    x = transform(x, axis=axes[0])
+    for ax in axes[1:]:
+        x = transform(x, axis=ax, overwrite_x=True)
+    return x
+
+
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
     Strang splitting: half potential phase, full kinetic step (per-axis
     Crank-Nicolson solves, or on periodic grids FFT passes, last axis
-    first), half potential phase.  keep(j, psi) is called once per frame, j =
+    first), half potential phase; split-step carries the spectrum between
+    steps, so its frames equal a numpy.fft.fftn loop's bit for bit only when
+    there is a potential.  keep(j, psi) is called once per frame, j =
     0..steps in order, and the frames it returns true for are stored; psi is
     never written after the call, so keep may hold on to it.  Returns the
     stored frames at their times (all steps+1 of them when keep is None),
@@ -158,12 +167,15 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         banded = [_cn_banded(grid.shape[ax], grid.spacing[ax], cfg.dt, cfg.m)
                   for ax in range(grid.dim)]
     else:
+        fft = np.fft
         if grid.dim > 1:
-            import scipy.fft  # here, not at the top: see the module docstring
+            import scipy.fft as fft  # here, not at the top: see the module docstring
         kin = _kinetic_phase(grid, cfg.dt, cfg.m)
         if pauli:
             kin = kin[..., None]
         fft_axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
+        # phi carries the spectrum that the next kinetic phase acts on
+        phi = _fft_passes(fft.fft, psi0 if half_v is None else psi0 * half_v, fft_axes)
 
     stored, frames = [], []
 
@@ -177,26 +189,23 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     psi = psi0.copy()
     store(0, psi)
     for j in range(1, cfg.steps + 1):
-        if half_v is not None:
-            psi = psi * half_v
         if cfg.scheme == "crank-nicolson":
+            if half_v is not None:
+                psi = psi * half_v
             for ax in range(grid.dim):
                 psi = _cn_axis_step(psi, ax, *banded[ax])
-        elif grid.dim == 1:
-            psi = np.fft.ifft(np.fft.fft(psi, axis=0) * kin, axis=0)
         else:
-            for ax in fft_axes:  # the first pass makes a new array: psi may be a stored frame
-                psi = scipy.fft.fft(psi, axis=ax, overwrite_x=ax != fft_axes[0])
-            psi *= kin
-            for ax in fft_axes:
-                psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
+            phi *= kin
+            psi = _fft_passes(fft.ifft, phi, fft_axes)
         if half_v is not None:
             psi = psi * half_v
         store(j, psi)
-    times = cfg.frame_times()
+        if half_v is not None and cfg.scheme == "split-step" and j < cfg.steps:
+            phi = _fft_passes(fft.fft, psi * half_v, fft_axes)
+    times = cfg.dt * np.asarray(stored)
     spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
-    dt = (times[1] - times[0]) * spacing if len(stored) >= 2 else None
-    return SnapshotSeries(times[stored], frames, grid, dt, stored[0] // spacing if stored else 0)
+    dt = cfg.dt * spacing if len(stored) >= 2 else None
+    return SnapshotSeries(times, frames, grid, dt, stored[0] // spacing if stored else 0)
 
 
 # ---------------------------------------------------------------------------

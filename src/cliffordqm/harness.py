@@ -522,7 +522,7 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     gd.export_csv(out / "fields.csv", sc.grid, columns)
 
     if sc.seeds:
-        times = sc.evolution.frame_times()[sink.traj_index]
+        times = sc.evolution.dt * np.asarray(sink.traj_index)
         traj = run_trajectories(sc, sink.traj_frames, times)
         traj.to_csv(out / "trajectories.csv")
         report["trajectories"] = {

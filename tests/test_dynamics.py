@@ -372,7 +372,10 @@ def test_cn_step_equals_solve_banded(shape, components):
 
 
 def _numpy_split_step_frames(psi0, grid, cfg):
-    """Every frame of a split-step run on numpy's multi-axis FFT."""
+    """Every frame of a split-step run on numpy's multi-axis FFT.
+
+    Without a potential the spectrum is carried: one fftn, then per frame
+    the kinetic factor and one ifftn."""
     axes = tuple(range(grid.dim))
     kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
     half_v = None if cfg.V is None else np.exp(-0.5j * cfg.dt * cfg.V)
@@ -381,6 +384,12 @@ def _numpy_split_step_frames(psi0, grid, cfg):
         half_v = None if half_v is None else half_v[..., None]
     psi = psi0.copy()
     frames = [psi]
+    if half_v is None:
+        phi = np.fft.fftn(psi0, axes=axes)
+        for _ in range(cfg.steps):
+            phi = phi * kin
+            frames.append(np.fft.ifftn(phi, axes=axes))
+        return frames
     for _ in range(cfg.steps):
         if half_v is not None:
             psi = psi * half_v
@@ -404,6 +413,30 @@ def test_split_step_equals_numpy_fftn_bit_for_bit(shape, components, harmonic):
     got = dy.evolve(psi0, grid, cfg).frames
     want = _numpy_split_step_frames(psi0, grid, cfg)
     assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
+@pytest.mark.parametrize("shape, steps", [((4096,), 400), ((24, 24, 24), 40)])
+def test_free_split_step_keeps_the_norm(shape, steps):
+    """Without a potential the run carries the spectrum, so each frame is one
+    inverse transform of exactly phased Fourier data, not a chain of them."""
+    grid = gd.Grid(tuple(gd.Axis(-4.0, 4.0, n) for n in shape), "periodic")
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    m, dt = 1.0, min(grid.spacing) ** 2 / 2
+    norms = []
+
+    def keep(j, psi):
+        norms.append(dy.norm(psi, grid))
+        return j == steps
+
+    last = dy.evolve(psi0, grid, dy.EvolutionConfig(m=m, dt=dt, steps=steps,
+                                                    scheme="split-step"), keep).frames[0]
+    assert len(norms) == steps + 1
+    assert np.max(np.abs(np.array(norms) - norms[0])) / norms[0] <= 4e-15
+    axes = tuple(range(grid.dim))
+    exact = np.fft.ifftn(np.fft.fftn(psi0, axes=axes)
+                         * dy._kinetic_phase(grid, steps * dt, m)[..., None], axes=axes)
+    assert np.max(np.abs(last - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, tol", [(1, 0.0), (2, 1e-14), (3, 0.0)])
