@@ -259,14 +259,13 @@ def _interpolate(field: np.ndarray, corners: list) -> np.ndarray:
     return value
 
 
-def integrate_trajectories(velocity_series: SnapshotSeries, seeds,
-                           masks: list = None) -> TrajectorySet:
+def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) -> TrajectorySet:
     """Integrate seed points through time-indexed velocity fields.
 
     Classic 4th-order one-step integration per frame interval; velocity is
     multilinear in space and linear in time.  Paths leaving the grid are
-    clamped and flagged; paths entering a masked node region are frozen and
-    flagged.
+    clamped and flagged; paths that reach a node where masks[frame] is False
+    (a density node, as in ``SpinorField.mask``) are frozen and flagged.
     """
     grid = velocity_series.grid
     dim = grid.dim
@@ -298,8 +297,6 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds,
     active = ~truncated
 
     def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
-        if masks is None:
-            return np.zeros(x.shape[0], dtype=bool)
         idx = tuple(
             np.clip(np.rint((x[:, ax] - lo[ax]) / grid.spacing[ax]).astype(int),
                     0, grid.shape[ax] - 1)

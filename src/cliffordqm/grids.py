@@ -201,17 +201,6 @@ def time_derivative(prev: np.ndarray, next: np.ndarray, dt: float) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# node masking
-
-NODE_EPS = 1e-12
-
-
-def node_mask(rho: np.ndarray) -> np.ndarray:
-    """True where the density is large enough for per-rho fields to be valid."""
-    return rho >= NODE_EPS * float(np.max(rho))
-
-
-# ---------------------------------------------------------------------------
 # scenario sampling: closed-form initial/exact states
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .grids import (
     divergence,
     gradient,
     laplacian,
-    node_mask,
     time_derivative,
 )
 from .spinors import (
@@ -90,12 +89,9 @@ class SpinorField:
         return dens.sum(axis=-1) if self.is_pauli else dens
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return np.sqrt(self.rho)
-
-    @cached_property
     def mask(self) -> np.ndarray:
-        return node_mask(self.rho)
+        """True where the density is large enough for per-rho fields to be valid."""
+        return support_mask(self.rho, NODE_EPS)
 
     @cached_property
     def ln_rho(self) -> np.ndarray:
@@ -164,16 +160,6 @@ class SpinorField:
     def components(self) -> np.ndarray:
         """psi's components along the first axis, as views: [component, ...]."""
         return np.moveaxis(self.psi, -1, 0) if self.is_pauli else self.psi[None]
-
-    @cached_property
-    def phase_gradient(self) -> np.ndarray:
-        """rho_i grad(S_i) = Re psi_i D Im psi_i - Im psi_i D Re psi_i: [component, ..., axis]."""
-        out = component_first(self.components.shape + (3,), self.grid.dim + 1)
-        for comp, rate in zip(self.components, out):
-            for ax in range(self.grid.dim):
-                rate[..., ax] = (comp.real * deriv(comp.imag, self.grid, ax)
-                                 - comp.imag * deriv(comp.real, self.grid, ax))
-        return _read_only(out)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -251,8 +237,17 @@ def bohm_energy(win: Window) -> np.ndarray:
 # weighted-mean route (component polar data, branch-free)
 
 def bohm_momentum_weighted(state: SpinorField) -> np.ndarray:
-    """P_B as the per-component weighted mean of grad(S_i)."""
-    return masked_divide(sum(state.phase_gradient), state.rho, state.mask)
+    """P_B as the per-component weighted mean of grad(S_i).
+
+    rho_i grad(S_i) = Re psi_i D Im psi_i - Im psi_i D Re psi_i, summed over i.
+    """
+    grid = state.grid
+    num = component_first(grid.shape + (3,), grid.dim)
+    for comp in state.components:
+        for ax in range(grid.dim):
+            num[..., ax] += (comp.real * deriv(comp.imag, grid, ax)
+                             - comp.imag * deriv(comp.real, grid, ax))
+    return masked_divide(num, state.rho, state.mask)
 
 
 def bohm_energy_weighted(win: Window) -> np.ndarray:
@@ -282,7 +277,8 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     Q1 from the amplitude Laplacian, Q2 = |grad s|^2 / 2m (``euler_q2``).
     """
     grid = state.grid
-    q1 = masked_divide(-laplacian(state.R, grid), 2.0 * m * state.R, state.mask)
+    R = np.sqrt(state.rho)
+    q1 = masked_divide(-laplacian(R, grid), 2.0 * m * R, state.mask)
     if not state.is_pauli:
         return QuantumPotential(q1.copy(), q1, np.zeros_like(q1))
 
@@ -467,13 +463,16 @@ def compute_observables(series: SnapshotSeries, k: int, m: float,
                            res)
 
 
-def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:
-    """Region carrying non-negligible density, for residual statistics.
+NODE_EPS = 1e-12
 
-    In the far tails the density underflows and relative stencil noise
-    dominates any residual built from ln(rho) or 1/rho; statistics are
-    therefore taken where rho >= rel * max(rho), and the discarded fraction
-    is reported alongside.
+
+def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:
+    """Region carrying non-negligible density: rho >= rel * max(rho).
+
+    At rel = NODE_EPS this is the density-node test, ``SpinorField.mask``.
+    Residual statistics take a larger rel: in the far tails relative stencil
+    noise dominates any residual built from ln(rho) or 1/rho, so they are
+    taken on the support, and the discarded fraction is reported alongside.
     """
     return rho >= rel * float(np.max(rho))
 

@@ -1,8 +1,9 @@
 """Independent standard-formalism oracle.
 
 Everything here is computed with ordinary complex/matrix arithmetic (Pauli
-matrices, column spinors, np.gradient) and never routes through the Clifford
-arithmetic, so agreement between the two sides is a genuine check.
+matrices, column spinors, its own central differences) and never routes
+through the Clifford arithmetic or the ``grids`` stencils, so agreement
+between the two sides is a genuine check.
 """
 
 from __future__ import annotations
@@ -63,15 +64,13 @@ def density_matrix(psi1: complex, psi2: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # field-level densities (standard wavefunction formalism)
 
-def _axis_spacings(grid):
-    return [grid.spacing[ax] for ax in range(grid.dim)]
-
-
 def _grad(values: np.ndarray, grid) -> list[np.ndarray]:
-    """Per-axis derivative via np.gradient (second order, one-sided edges)."""
-    if grid.dim == 1:
-        return [np.gradient(values, grid.spacing[0], edge_order=2)]
-    return list(np.gradient(values, *_axis_spacings(grid), edge_order=2))
+    """Per-axis derivative, second order: a central difference that wraps on
+    periodic grids, np.gradient with one-sided edges on clamped ones."""
+    if grid.boundary == "periodic":
+        return [(np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2.0 * h)
+                for ax, h in enumerate(grid.spacing)]
+    return [np.gradient(values, h, axis=ax, edge_order=2) for ax, h in enumerate(grid.spacing)]
 
 
 def momentum_density(psi, grid) -> np.ndarray:

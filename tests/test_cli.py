@@ -399,9 +399,11 @@ def test_sweep_requires_three_levels():
     # 8 levels would store about 5 TB of frames at the last level
     ("schrodinger_gaussian", None, "8"),
     ("pauli_superposition", None, "8"),
+    ("pauli_texture", None, "8"),
     # the first level's frame count is near the float range
     ("pauli_superposition", "1.0e+308", "3"),
-], ids=["schrodinger_gaussian", "pauli_superposition", "pauli_superposition-steps_1e308"])
+], ids=["schrodinger_gaussian", "pauli_superposition", "pauli_texture",
+        "pauli_superposition-steps_1e308"])
 def test_sweep_refuses_levels_whose_frames_exceed_memory(name, steps, levels, tmp_path,
                                                          monkeypatch, capsys):
     def never(*args, **kwargs):
@@ -468,10 +470,21 @@ def test_texture_torque_balance_converges_at_second_order():
     assert np.all(orders >= 1.8), (errs, orders)
 
 
+def test_texture_oracle_momentum_wraps_at_the_periodic_edges():
+    """The oracle's stencil wraps at the first and last nodes of a periodic
+    grid, as the algebra's does, so the edges differ no more than the interior."""
+    sc = harness.load_bundled("pauli_texture")
+    _, obs, _ = harness._run(sc)
+    res = {name: f for name, f, _ in harness._triple_agreement(sc, obs)}["p_alg_vs_oracle"]
+    edge, inside = max(res[0], res[-1]), res[1:-1].max()
+    assert edge <= 2.0 * inside, (edge, inside)
+
+
 def test_list_scenarios_bundled():
     names = [n for n, _ in harness.list_scenarios()]
     assert "schrodinger_gaussian" in names
     assert "pauli_superposition" in names
+    assert "pauli_texture" in names
 
 
 def test_cli_run_exit_codes(tmp_path):
@@ -512,7 +525,7 @@ def test_cli_sweep_level_guard(tmp_path, capsys):
 
 
 def test_bundled_scenarios_parse():
-    for name in ("schrodinger_gaussian", "pauli_superposition"):
+    for name in ("schrodinger_gaussian", "pauli_superposition", "pauli_texture"):
         sc = harness.load_bundled(name)
         assert sc.name == name
 

@@ -148,12 +148,17 @@ def test_accuracy_warning():
     assert [w.filename for w in record] == [__file__]
 
 
+def no_nodes(series):
+    """One all-True node mask per frame, so no path is frozen at a node."""
+    return [np.ones(series.grid.shape, bool)] * len(series)
+
+
 def test_trajectories_uniform_flow():
     grid = gd.Grid.line(0.0, 10.0, 51)
     v = np.ones(grid.shape + (1,))
     times = np.linspace(0.0, 2.0, 21)
     series = gd.SnapshotSeries(times, [v] * 21, grid)
-    traj = dy.integrate_trajectories(series, [[1.0], [2.0], [3.0]])
+    traj = dy.integrate_trajectories(series, [[1.0], [2.0], [3.0]], no_nodes(series))
     assert np.allclose(traj.paths[-1, :, 0], [3.0, 4.0, 5.0], atol=1e-12)
     assert not traj.truncated.any()
 
@@ -165,7 +170,7 @@ def test_trajectories_linear_velocity_exact_growth():
     v = x[:, None].copy()
     times = np.linspace(0.0, 1.0, 101)
     series = gd.SnapshotSeries(times, [v] * 101, grid)
-    traj = dy.integrate_trajectories(series, [[1.0], [2.0]])
+    traj = dy.integrate_trajectories(series, [[1.0], [2.0]], no_nodes(series))
     expect = np.array([np.exp(1.0), 2.0 * np.exp(1.0)])
     assert np.max(np.abs(traj.paths[-1, :, 0] - expect)) < 1e-6
 
@@ -175,7 +180,7 @@ def test_trajectory_truncation_at_edge():
     v = np.ones(grid.shape + (1,))
     times = np.linspace(0.0, 2.0, 21)
     series = gd.SnapshotSeries(times, [v] * 21, grid)
-    traj = dy.integrate_trajectories(series, [[0.5]])
+    traj = dy.integrate_trajectories(series, [[0.5]], no_nodes(series))
     assert traj.truncated[0]
     # once clamped the path stays at the boundary
     assert traj.paths[-1, 0, 0] == pytest.approx(1.0)
@@ -195,7 +200,7 @@ def test_trajectory_csv(tmp_path):
     v = np.ones(grid.shape + (1,))
     times = np.linspace(0.0, 1.0, 3)
     series = gd.SnapshotSeries(times, [v] * 3, grid)
-    traj = dy.integrate_trajectories(series, [[1.0]])
+    traj = dy.integrate_trajectories(series, [[1.0]], no_nodes(series))
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().splitlines()

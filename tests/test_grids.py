@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cliffordqm import grids as gd
+from cliffordqm import observables as ob
 
 
 def test_axis_and_grid_validation():
@@ -101,7 +102,7 @@ def test_snapshot_series_requires_uniform_times():
 
 def test_node_mask():
     rho = np.array([1.0, 1e-6, 1e-14, 0.0])
-    mask = gd.node_mask(rho)
+    mask = ob.support_mask(rho, ob.NODE_EPS)
     assert mask.tolist() == [True, True, False, False]
 
 

@@ -421,6 +421,6 @@ def test_bohm_momentum_is_the_frames_read_only_P():
     state = win.cur
     P = state.P
     assert P is state.P
-    for shared in (P, state.grad_spin, state.lap_spin, state.phase_gradient):
+    for shared in (P, state.grad_spin, state.lap_spin):
         with pytest.raises(ValueError):
             shared[0, 0, 0, 0] = 1.0
