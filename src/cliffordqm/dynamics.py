@@ -7,19 +7,23 @@ against an independent generator of the fields, not against themselves.
 Crank-Nicolson factors each axis's tridiagonal matrix once per run (LAPACK
 ``zgttrf``) and solves every step against those factors (``zgttrs``).
 Split-step carries the spectrum from step to step: a step multiplies it by
-the kinetic phase and transforms it back, and only with a potential
-transforms the frame, times the half potential phase, forward again.  So a
-free step costs one inverse FFT; with a potential every frame is
-bit-identical to an ``fftn``/``ifftn`` loop's.  A line uses ``numpy.fft``;
-2-D and 3-D grids run ``scipy.fft`` one axis at a time, last axis first,
-which rounds as ``numpy.fft.fftn`` does and is about 40 % faster at 40^3.
-``scipy.fft`` is imported on the first such step, not with this module: the
-import loads ``scipy.special`` and costs about 0.1 s and 3-7 MB of peak
-memory, which Crank-Nicolson runs and lines, where ``numpy.fft.fft`` is
-about as fast, do not pay.  ``evolve`` hands every frame to an optional
-sink, ``keep(j, psi)``, and stores only the frames it accepts, so a caller
-that needs a few frames, or only numbers taken from them, holds O(N) memory
-rather than O(steps N); without a sink it stores every frame.
+the kinetic phase, and only with a potential transforms it back and the
+frame, times the half potential phase, forward again.  So a free step costs
+one kinetic phase; a frame is transformed back only when the sink asks for
+it.  With a potential every frame is bit-identical to an ``fftn``/``ifftn``
+loop's.  A line uses ``numpy.fft``; 2-D and 3-D grids run ``scipy.fft`` one
+axis at a time, last axis first, which rounds as ``numpy.fft.fftn`` does
+and is about 40 % faster at 40^3.  ``scipy.fft`` is imported on the first
+such step, not with this module: the import loads ``scipy.special`` and
+costs about 0.1 s and 3-7 MB of peak memory, which Crank-Nicolson runs and
+lines, where ``numpy.fft.fft`` is about as fast, do not pay.
+
+``evolve`` offers every frame to an optional sink, ``keep(j, frame)``, where
+``frame()`` builds frame j on its first call and returns that same array on
+every later one, and stores only the frames it accepts.  So a caller that
+needs a few frames, or only numbers taken from them, holds O(N) memory
+rather than O(steps N), and a free split-step run transforms back only the
+frames its sink reads; without a sink ``evolve`` stores every frame.
 
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past the grid's edges, since an RK4 stage may step
@@ -134,12 +138,15 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     Crank-Nicolson solves, or on periodic grids FFT passes, last axis
     first), half potential phase; split-step carries the spectrum between
     steps, so its frames equal a numpy.fft.fftn loop's bit for bit only when
-    there is a potential.  keep(j, psi) is called once per frame, j =
-    0..steps in order, and the frames it returns true for are stored; psi is
-    never written after the call, so keep may hold on to it.  Returns the
-    stored frames at their times (all steps+1 of them when keep is None),
-    numbered as the run numbers them in steps of dt, the full time grid's step
-    times their index spacing; unevenly spaced frames raise GridError.
+    there is a potential, and a free step transforms a frame back only when
+    it is read.  keep(j, frame) is called once per frame, j = 0..steps in
+    order, and the frames it returns true for are stored.  frame() builds
+    frame j on its first call and returns that same array on every later
+    one; it is valid only while keep(j, frame) runs.  A built frame is never
+    written afterwards, so keep may hold on to it.  Returns the stored frames
+    at their times (all steps+1 of them when keep is None), numbered as the
+    run numbers them in steps of dt, the full time grid's step times their
+    index spacing; unevenly spaced frames raise GridError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -179,15 +186,23 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
 
     stored, frames = [], []
 
-    def store(j: int, psi: np.ndarray):
-        if keep is None or keep(j, psi):
+    def frame() -> np.ndarray:
+        """The current frame: a free split-step step leaves psi None, and the
+        first call transforms phi back into it."""
+        nonlocal psi
+        if psi is None:
+            psi = _fft_passes(fft.ifft, phi, fft_axes)
+        return psi
+
+    def store(j: int):
+        if keep is None or keep(j, frame):
             stored.append(j)
-            frames.append(psi)
+            frames.append(frame())
 
     # one copy keeps the caller's psi0 out of the frames; every step below
     # binds psi to a new array, which the frames keep as it is
     psi = psi0.copy()
-    store(0, psi)
+    store(0)
     for j in range(1, cfg.steps + 1):
         if cfg.scheme == "crank-nicolson":
             if half_v is not None:
@@ -196,10 +211,10 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
                 psi = _cn_axis_step(psi, ax, *banded[ax])
         else:
             phi *= kin
-            psi = _fft_passes(fft.ifft, phi, fft_axes)
+            psi = None  # frame() transforms phi back when it is read
         if half_v is not None:
-            psi = psi * half_v
-        store(j, psi)
+            psi = frame() * half_v
+        store(j)
         if half_v is not None and cfg.scheme == "split-step" and j < cfg.steps:
             phi = _fft_passes(fft.fft, psi * half_v, fft_axes)
     times = cfg.dt * np.asarray(stored)

@@ -10,7 +10,8 @@ frame.  The sink keeps the norms of the first and last frames (for the
 drift check), frames k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
 stride-th raw frame; the trajectory velocities are derived from those after
-the evolution.
+the evolution.  It builds no other frame, so a free split-step run
+transforms back only those.
 """
 
 from __future__ import annotations
@@ -363,8 +364,9 @@ def _initial_field(sc: Scenario) -> np.ndarray:
 
 
 class _FrameSink:
-    """dynamics.evolve's keep(j, psi) for a run: it accepts frames k-1..k+1
-    and records the drift norms and the stride frames on the side."""
+    """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
+    and records the drift norms and the stride frames on the side, calling
+    frame() only for those, so no other frame is built."""
 
     def __init__(self, sc: Scenario):
         steps = sc.evolution.steps
@@ -373,12 +375,12 @@ class _FrameSink:
         self.norms = []
         self.traj_index, self.traj_frames = [], []
 
-    def __call__(self, j: int, psi: np.ndarray) -> bool:
+    def __call__(self, j: int, frame) -> bool:
         if j == 0 or j == self.last:
-            self.norms.append(dy.norm(psi, self.grid))
+            self.norms.append(dy.norm(frame(), self.grid))
         if self.stride and j % self.stride == 0:
             self.traj_index.append(j)
-            self.traj_frames.append(psi)
+            self.traj_frames.append(frame())
         return abs(j - self.k) <= 1
 
     @property

@@ -93,6 +93,36 @@ def test_run_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("seeds, stride", [([], 20), ([4.0, 6.0, 8.0], 30)],
+                         ids=["no_seeds", "seeds_stride_30"])
+def test_free_split_step_run_transforms_back_only_the_frames_its_sink_reads(
+        seeds, stride, monkeypatch):
+    """Without a potential a split step is one kinetic phase; frame j is
+    transformed back only for the sink's norms (j = 0, last), its window
+    k-1..k+1 and its trajectory stride, and frame 0 is psi0 itself."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    config = harness.load_bundled("pauli_superposition").config
+    sc = harness._scenario(dict(config, trajectories={"seeds": seeds, "stride": stride}),
+                           "pauli_superposition")
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    *_, sink = harness._run(sc)
+    steps, k = sc.evolution.steps, sink.k
+    assert (steps, k) == (400, 200)
+    read = {k - 1, k, k + 1, steps}
+    if seeds:
+        assert sink.traj_index == list(range(0, steps + 1, stride))
+        read |= set(sink.traj_index)
+    else:
+        assert len(calls) == 4
+    assert len(calls) == len(read - {0})
+
+
 def test_run_to_files_computes_observables_once(tmp_path, monkeypatch):
     calls = []
     compute = harness.ob.compute_observables
@@ -433,36 +463,32 @@ def test_sweep_slopes_second_order():
     assert all(1.8 <= s <= 2.2 for s in slopes)
 
 
-# a periodic Euler texture without an envelope; theta = 1 + x/2 passes the
-# spin poles at x = 2 pi - 2 and 4 pi - 2, and Q is regular there
-TEXTURE = """\
-schema_version: 1
-name: texture
-particle: pauli
-grid: {lo: 0.0, hi: 12.566370614359172, n: 256, boundary: periodic}
-initial_state: {kind: euler-texture, theta: 1.0, theta_k: 0.5, phi_k: 0.5, chi_k: 1.0}
-evolution: {m: 1.0, dt: 5.0e-4, steps: 400, scheme: split-step}
-tolerances: {C: 2.0}
-checks: [q_split]
-"""
+def _texture_q_split() -> dict:
+    """The bundled periodic Euler texture, which has no envelope, checking
+    only q_split; theta = 1 + x/2 passes the spin poles at x = 2 pi - 2 and
+    4 pi - 2, and Q is regular there."""
+    return dict(harness.load_bundled("pauli_texture").config, checks=["q_split"])
 
 
 def test_texture_q_split_converges_through_the_spin_poles():
     """Q2 = |grad s|^2/2m has no 1/sin^2 theta, so the node nearest a pole
     does not set the error: q_split falls by 4x per halving of h."""
-    errs = harness.sweep(harness.parse_config(TEXTURE), 3)["residual_slopes"]["q_split"]["max_abs"]
+    sc = harness._scenario(_texture_q_split(), "pauli_texture")
+    errs = harness.sweep(sc, 3)["residual_slopes"]["q_split"]["max_abs"]
     assert all(a >= 3.0 * b > 0.0 for a, b in zip(errs, errs[1:])), errs
 
 
 def test_texture_torque_balance_converges_at_second_order():
     """dP_B/dt + grad Q + torque falls at order 2 over n = 256, 512, 1024 and
     dt = 5e-4, 1.25e-4, 3.125e-5, poles included."""
+    config = _texture_q_split()
+    grid, evolution = config["grid"], config["evolution"]
     errs = []
-    for lvl in range(3):
+    for lvl in range(3):  # the levels of harness.sweep: n 2^l, dt 4^-l, steps 4^l
         f = 2 ** lvl
-        level = TEXTURE.replace("n: 256", f"n: {256 * f}").replace(
-            "dt: 5.0e-4, steps: 400", f"dt: {5e-4 / f ** 2}, steps: {400 * f ** 2}")
-        _, obs, _ = harness._run(harness.parse_config(level))
+        level = dict(config, grid={**grid, "n": grid["n"] * f}, evolution={
+            **evolution, "dt": evolution["dt"] / f ** 2, "steps": evolution["steps"] * f ** 2})
+        _, obs, _ = harness._run(harness._scenario(level, "pauli_texture"))
         state = obs.window.cur
         balance = np.sqrt((harness.ob.quantum_torque(obs.window, 1.0).residual ** 2).sum(axis=-1))
         errs.append(balance[state.mask & harness.ob.support_mask(state.rho)].max())

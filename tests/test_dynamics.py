@@ -263,8 +263,8 @@ def test_evolve_never_writes_a_frame_after_keep_sees_it(scheme, shape, harmonic)
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=4, V=V, scheme=scheme)
     seen = []
 
-    def keep(j, psi):
-        seen.append(psi.copy())
+    def keep(j, frame):
+        seen.append(frame().copy())
         return True
 
     series = dy.evolve(psi0, grid, cfg, keep=keep)
@@ -274,22 +274,24 @@ def test_evolve_never_writes_a_frame_after_keep_sees_it(scheme, shape, harmonic)
         assert frame.flags.c_contiguous
 
 
-@pytest.mark.parametrize("scheme, boundary, pauli", [
-    ("crank-nicolson", "clamped", False),
-    ("split-step", "periodic", True),
+@pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
+    pytest.param("crank-nicolson", "clamped", False, True, id="crank-nicolson-clamped-False"),
+    pytest.param("split-step", "periodic", True, True, id="split-step-periodic-True"),
+    # a free split-step run builds only the frames that keep reads or stores
+    pytest.param("split-step", "periodic", True, False, id="split-step-periodic-True-free"),
 ])
-def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli):
+def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli, harmonic):
     grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
     psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
     if pauli:
         psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
-    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=0.1 * grid.coords(0) ** 2,
-                             scheme=scheme)
+    V = 0.1 * grid.coords(0) ** 2 if harmonic else None
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=V, scheme=scheme)
     full = dy.evolve(psi0, grid, cfg)
     for wanted in ([5, 6, 7], [0, 4, 8, 12], [3], list(range(13))):
         seen = []
 
-        def keep(j, psi):
+        def keep(j, frame):
             seen.append(j)
             return j in wanted
 
@@ -301,28 +303,30 @@ def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli):
         assert series.times.tobytes() == full.times[wanted].tobytes()
     # a window keeps the step of the full time grid, bit for bit, which
     # t[k] - t[k-1] need not be
-    window = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: 9 <= j <= 11)
+    window = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: 9 <= j <= 11)
     assert window.times[1] - window.times[0] != cfg.dt
     assert window.dt == full.dt == cfg.dt
-    assert dy.evolve(psi0, grid, cfg, keep=lambda j, psi: False).frames == []
+    assert dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).frames == []
 
 
-@pytest.mark.parametrize("scheme, boundary, pauli", [
-    ("crank-nicolson", "clamped", False),
-    ("split-step", "periodic", True),
+@pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
+    pytest.param("crank-nicolson", "clamped", False, False, id="crank-nicolson-clamped-False"),
+    pytest.param("split-step", "periodic", True, False, id="split-step-periodic-True"),
+    pytest.param("split-step", "periodic", True, True, id="split-step-periodic-True-harmonic"),
 ])
-def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli):
+def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
     grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
     psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
     if pauli:
         psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
-    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, scheme=scheme)
+    V = 0.1 * grid.coords(0) ** 2 if harmonic else None
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=V, scheme=scheme)
     full = dy.evolve(psi0, grid, cfg)
-    window = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: 9 <= j <= 11)
+    window = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: 9 <= j <= 11)
     assert (full.first, window.first) == (0, 9)
     # frame 10 of the window is frame 10 of the run, field by field
-    expected = ob.compute_observables(full, 10, cfg.m)
-    got = ob.compute_observables(window, 10, cfg.m)
+    expected = ob.compute_observables(full, 10, cfg.m, V)
+    got = ob.compute_observables(window, 10, cfg.m, V)
     for name in ("P", "E", "Q", "Q1", "Q2", "s", "J_conv", "J_rot", "v"):
         a, b = getattr(got, name), getattr(expected, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
@@ -330,9 +334,38 @@ def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli):
     for name in expected.residuals:
         assert got.residuals[name].tobytes() == expected.residuals[name].tobytes(), name
     # frames kept every 4th step are numbered in steps of their dt, 4 cfg.dt
-    strided = dy.evolve(psi0, grid, cfg, keep=lambda j, psi: j in (4, 8, 12))
+    strided = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: j in (4, 8, 12))
     assert (strided.first, strided.dt) == (1, 4 * cfg.dt)
-    assert dy.evolve(psi0, grid, cfg, keep=lambda j, psi: False).first == 0
+    assert dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).first == 0
+
+
+@pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
+    ("crank-nicolson", "clamped", False, True),
+    ("split-step", "periodic", True, True),
+    ("split-step", "periodic", True, False),
+])
+def test_evolve_frame_builds_each_frame_once(scheme, boundary, pauli, harmonic):
+    """frame() read twice at one j, as the run's sink reads frame 0 for its
+    norm and for its first trajectory frame, returns one array, and evolve
+    stores that array."""
+    grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
+    psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
+    if pauli:
+        psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
+    V = 0.1 * grid.coords(0) ** 2 if harmonic else None
+    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=6, V=V, scheme=scheme)
+    seen = []
+
+    def keep(j, frame):
+        first = frame()
+        assert frame() is first
+        seen.append(first)
+        return j % 2 == 0
+
+    series = dy.evolve(psi0, grid, cfg, keep=keep)
+    assert len(seen) == cfg.steps + 1
+    assert all(a is b for a, b in zip(series.frames, seen[::2]))
+    assert [f.tobytes() for f in seen] == [f.tobytes() for f in dy.evolve(psi0, grid, cfg).frames]
 
 
 def test_evolve_keep_rejects_unevenly_spaced_frames():
@@ -340,7 +373,7 @@ def test_evolve_keep_rejects_unevenly_spaced_frames():
     psi0 = gd.sample(gd.GaussianPacket(), grid)
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=6)
     with pytest.raises(gd.GridError, match="uniform"):
-        dy.evolve(psi0, grid, cfg, keep=lambda j, psi: j in (0, 1, 3))
+        dy.evolve(psi0, grid, cfg, keep=lambda j, frame: j in (0, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +463,8 @@ def test_free_split_step_keeps_the_norm(shape, steps):
     m, dt = 1.0, min(grid.spacing) ** 2 / 2
     norms = []
 
-    def keep(j, psi):
-        norms.append(dy.norm(psi, grid))
+    def keep(j, frame):
+        norms.append(dy.norm(frame(), grid))
         return j == steps
 
     last = dy.evolve(psi0, grid, dy.EvolutionConfig(m=m, dt=dt, steps=steps,
