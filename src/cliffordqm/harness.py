@@ -34,6 +34,11 @@ from . import oracle as orc
 
 SCHEMA_VERSION = 1
 ENV_OUT_ROOT = "CLIFFORDQM_OUT_ROOT"
+# the most grid points x steps one run (or sweep level) may take.  The
+# bundled 4-level sweeps peak at 3072 x 25600 = 7.9e7 (2.1 s on a 2-core
+# host); a fifth level takes 4.2e8 to 6.3e8, and steps: 1e9 on 128 points
+# 1.3e11, so both are refused before they run.
+MAX_POINT_STEPS = 2 ** 28
 
 
 class ConfigError(ValueError):
@@ -181,17 +186,12 @@ def _memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _frame_gb(n, particle: str) -> float:
-    """One frame of n points in GB, as a float: 16 bytes per complex component."""
-    return n * (32e-9 if particle == "pauli" else 16e-9)
-
-
 def _scenario(raw, source: str) -> Scenario:
     root = _Spec(raw, "", source)
     if not isinstance(raw, dict):
         raise root.error("config must be a mapping")
     version = root.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         raise root.error(f"expected {SCHEMA_VERSION}, got {version!r}", "schema_version")
 
     name = root.get("name")
@@ -205,7 +205,8 @@ def _scenario(raw, source: str) -> Scenario:
     gspec = root.section("grid")
     lo, hi = gspec.finite("lo"), gspec.finite("hi")
     n = gspec.number("n", kind=int)
-    gb, memory = _frame_gb(n, particle), _memory_bytes() / 1e9
+    # one frame in GB, as a float: 16 bytes per complex component
+    gb, memory = n * (32e-9 if particle == "pauli" else 16e-9), _memory_bytes() / 1e9
     if gb > memory:  # n lies within the float range, so both figures are finite
         raise gspec.error(f"one frame of {n:.3g} points takes {gb:.3g} GB, more than the "
                           f"{memory:.1f} GB of memory", "n")
@@ -229,6 +230,9 @@ def _scenario(raw, source: str) -> Scenario:
     steps = espec.number("steps", kind=int)
     if steps < 2:  # the checked frame (steps+1)//2 needs a frame on each side
         raise espec.error(f"must be at least 2, got {steps}", "steps")
+    if grid.n_points * steps > MAX_POINT_STEPS:  # ints: the product neither overflows nor rounds
+        raise espec.error(f"{grid.n_points} points x {steps:.3g} steps exceed the "
+                          f"{MAX_POINT_STEPS:.3g} point-steps of one run", "steps")
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
         raise espec.error(f"expected one of {', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}",
@@ -544,6 +548,23 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 # convergence sweep
 
+def _levels(sc: Scenario, levels: int) -> list[Scenario]:
+    """The scenario at n 2^l, dt 4^-l and steps 4^l for l < levels, without
+    trajectories, each parsed before any runs: a refusal names its level."""
+    grid, evolution = sc.config["grid"], sc.config["evolution"]
+    out = []
+    for lvl in range(levels):
+        f = 2 ** lvl
+        level = dict(sc.config, grid={**grid, "n": grid["n"] * f}, evolution={
+            **evolution, "dt": evolution["dt"] / f ** 2, "steps": evolution["steps"] * f ** 2})
+        level.pop("trajectories", None)
+        try:
+            out.append(_scenario(level, sc.name))
+        except ConfigError as exc:
+            raise ConfigError(f"--levels {levels}: level {lvl + 1}: {exc}") from None
+    return out
+
+
 def sweep(sc: Scenario, levels: int) -> dict:
     """Refine h by 2 per level (dt by 4), report per-residual error slopes."""
     if levels < 3:
@@ -551,40 +572,13 @@ def sweep(sc: Scenario, levels: int) -> dict:
     if sc.config.get("potential", {}).get("kind") == "table":
         raise ConfigError(f"{sc.name}: potential.kind: table potentials cannot be refined "
                           "for a sweep")
-    base_n, base_steps = sc.grid.shape[0], sc.evolution.steps
-    # a level streams its frames, but refuse, before running any, a level
-    # whose frames would exceed the machine's memory if all were stored: a
-    # conservative ceiling on the work a level takes (8x per level in 1-D).
-    # Counted in floats, the first level refused has a finite frame count
-    # and frame size even when steps is near the float range.
-    memory = _memory_bytes() / 1e9
-    for lvl in range(levels):
-        frames, frame_gb = base_steps * 4.0 ** lvl + 1, _frame_gb(base_n * 2 ** lvl, sc.particle)
-        if frames * frame_gb > memory:
-            raise ConfigError(f"--levels {levels}: level {lvl + 1} would store {frames:.3g} "
-                              f"frames of {frame_gb:.3g} GB, more than the {memory:.1f} GB "
-                              "of memory")
-    # each level is the config at n 2^l, dt 4^-l and steps 4^l, without trajectories
-    grid, evolution = sc.config["grid"], sc.config["evolution"]
-    rows = []
-    for lvl in range(levels):
-        f = 2 ** lvl
-        level = dict(sc.config, grid={**grid, "n": grid["n"] * f}, evolution={
-            **evolution, "dt": evolution["dt"] / f ** 2, "steps": evolution["steps"] * f ** 2})
-        level.pop("trajectories", None)
-        rows.append(run_scenario(_scenario(level, sc.name)))
+    rows = [run_scenario(level) for level in _levels(sc, levels)]
 
     slopes = {}
     for name in rows[0]["residuals"]:
         errs = [r["residuals"][name]["max_abs"] for r in rows]
-        pair_slopes = []
-        for a, b in zip(errs, errs[1:]):
-            if b > 0:
-                pair_slopes.append(float(np.log2(a / b)))
-        slopes[name] = {
-            "max_abs": errs,
-            "log2_ratios": pair_slopes,
-        }
+        slopes[name] = {"max_abs": errs, "log2_ratios": [
+            float(np.log2(a / b)) for a, b in zip(errs, errs[1:]) if b > 0]}
     return {
         "schema_version": SCHEMA_VERSION,
         "name": sc.name,

@@ -274,7 +274,12 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     Schrodinger: Q = Q1 = -lap(R)/(2 m R), Q2 = 0.
     Pauli: Q from the density/spin closed form
         Q = -[ (2 lap(ln rho) + |grad ln rho|^2)/4 + s . lap(s) ] / (2 m),
-    Q1 from the amplitude Laplacian, Q2 = |grad s|^2 / 2m (``euler_q2``).
+    Q1 from the amplitude Laplacian, and the spin part
+        Q2 = [(grad theta)^2 + sin^2 theta (grad phi)^2] / 8m = |grad s|^2 / 2m:
+    for the unit spin direction a = 2s = (sin theta sin phi, sin theta cos phi,
+    cos theta), |grad a|^2 = (grad theta)^2 + sin^2 theta (grad phi)^2 exactly,
+    so Q2 is the sum of grad(s) squared over components and axes, regular at
+    the poles, where the angles are not.
     """
     grid = state.grid
     R = np.sqrt(state.rho)
@@ -290,21 +295,9 @@ def quantum_potential(state: SpinorField, m: float) -> QuantumPotential:
     q = -((2.0 * laplacian(ln_rho, grid) + (grad_ln ** 2).sum(axis=-1)) / 4.0 + s_lap) / (2.0 * m)
     q[~state.mask] = 0.0
 
-    q2 = euler_q2(state, m)
-    return QuantumPotential(q, q1, q2)
-
-
-def euler_q2(state: SpinorField, m: float) -> np.ndarray:
-    """Spin part Q2 = [(grad theta)^2 + sin^2 theta (grad phi)^2] / 8m.
-
-    For the unit spin direction a = 2s = (sin theta sin phi, sin theta cos phi,
-    cos theta), |grad a|^2 = (grad theta)^2 + sin^2 theta (grad phi)^2 exactly,
-    so Q2 = |grad a|^2 / 8m = |grad s|^2 / 2m: the sum of grad(s) squared over
-    components and axes, regular at the poles, where the angles are not.
-    """
     q2 = (state.grad_spin ** 2).sum(axis=(-2, -1)) / (2.0 * m)
     q2[~state.mask] = 0.0
-    return q2
+    return QuantumPotential(q, q1, q2)
 
 
 # ---------------------------------------------------------------------------

@@ -57,17 +57,26 @@ def phase_generator(sig: Signature) -> Multivector:
 
 @dataclass(frozen=True)
 class IdealSpinor:
-    """Phi_L = R * U * epsilon with U a unit even element."""
+    """Phi_L = R * U * epsilon with U a unit even element (U = 1 where R = 0)."""
 
-    signature: Signature
     R: float
     U: Multivector
-    epsilon: Multivector
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.R < 0:
             raise ValueError("amplitude R must be non-negative")
+
+    @property
+    def signature(self) -> Signature:
+        return self.U.signature
+
+    @property
+    def epsilon(self) -> Multivector:
+        return idempotent(self.signature)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.R == 0.0
 
     @property
     def g(self) -> np.ndarray:
@@ -82,9 +91,12 @@ class IdealSpinor:
 class CliffordDensityElement:
     """rho_c = Phi_L * ~Phi_L; rho is the probability density R^2."""
 
-    signature: Signature
     rho: float
     body: Multivector
+
+    @property
+    def signature(self) -> Signature:
+        return self.body.signature
 
 
 @dataclass(frozen=True)
@@ -103,9 +115,8 @@ class EulerAngles:
 def _polar(sig: Signature, R: float, g) -> IdealSpinor:
     """R U epsilon, U embedded from the g-coefficients g of R U (zero R: U = 1)."""
     if R == 0.0:
-        return IdealSpinor(sig, 0.0, Multivector.scalar(sig, 1.0), idempotent(sig), degenerate=True)
-    U = Multivector(sig, even_field_coeffs(sig, np.array(g) / R))
-    return IdealSpinor(sig, R, U, idempotent(sig))
+        return IdealSpinor(0.0, Multivector.scalar(sig, 1.0))
+    return IdealSpinor(R, Multivector(sig, even_field_coeffs(sig, np.array(g) / R)))
 
 
 def from_wavefunction(psi: complex) -> IdealSpinor:
@@ -197,7 +208,7 @@ def spinor_conjugate(phi: IdealSpinor) -> Multivector:
 def cde(phi: IdealSpinor) -> CliffordDensityElement:
     """Clifford density element rho_c = Phi_L * ~Phi_L = rho * U * epsilon * ~U."""
     body = phi.element() * spinor_conjugate(phi)
-    return CliffordDensityElement(phi.signature, phi.R ** 2, body)
+    return CliffordDensityElement(phi.R ** 2, body)
 
 
 def spin_vector(phi: IdealSpinor) -> tuple[np.ndarray, Multivector]:
@@ -215,7 +226,7 @@ def phase_rotate(phi: IdealSpinor, lam: float) -> IdealSpinor:
     sig = phi.signature
     gen = phase_generator(sig)
     rot = math.cos(lam) * Multivector.scalar(sig, 1.0) + math.sin(lam) * gen
-    return IdealSpinor(sig, phi.R, phi.U * rot, phi.epsilon, phi.degenerate)
+    return IdealSpinor(phi.R, phi.U * rot)
 
 
 def unit_defect(phi: IdealSpinor) -> float:

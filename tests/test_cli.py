@@ -261,6 +261,9 @@ MALFORMED = [
      ("scheme: split-step", "scheme: crank-nicolson"), "evolution.scheme"),
     # the checked frame (steps+1)//2 needs a frame on each side
     ("steps_one", SMALL_SCHRODINGER, ("steps: 40", "steps: 1"), "evolution.steps"),
+    # grid points x steps past harness.MAX_POINT_STEPS; the refusal's figures stay finite
+    ("steps_near_float_max", SMALL_SCHRODINGER, ("steps: 40", "steps: 1.0e+308"),
+     "evolution.steps"),
     ("harmonic_omega_nan", SMALL_SCHRODINGER,
      ("potential: {kind: none}", "potential: {kind: harmonic, omega: .nan}"), "potential.omega"),
     ("table_value_inf", SMALL_SCHRODINGER,
@@ -285,6 +288,11 @@ MALFORMED = [
     ("particle_unknown", SMALL_SCHRODINGER, ("particle: schrodinger", "particle: dirac"),
      "particle:"),
     ("schema_version_unknown", SMALL_SCHRODINGER, ("schema_version: 1", "schema_version: 2"),
+     "schema_version:"),
+    # True == 1 and 1.0 == 1, but neither is the integer version
+    ("schema_version_bool", SMALL_SCHRODINGER, ("schema_version: 1", "schema_version: true"),
+     "schema_version:"),
+    ("schema_version_float", SMALL_SCHRODINGER, ("schema_version: 1", "schema_version: 1.0"),
      "schema_version:"),
     ("grid_hi_inf", SMALL_SCHRODINGER, ("hi: 10.0", "hi: .inf"), "grid.hi"),
     ("grid_lo_inf", SMALL_SCHRODINGER, ("lo: -10.0", "lo: -.inf"), "grid.lo"),
@@ -320,8 +328,13 @@ MALFORMED = [
 @pytest.mark.parametrize("command, config, change, key", [
     pytest.param(command, *row[1:], id=row[0] if command == "run" else f"sweep-{row[0]}")
     for command in ("run", "sweep") for row in MALFORMED])
-def test_cli_malformed_config_names_the_key(command, config, change, key, tmp_path, capsys):
+def test_cli_malformed_config_names_the_key(command, config, change, key, tmp_path,
+                                           monkeypatch, capsys):
     """run and sweep build their scenarios through the same refusals."""
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_run", never)
     old, new = change
     assert config.count(old) == 1
     cfg = tmp_path / "bad.cfg"
@@ -425,17 +438,17 @@ def test_sweep_requires_three_levels():
         harness.sweep(sc, 1)
 
 
-@pytest.mark.parametrize("name, steps, levels", [
-    # 8 levels would store about 5 TB of frames at the last level
-    ("schrodinger_gaussian", None, "8"),
-    ("pauli_superposition", None, "8"),
-    ("pauli_texture", None, "8"),
-    # the first level's frame count is near the float range
-    ("pauli_superposition", "1.0e+308", "3"),
+@pytest.mark.parametrize("name, steps, levels, key", [
+    # level 5 of 8 takes 4.2e8 to 6.3e8 point-steps, past harness.MAX_POINT_STEPS
+    ("schrodinger_gaussian", None, "8", "--levels"),
+    ("pauli_superposition", None, "8", "--levels"),
+    ("pauli_texture", None, "8", "--levels"),
+    # the config itself is refused, before any level is built
+    ("pauli_superposition", "1.0e+308", "3", "evolution.steps"),
 ], ids=["schrodinger_gaussian", "pauli_superposition", "pauli_texture",
         "pauli_superposition-steps_1e308"])
-def test_sweep_refuses_levels_whose_frames_exceed_memory(name, steps, levels, tmp_path,
-                                                         monkeypatch, capsys):
+def test_sweep_refuses_levels_past_the_point_step_bound(name, steps, levels, key, tmp_path,
+                                                        monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a level ran")
 
@@ -451,7 +464,7 @@ def test_sweep_refuses_levels_whose_frames_exceed_memory(name, steps, levels, tm
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
-    assert "--levels" in captured.err
+    assert key in captured.err
     assert "inf" not in captured.err
     assert len(captured.err) < 200  # no long integer
 
@@ -481,14 +494,9 @@ def test_texture_q_split_converges_through_the_spin_poles():
 def test_texture_torque_balance_converges_at_second_order():
     """dP_B/dt + grad Q + torque falls at order 2 over n = 256, 512, 1024 and
     dt = 5e-4, 1.25e-4, 3.125e-5, poles included."""
-    config = _texture_q_split()
-    grid, evolution = config["grid"], config["evolution"]
     errs = []
-    for lvl in range(3):  # the levels of harness.sweep: n 2^l, dt 4^-l, steps 4^l
-        f = 2 ** lvl
-        level = dict(config, grid={**grid, "n": grid["n"] * f}, evolution={
-            **evolution, "dt": evolution["dt"] / f ** 2, "steps": evolution["steps"] * f ** 2})
-        _, obs, _ = harness._run(harness._scenario(level, "pauli_texture"))
+    for level in harness._levels(harness._scenario(_texture_q_split(), "pauli_texture"), 3):
+        _, obs, _ = harness._run(level)
         state = obs.window.cur
         balance = np.sqrt((harness.ob.quantum_torque(obs.window, 1.0).residual ** 2).sum(axis=-1))
         errs.append(balance[state.mask & harness.ob.support_mask(state.rho)].max())
