@@ -223,7 +223,6 @@ def _scenario(raw, source: str) -> Scenario:
         raise gspec.error(f"the spacing {h:.3g} puts h^2 or (pi/h)^2 past the float range", "hi")
 
     descriptor = _parse_state(root.section("initial_state"), particle, grid)
-    potential = _parse_potential(root.section("potential", {"kind": "none"}), grid)
 
     espec = root.section("evolution")
     m, dt = espec.number("m"), espec.number("dt")
@@ -233,6 +232,8 @@ def _scenario(raw, source: str) -> Scenario:
     if grid.n_points * steps > MAX_POINT_STEPS:  # ints: the product neither overflows nor rounds
         raise espec.error(f"{grid.n_points} points x {steps:.3g} steps exceed the "
                           f"{MAX_POINT_STEPS:.3g} point-steps of one run", "steps")
+    # sampled after the size refusals: a harmonic V holds one float per grid point
+    potential = _parse_potential(root.section("potential", {"kind": "none"}), grid)
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
         raise espec.error(f"expected one of {', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}",
@@ -286,6 +287,8 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
     if _STATE_KINDS[kind] != particle:
         raise spec.error(f"{kind} needs particle: {_STATE_KINDS[kind]}, got {particle}", "kind")
 
+    lo, hi = grid.axes[0].lo, grid.axes[0].hi  # a config's grid is a line
+
     def vec(key, default):
         return (spec.finite(key, default), 0.0, 0.0)
 
@@ -295,11 +298,20 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
             raise spec.error(f"sigma^2 must be a positive finite float, got {sigma}", "sigma")
         return sigma
 
+    def wave(key, default):  # a whole number of periods of a periodic grid
+        k = vec(key, default)
+        if grid.boundary != "periodic":
+            raise spec.error(f"a plane wave needs a periodic grid, got {grid.boundary}", key)
+        q = k[0] * (hi - lo) / (2.0 * math.pi)
+        if not (math.isfinite(q) and abs(q - round(q)) <= 1e-9 * max(1.0, abs(q))):
+            raise spec.error(f"the grid [{lo}, {hi}] holds {q:.6g} periods of the wave, "
+                             "not a whole number", key)
+        return k
+
     if kind == "plane-wave":
-        return gd.PlaneWave(k=vec("k", 1.0), m=spec.positive("m", 1.0))
+        return gd.PlaneWave(k=wave("k", 1.0), m=spec.positive("m", 1.0))
     if kind == "gaussian":
         sigma, x0 = width(1.0), vec("x0", 0.0)
-        lo, hi = grid.axes[0].lo, grid.axes[0].hi
         if x0[0] - 6.0 * sigma < lo or x0[0] + 6.0 * sigma > hi:
             raise spec.error(f"the packet needs 6 sigma = {6.0 * sigma} of margin to each "
                              f"edge of the grid [{lo}, {hi}], got x0 = {x0[0]}", "x0")
@@ -309,7 +321,7 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
         if len(w) != 2:
             raise spec.error(f"expected two numbers, got {w}", "weights")
         try:
-            return gd.PauliSuperposition(k1=vec("k1", 1.0), k2=vec("k2", -1.0),
+            return gd.PauliSuperposition(k1=wave("k1", 1.0), k2=wave("k2", -1.0),
                                          weights=(w[0], w[1]), m=spec.positive("m", 1.0))
         except gd.GridError as exc:  # its only refusal: "weights: <problem>"
             raise spec.error(str(exc).removeprefix("weights: "), "weights") from exc
@@ -332,11 +344,8 @@ def _parse_potential(spec: _Spec, grid: gd.Grid):
         omega = spec.number("omega", 1.0)
         m = spec.positive("m", 1.0)
         key = "omega"
-        try:
-            with np.errstate(all="ignore"):  # a non-finite V is refused below
-                V = 0.5 * m * omega ** 2 * grid.coords(0) ** 2
-        except OverflowError:  # omega ** 2 of a Python float
-            V = np.array(np.inf)
+        with np.errstate(all="ignore"):  # omega^2 may overflow: a non-finite V is refused below
+            V = 0.5 * m * np.float64(omega) ** 2 * grid.coords(0) ** 2
     elif kind == "table":
         values = spec.numbers("values", [])
         if len(values) != grid.shape[0]:

@@ -45,11 +45,6 @@ class UnsupportedAlgebraError(ValueError):
     """Raised when an operation needs the other algebra (e.g. spin in Cl(0,1))."""
 
 
-def even_coeffs(U: Multivector) -> np.ndarray:
-    """Extract the g-coefficients of an even element (g0[,g1,g2,g3])."""
-    return U.coeffs[_G_SLOTS[U.signature]]
-
-
 def phase_generator(sig: Signature) -> Multivector:
     """The ideal's phase generator gamma: e for Cl(0,1), e12 for Cl(3,0)."""
     return Multivector.blade(sig, _PHASE_GENERATOR[sig])
@@ -80,7 +75,8 @@ class IdealSpinor:
 
     @property
     def g(self) -> np.ndarray:
-        return even_coeffs(self.U)
+        """The g-coefficients of U (g0[,g1,g2,g3])."""
+        return self.U.coeffs[_G_SLOTS[self.signature]]
 
     def element(self) -> Multivector:
         """The full algebra element R * U * epsilon."""
@@ -162,14 +158,14 @@ def to_euler(phi: IdealSpinor) -> EulerAngles:
         return EulerAngles(0.0, 0.0, 0.0, 0.0)
     c = abs(psi1) / R
     s = abs(psi2) / R
-    theta = 2.0 * math.atan2(s, c)
+    theta = 2.0 * math.atan2(s, c)  # in [0, pi]: s, c >= 0
     if s < 1e-15 or c < 1e-15:
         # pole: only the total phase is identifiable
         if c >= s:
             chi = 2.0 * cmath.phase(psi1) if c > 0 else 0.0
         else:
             chi = 2.0 * cmath.phase(psi2 / 1j) if s > 0 else 0.0
-        return EulerAngles(_clip_theta(theta), 0.0, _wrap_angle(chi, 4.0 * math.pi), R)
+        return EulerAngles(theta, 0.0, _wrap_angle(chi, 4.0 * math.pi), R)
     a1 = cmath.phase(psi1)  # (phi + chi)/2
     a2 = cmath.phase(psi2 / 1j)  # (chi - phi)/2
     phi_angle = _wrap_angle(a1 - a2, 2.0 * math.pi)
@@ -177,7 +173,7 @@ def to_euler(phi: IdealSpinor) -> EulerAngles:
     if phi_angle != a1 - a2:
         # wrapping phi by 2 pi shifts chi by the same amount mod 4 pi
         chi += phi_angle - (a1 - a2)
-    return EulerAngles(_clip_theta(theta), phi_angle, _wrap_angle(chi, 4.0 * math.pi), R)
+    return EulerAngles(theta, phi_angle, _wrap_angle(chi, 4.0 * math.pi), R)
 
 
 def _wrap_angle(a: float, period: float) -> float:
@@ -186,10 +182,6 @@ def _wrap_angle(a: float, period: float) -> float:
     if w <= 0.0:
         w += period
     return w - period / 2.0
-
-
-def _clip_theta(t: float) -> float:
-    return min(max(t, 0.0), math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ evolution: {m: 1.0, dt: 0.002, steps: 40, scheme: split-step}
 tolerances: {C: 2.0}
 """
 
+PLANE_WAVE = """\
+schema_version: 1
+name: plane_wave
+particle: schrodinger
+grid: {lo: 0.0, hi: 12.566370614359172, n: 256, boundary: periodic}
+initial_state: {kind: plane-wave, k: 1.0, m: 1.0}
+evolution: {m: 1.0, dt: 0.002, steps: 40, scheme: split-step}
+"""
+
 
 def test_parse_validates_margin():
     bad = SMALL_SCHRODINGER.replace("sigma: 1.0", "sigma: 3.0")
@@ -73,6 +82,16 @@ def test_run_scenario_passes():
     for stats in report["residuals"].values():
         assert stats["passed"]
         assert 0.0 <= stats["masked_fraction"] <= 1.0
+
+
+def test_plane_wave_that_fits_the_periodic_grid_passes_every_check():
+    """k (hi - lo) / 2 pi = 2 whole periods on [0, 4 pi)."""
+    report = harness.run_scenario(harness.parse_config(PLANE_WAVE))
+    assert set(report["residuals"]) == {"qhj", "continuity", "p_alg_vs_weighted",
+                                        "p_alg_vs_oracle", "e_alg_vs_weighted",
+                                        "e_alg_vs_oracle"}
+    assert all(stats["passed"] for stats in report["residuals"].values())
+    assert report["passed"]
 
 
 def test_run_to_files_outputs(tmp_path):
@@ -321,6 +340,15 @@ MALFORMED = [
     ("state_k_nan", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: .nan, m: 1.0"), "initial_state.k"),
     ("state_x0_nan", SMALL_SCHRODINGER, ("x0: 0.0", "x0: .nan"), "initial_state.x0"),
     ("state_k1_nan", SMALL_PAULI, ("k1: 1.0", "k1: .nan"), "initial_state.k1"),
+    # omega^2 overflows to inf, so V does too
+    ("harmonic_omega_overflows", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: harmonic, omega: 1.0e+200}"),
+     "potential.omega"),
+    # a plane wave needs a periodic grid holding a whole number of its periods
+    ("plane_wave_on_clamped_grid", SMALL_SCHRODINGER,
+     ("{kind: gaussian, sigma: 1.0, x0: 0.0, k: 0.5, m: 1.0}", "{kind: plane-wave, k: 1.0}"),
+     "initial_state.k"),
+    ("superposition_k1_misfit", SMALL_PAULI, ("k1: 1.0", "k1: 1.3"), "initial_state.k1"),
 ]
 
 
@@ -350,6 +378,18 @@ def test_cli_malformed_config_names_the_key(command, config, change, key, tmp_pa
     assert len(err.strip().splitlines()) == 1
     assert key in err
     assert str(cfg) in err
+
+
+def test_potential_is_sampled_after_the_point_step_bound(monkeypatch):
+    """A harmonic V holds one float per grid point; a run the bound refuses never samples it."""
+    def never(*args, **kwargs):
+        raise AssertionError("the potential was sampled")
+
+    monkeypatch.setattr(harness, "_parse_potential", never)
+    big = SMALL_SCHRODINGER.replace("n: 128", "n: 3.0e+7").replace(
+        "potential: {kind: none}", "potential: {kind: harmonic}")
+    with pytest.raises(harness.ConfigError, match="evolution.steps"):
+        harness.parse_config(big)
 
 
 def test_scientific_notation_reads_as_a_number():
@@ -531,6 +571,20 @@ def test_cli_run_exit_codes(tmp_path):
     cfg2 = tmp_path / "strict.cfg"
     cfg2.write_text(strict)
     assert cli.main(["run", str(cfg2), "--out", str(tmp_path / "out2")]) == 1
+
+
+def test_crossed_trajectories_fail_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness.dy, "ordering_preserved", lambda paths: False)
+    report = harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
+    assert report["trajectories"]["ordering_preserved"] is False
+    assert all(stats["passed"] for stats in report["residuals"].values())
+    assert report["passed"] is False
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is False
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SCHRODINGER)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "cli")]) == 1
+    assert "small_gaussian: FAIL" in capsys.readouterr().out
 
 
 def test_cli_malformed_config_exit_2(tmp_path, capsys):

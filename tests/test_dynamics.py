@@ -511,8 +511,27 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    code = "import sys, cliffordqm; print('scipy.interpolate' in sys.modules)"
+    imports = ", ".join(f"cliffordqm.{name}" for name in (
+        "algebra", "cli", "dynamics", "grids", "harness", "observables", "oracle", "spinors"))
+    code = f"import sys, {imports}; print('scipy.interpolate' in sys.modules)"
     assert _fresh_python(code) == "False"
+
+
+def _loaded_after(module: str) -> set:
+    """The modules a fresh interpreter holds after importing module."""
+    return set(_fresh_python(f"import sys, {module}; print(*sys.modules)").split())
+
+
+def test_a_module_import_loads_only_what_the_module_imports():
+    def package(loaded):
+        return {name for name in loaded if name.startswith("cliffordqm.")}
+
+    top = _loaded_after("cliffordqm")
+    assert not {name for name in top if name.startswith(("cliffordqm.", "scipy", "yaml"))}
+    assert package(_loaded_after("cliffordqm.algebra")) == {"cliffordqm.algebra"}
+    oracle = _loaded_after("cliffordqm.oracle")
+    assert package(oracle) == {"cliffordqm.algebra", "cliffordqm.oracle"}
+    assert not oracle & {"scipy.linalg", "yaml"}
 
 
 def test_scipy_fft_loads_on_the_first_split_step_past_one_axis():
