@@ -29,13 +29,8 @@ def main(out_path=None):
     series = dy.evolve(psi0, grid, cfg)
 
     stride = 10
-    v_frames, v_times, masks = [], [], []
-    for f in range(0, len(series), stride):
-        state = ob.SpinorField(grid, series.frames[f])
-        v_frames.append(ob.pauli_current(state, m).v[..., :1])
-        masks.append(state.mask)
-        v_times.append(series.times[f])
-    v_series = gd.SnapshotSeries(np.asarray(v_times), v_frames, grid)
+    v_series, masks = ob.velocity_series(grid, series.frames[::stride],
+                                         series.times[::stride], m)
 
     seeds = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
     traj = dy.integrate_trajectories(v_series, seeds, masks)

@@ -5,7 +5,11 @@ that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
 
 Crank-Nicolson factors each axis's tridiagonal matrix once per run (LAPACK
-``zgttrf``) and solves every step against those factors (``zgttrs``).
+``zgttrf``) and solves every step against those factors (``zgttrs``).  Both
+come from ``scipy.linalg``, which is imported on the first Crank-Nicolson
+step, not with this module: it costs about 0.2 s and loads ``numpy.f2py``,
+which split-step runs do not need.
+
 Split-step carries the spectrum from step to step: a step multiplies it by
 the kinetic phase, and only with a potential transforms it back and the
 frame, times the half potential phase, forward again.  So a free step costs
@@ -32,13 +36,13 @@ outside the grid before the path is clamped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grids import Grid, GridError, SnapshotSeries
 
@@ -83,17 +87,20 @@ def _check_accuracy(grid: Grid, cfg: EvolutionConfig):
 
 
 def _cn_banded(n: int, h: float, dt: float, m: float):
-    """A = I + i dt/2 K factored by zgttrf, and the diagonal and off-diagonal
-    of B = I - i dt/2 K, for K = -D2/2m on n clamped nodes."""
+    """A = I + i dt/2 K factored by zgttrf, as a zgttrs solve against those
+    factors, and the diagonal and off-diagonal of B = I - i dt/2 K, for
+    K = -D2/2m on n clamped nodes."""
+    from scipy.linalg.lapack import zgttrf, zgttrs  # here, not at the top: see the module docstring
+
     gamma = 1j * dt / (4.0 * m * h * h)
     if not np.isfinite(gamma):  # a subnormal m, say
         raise GridError("Crank-Nicolson matrix is not finite: dt/(m h^2) overflows")
     off = np.full(n - 1, -gamma)
     *lu, _ = zgttrf(off, np.full(n, 1.0 + 2.0 * gamma), off)  # A is diagonally dominant
-    return lu, 1.0 - 2.0 * gamma, gamma
+    return functools.partial(zgttrs, *lu), 1.0 - 2.0 * gamma, gamma
 
 
-def _cn_axis_step(psi: np.ndarray, axis: int, lu, diag_b, off_b) -> np.ndarray:
+def _cn_axis_step(psi: np.ndarray, axis: int, solve, diag_b, off_b) -> np.ndarray:
     """Solve A psi' = B psi along one axis; psi' is a new C-ordered array."""
     v = psi.swapaxes(0, axis)
     shape = v.shape
@@ -101,7 +108,7 @@ def _cn_axis_step(psi: np.ndarray, axis: int, lu, diag_b, off_b) -> np.ndarray:
     rhs = np.multiply(diag_b, v, order="F")  # zgttrs solves in place in F order
     rhs[:-1] += off_b * v[1:]
     rhs[1:] += off_b * v[:-1]
-    x, _ = zgttrs(*lu, rhs, overwrite_b=True)
+    x, _ = solve(rhs, overwrite_b=True)
     out = np.empty(psi.shape, dtype=complex)
     out.swapaxes(0, axis)[...] = x.reshape(shape)
     return out

@@ -9,9 +9,10 @@ A run streams its evolution through a frame sink rather than storing every
 frame.  The sink keeps the norms of the first and last frames (for the
 drift check), frames k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
-stride-th raw frame; the trajectory velocities are derived from those after
-the evolution.  It builds no other frame, so a free split-step run
-transforms back only those.
+stride-th raw frame; after the evolution the run integrates the seeds'
+Bohm paths through those frames' velocities, and paths that cross fail it.
+It builds no other frame, so a free split-step run transforms back only
+those.  run_scenario and run_to_files return the same report.
 """
 
 from __future__ import annotations
@@ -66,7 +67,11 @@ class _Loader(yaml.SafeLoader):
 
 class _LongInt(str):
     """A decimal integer literal of more digits than int() reads from a string
-    (sys.get_int_max_str_digits()), kept as its text."""
+    (sys.get_int_max_str_digits()), kept as its text.  It lies past 1.8e308,
+    so float() refuses it as it refuses any integer past the float range."""
+
+    def __float__(self):
+        raise OverflowError("integer literal too long to convert to float")
 
 
 def _construct_int(loader, node):
@@ -75,14 +80,6 @@ def _construct_int(loader, node):
     except ValueError:  # a decimal past int()'s digit limit, or text tagged !!int
         text = loader.construct_scalar(node)
         return _LongInt(text) if re.fullmatch(r"[-+]?[\d_]+", text) else text
-
-
-def _decimal_digits(n: int) -> int:
-    """len(str(n)) for n > 0, which str() refuses past int()'s digit limit."""
-    d = int((n.bit_length() - 1) * math.log10(2))  # never above the count
-    while n >= 10 ** d:
-        d += 1
-    return d
 
 
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float",
@@ -97,15 +94,24 @@ class _Spec:
 
     def __init__(self, mapping, path: str, source: str):
         self.mapping, self.path, self.source = mapping, path, source
+        self.read = set()  # the keys asked for, which done() holds the mapping to
 
     def error(self, problem: str, key: str = "") -> ConfigError:
         where = ".".join(part for part in (self.path, key) if part)
         return ConfigError(f"{self.source}: {where + ': ' if where else ''}{problem}")
 
     def get(self, key: str, default=_REQUIRED):
+        self.read.add(key)
         if key not in self.mapping and default is _REQUIRED:
             raise self.error("missing", key)
         return self.mapping.get(key, default)
+
+    def done(self):
+        """Refuse the first key that nothing has read: a misspelled key would
+        leave its default in force."""
+        for key in self.mapping:
+            if key not in self.read:
+                raise self.error("unknown key", str(key))
 
     def section(self, key: str, default=_REQUIRED) -> _Spec:
         spec = self.get(key, default)
@@ -115,7 +121,7 @@ class _Spec:
 
     def number(self, key: str, default=_REQUIRED, kind=float):
         """The value as a float (or int); a missing or null key takes the default."""
-        value = self.mapping.get(key)
+        value = self.get(key, None)
         if value is None and default is _REQUIRED:
             raise self.error("missing", key)
         return default if value is None else self._coerce(value, key, kind)
@@ -141,15 +147,13 @@ class _Spec:
         return [self._coerce(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
     def _coerce(self, value, key: str, kind=float):
-        beyond = "must lie within the float range, got an integer of {} digits"
-        if isinstance(value, _LongInt):  # so long that it lies past 1.8e308 too
-            raise self.error(beyond.format(len(value.lstrip("+-").replace("_", ""))), key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float, _LongInt)):
             raise self.error(f"expected a number, got {value!r}", key)
         try:
             number = float(value)
         except OverflowError:  # an integer literal past 1.8e308
-            raise self.error(beyond.format(_decimal_digits(abs(value))), key) from None
+            raise self.error("must lie within the float range, got an integer beyond it",
+                             key) from None
         if kind is int and not number.is_integer():
             raise self.error(f"expected an integer, got {value!r}", key)
         return kind(value)
@@ -213,6 +217,7 @@ def _scenario(raw, source: str) -> Scenario:
     boundary = gspec.get("boundary", "clamped")
     if boundary not in ("clamped", "periodic"):
         raise gspec.error(f"expected clamped or periodic, got {boundary!r}", "boundary")
+    gspec.done()
     try:
         grid = gd.Grid.line(lo, hi, n, boundary)
     except ValueError as exc:
@@ -222,7 +227,9 @@ def _scenario(raw, source: str) -> Scenario:
     if not math.isfinite(h * h + k_max * k_max):
         raise gspec.error(f"the spacing {h:.3g} puts h^2 or (pi/h)^2 past the float range", "hi")
 
-    descriptor = _parse_state(root.section("initial_state"), particle, grid)
+    sspec = root.section("initial_state")
+    descriptor = _parse_state(sspec, particle, grid)
+    sspec.done()
 
     espec = root.section("evolution")
     m, dt = espec.number("m"), espec.number("dt")
@@ -233,11 +240,14 @@ def _scenario(raw, source: str) -> Scenario:
         raise espec.error(f"{grid.n_points} points x {steps:.3g} steps exceed the "
                           f"{MAX_POINT_STEPS:.3g} point-steps of one run", "steps")
     # sampled after the size refusals: a harmonic V holds one float per grid point
-    potential = _parse_potential(root.section("potential", {"kind": "none"}), grid)
+    pspec = root.section("potential", {"kind": "none"})
+    potential = _parse_potential(pspec, grid)
+    pspec.done()
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
         raise espec.error(f"expected one of {', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}",
                           "scheme")
+    espec.done()
     try:
         evolution = dy.EvolutionConfig(m, dt, steps, potential, scheme)
     except ValueError as exc:
@@ -257,6 +267,7 @@ def _scenario(raw, source: str) -> Scenario:
     stride = tspec.number("stride", 10, int)
     if stride < 1:
         raise tspec.error(f"must be at least 1, got {stride}", "stride")
+    tspec.done()
 
     tol = root.section("tolerances", {})
     tol_C = tol.positive("C", 1.0)
@@ -264,6 +275,7 @@ def _scenario(raw, source: str) -> Scenario:
     support_rel = tol.number("support_rel", 1e-8)
     if not 0.0 < support_rel < 1.0:
         raise tol.error(f"must lie in (0, 1), got {support_rel}", "support_rel")
+    tol.done()
 
     checks = root.get("checks", None)
     if checks is None:
@@ -275,8 +287,10 @@ def _scenario(raw, source: str) -> Scenario:
             raise root.error(f"unknown check {c!r}", "checks")
         if particle not in _CHECKS[c][1]:
             raise root.error(f"{c} does not apply to particle: {particle}", "checks")
+    description = root.get("description", "")
+    root.done()
 
-    return Scenario(name, root.get("description", ""), particle, grid, descriptor, raw,
+    return Scenario(name, description, particle, grid, descriptor, raw,
                     evolution, seeds, stride, tol_C, support_rel, list(checks))
 
 
@@ -298,14 +312,18 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
             raise spec.error(f"sigma^2 must be a positive finite float, got {sigma}", "sigma")
         return sigma
 
+    def turns(key, k, what):  # k (hi - lo) / 2 pi as an int, refused unless a whole number
+        q = k * (hi - lo) / (2.0 * math.pi)
+        if not (math.isfinite(q) and abs(q - round(q)) <= 1e-9 * max(1.0, abs(q))):
+            raise spec.error(f"the grid [{lo}, {hi}] holds {q:.6g} {what}, not a whole number",
+                             key)
+        return round(q)
+
     def wave(key, default):  # a whole number of periods of a periodic grid
         k = vec(key, default)
         if grid.boundary != "periodic":
             raise spec.error(f"a plane wave needs a periodic grid, got {grid.boundary}", key)
-        q = k[0] * (hi - lo) / (2.0 * math.pi)
-        if not (math.isfinite(q) and abs(q - round(q)) <= 1e-9 * max(1.0, abs(q))):
-            raise spec.error(f"the grid [{lo}, {hi}] holds {q:.6g} periods of the wave, "
-                             "not a whole number", key)
+        turns(key, k[0], "periods of the wave")
         return k
 
     if kind == "plane-wave":
@@ -325,7 +343,7 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
                                          weights=(w[0], w[1]), m=spec.positive("m", 1.0))
         except gd.GridError as exc:  # its only refusal: "weights: <problem>"
             raise spec.error(str(exc).removeprefix("weights: "), "weights") from exc
-    return gd.EulerTexture(
+    texture = gd.EulerTexture(
         theta0=spec.finite("theta", np.pi / 2),
         theta_k=vec("theta_k", 0.0),
         phi0=spec.finite("phi", 0.0),
@@ -334,6 +352,16 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
         sigma=width(None),
         x0=vec("x0", 0.0),
     )
+    if texture.sigma is None and grid.boundary == "periodic":
+        # over one period psi_1 gains (-1)^a e^(i pi (p + c)) and psi_2 (-1)^a e^(i pi (c - p))
+        # for a, p, c the turns of theta, phi, chi: 1 for both only for whole a, p, c of even sum
+        a, p, c = (turns(f"{angle}_k", getattr(texture, f"{angle}_k")[0], f"turns of {angle}")
+                   for angle in ("theta", "phi", "chi"))
+        if (a + p + c) % 2:
+            raise spec.error(f"theta, phi and chi turn {a}, {p} and {c} times over the grid "
+                             f"[{lo}, {hi}], and psi is periodic only when the sum is even",
+                             "chi_k")
+    return texture
 
 
 def _parse_potential(spec: _Spec, grid: gd.Grid):
@@ -378,21 +406,20 @@ def _initial_field(sc: Scenario) -> np.ndarray:
 
 class _FrameSink:
     """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
-    and records the drift norms and the stride frames on the side, calling
-    frame() only for those, so no other frame is built."""
+    and records the drift norms and every stride-th frame on the side,
+    calling frame() only for those, so no other frame is built."""
 
     def __init__(self, sc: Scenario):
         steps = sc.evolution.steps
         self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
         self.stride = min(sc.trajectory_stride, steps) if sc.seeds else 0
         self.norms = []
-        self.traj_index, self.traj_frames = [], []
+        self.traj_frames = []
 
     def __call__(self, j: int, frame) -> bool:
         if j == 0 or j == self.last:
             self.norms.append(dy.norm(frame(), self.grid))
         if self.stride and j % self.stride == 0:
-            self.traj_index.append(j)
             self.traj_frames.append(frame())
         return abs(j - self.k) <= 1
 
@@ -402,14 +429,25 @@ class _FrameSink:
 
 
 def _run(sc: Scenario):
-    """Sample, evolve through a frame sink and check: (report, BohmObservables, sink)."""
+    """Sample, evolve through a frame sink, check frame k and integrate the seeds,
+    whose crossing fails the run: (report, BohmObservables, TrajectorySet or None)."""
     sink = _FrameSink(sc)
     window = dy.evolve(_initial_field(sc), sc.grid, sc.evolution, keep=sink)
-    return (*_check(sc, window, sink.k, sink.drift), sink)
+    report, obs = _check(sc, window, sink.k, sink.drift)
+    if not sc.seeds:
+        return report, obs, None
+    times = sc.evolution.dt * np.arange(0, sc.evolution.steps + 1, sink.stride)
+    velocities, masks = ob.velocity_series(sc.grid, sink.traj_frames, times, sc.evolution.m)
+    traj = dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)), masks)
+    ordered = dy.ordering_preserved(traj.paths)
+    report["trajectories"] = {"n_seeds": len(sc.seeds), "n_truncated": int(traj.truncated.sum()),
+                              "ordering_preserved": ordered}
+    report["passed"] = report["passed"] and ordered
+    return report, obs, traj
 
 
 def run_scenario(sc: Scenario) -> dict:
-    """Evolve, check, assemble the report."""
+    """Evolve, check, integrate the trajectories: the report run_to_files writes."""
     return _run(sc)[0]
 
 
@@ -504,23 +542,9 @@ def _energy_oracle(win: ob.Window) -> np.ndarray:
     return ob.masked_divide(dens, win.cur.rho, win.cur.mask)
 
 
-def run_trajectories(sc: Scenario, frames: list, times: np.ndarray) -> dy.TrajectorySet:
-    """Bohm paths of the scenario's seeds through the velocities of the given
-    raw frames, which are equally spaced in time."""
-    m = sc.evolution.m
-    velocities, masks = [], []
-    for psi in frames:
-        state = ob.SpinorField(sc.grid, psi)
-        velocities.append(ob.pauli_current(state, m).v)
-        masks.append(state.mask)
-    vser = gd.SnapshotSeries(times, velocities, sc.grid)
-    seeds = np.asarray(sc.seeds, dtype=float).reshape(-1, 1)
-    return dy.integrate_trajectories(vser, seeds, masks)
-
-
 def run_to_files(sc: Scenario, out_dir) -> dict:
-    """Full pipeline: run, export fields/trajectories CSV and report JSON."""
-    report, obs, sink = _run(sc)
+    """Run, then write fields.csv, trajectories.csv (with seeds) and report.json."""
+    report, obs, traj = _run(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = {
@@ -535,19 +559,8 @@ def run_to_files(sc: Scenario, out_dir) -> dict:
     if obs.s is not None:
         columns["s"] = obs.s
     gd.export_csv(out / "fields.csv", sc.grid, columns)
-
-    if sc.seeds:
-        times = sc.evolution.dt * np.asarray(sink.traj_index)
-        traj = run_trajectories(sc, sink.traj_frames, times)
+    if traj is not None:
         traj.to_csv(out / "trajectories.csv")
-        report["trajectories"] = {
-            "n_seeds": len(sc.seeds),
-            "n_truncated": int(traj.truncated.sum()),
-            "ordering_preserved": dy.ordering_preserved(traj.paths),
-        }
-        if not report["trajectories"]["ordering_preserved"]:
-            report["passed"] = False
-
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -324,6 +324,18 @@ def pauli_current(state: SpinorField, m: float) -> CurrentSplit:
     return CurrentSplit(j_conv, j_rot, masked_divide(j_conv + j_rot, state.rho, state.mask))
 
 
+def velocity_series(grid: Grid, frames: list, times, m: float):
+    """The Bohm velocities of raw frames evenly spaced in time and each frame's node
+    mask, as ``dynamics.integrate_trajectories`` takes them: (SnapshotSeries, masks).
+    One frame's SpinorField, with its cached fields, is live at a time."""
+    velocities, masks = [], []
+    for psi in frames:
+        state = SpinorField(grid, psi)
+        velocities.append(pauli_current(state, m).v)
+        masks.append(state.mask)
+    return SnapshotSeries(times, velocities, grid), masks
+
+
 # ---------------------------------------------------------------------------
 # expectation values
 

@@ -130,14 +130,16 @@ def test_free_split_step_run_transforms_back_only_the_frames_its_sink_reads(
     sc = harness._scenario(dict(config, trajectories={"seeds": seeds, "stride": stride}),
                            "pauli_superposition")
     monkeypatch.setattr(np.fft, "ifft", counting)
-    *_, sink = harness._run(sc)
-    steps, k = sc.evolution.steps, sink.k
+    report, _, traj = harness._run(sc)
+    steps, k = sc.evolution.steps, report["frame"]
     assert (steps, k) == (400, 200)
     read = {k - 1, k, k + 1, steps}
     if seeds:
-        assert sink.traj_index == list(range(0, steps + 1, stride))
-        read |= set(sink.traj_index)
+        index = range(0, steps + 1, stride)
+        assert traj.times.tolist() == [sc.evolution.dt * j for j in index]
+        read |= set(index)
     else:
+        assert traj is None
         assert len(calls) == 4
     assert len(calls) == len(read - {0})
 
@@ -169,8 +171,8 @@ def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
     full = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
     norms = [harness.dy.norm(frame, sc.grid) for frame in (full.frames[0], full.frames[-1])]
     expected = harness._check(sc, full, len(full) // 2, abs(norms[1] - norms[0]))[0]
-    assert harness.run_scenario(sc) == expected
-    report = harness.run_to_files(sc, tmp_path / "out")
+    report = harness.run_scenario(sc)
+    assert report == harness.run_to_files(sc, tmp_path / "out")
     assert "trajectories" in report if sc.seeds else "trajectories" not in report
     report.pop("trajectories", None)
     assert report == expected
@@ -179,7 +181,10 @@ def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
     assert windows == [(steps + 1, dt), (3, dt), (3, dt)]
     if sc.seeds:
         stride = sc.trajectory_stride
-        traj = harness.run_trajectories(sc, full.frames[::stride], full.times[::stride])
+        velocities, masks = harness.ob.velocity_series(
+            sc.grid, full.frames[::stride], full.times[::stride], sc.evolution.m)
+        traj = harness.dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)),
+                                                 masks)
         traj.to_csv(tmp_path / "full.csv")
         assert (tmp_path / "out" / "trajectories.csv").read_bytes() == \
             (tmp_path / "full.csv").read_bytes()
@@ -349,6 +354,29 @@ MALFORMED = [
      ("{kind: gaussian, sigma: 1.0, x0: 0.0, k: 0.5, m: 1.0}", "{kind: plane-wave, k: 1.0}"),
      "initial_state.k"),
     ("superposition_k1_misfit", SMALL_PAULI, ("k1: 1.0", "k1: 1.3"), "initial_state.k1"),
+    # a periodic texture turns theta, phi and chi a whole number of times, of even sum
+    ("texture_theta_k_misfit", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0", "kind: euler-texture, theta_k: 0.6"),
+     "initial_state.theta_k"),
+    ("texture_phi_k_misfit", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0", "kind: euler-texture, phi_k: 0.6"),
+     "initial_state.phi_k"),
+    ("texture_chi_k_misfit", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0", "kind: euler-texture, chi_k: 1.3"),
+     "initial_state.chi_k"),
+    ("texture_turns_of_odd_sum", SMALL_PAULI,
+     ("kind: pauli-superposition, k1: 1.0, k2: -1.0, m: 1.0",
+      "kind: euler-texture, theta_k: 0.5, phi_k: 0.5, chi_k: 0.5"), "initial_state.chi_k"),
+    # a key that nothing reads would leave its default in force
+    ("tolerances_key_unknown", SMALL_SCHRODINGER, ("tolerances: {C: 1.0,", "tolerances: {c: 5.0,"),
+     "tolerances.c: unknown key"),
+    ("state_key_unknown", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "kk: 3.0, m: 1.0"),
+     "initial_state.kk: unknown key"),
+    ("top_level_key_unknown", SMALL_SCHRODINGER, ("trajectories:\n", "trajectorys:\n"),
+     "trajectorys: unknown key"),
+    ("potential_key_unknown", SMALL_SCHRODINGER,
+     ("potential: {kind: none}", "potential: {kind: none, omega: 2.0}"),
+     "potential.omega: unknown key"),
 ]
 
 
@@ -573,13 +601,25 @@ def test_cli_run_exit_codes(tmp_path):
     assert cli.main(["run", str(cfg2), "--out", str(tmp_path / "out2")]) == 1
 
 
+@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_superposition",
+                                  "pauli_texture"])
+def test_run_scenario_returns_the_report_run_to_files_writes(name, tmp_path):
+    sc = harness.load_bundled(name)
+    report = harness.run_scenario(sc)
+    assert report == harness.run_to_files(sc, tmp_path / "out")
+    assert report == json.loads((tmp_path / "out" / "report.json").read_text())
+    assert ("trajectories" in report) == bool(sc.seeds)
+
+
 def test_crossed_trajectories_fail_the_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness.dy, "ordering_preserved", lambda paths: False)
-    report = harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
+    sc = harness.parse_config(SMALL_SCHRODINGER)
+    report = harness.run_to_files(sc, tmp_path / "out")
     assert report["trajectories"]["ordering_preserved"] is False
     assert all(stats["passed"] for stats in report["residuals"].values())
     assert report["passed"] is False
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is False
+    assert harness.run_scenario(sc) == report
 
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_SCHRODINGER)

@@ -546,3 +546,16 @@ for scheme, shape in (("crank-nicolson", (32,)), ("crank-nicolson", (8, 8)),
     print("scipy.fft" in sys.modules)
 """
     assert _fresh_python(code).split() == ["False", "False", "False", "True"]
+
+
+def test_scipy_linalg_loads_on_the_first_crank_nicolson_run():
+    code = """
+import sys, numpy as np
+from cliffordqm import dynamics as dy, grids as gd, harness
+harness.run_scenario(harness.load_bundled("pauli_superposition"))
+print("scipy.linalg" in sys.modules)
+grid = gd.Grid.line(-6.0, 6.0, 32)
+dy.evolve(np.ones(32, dtype=complex), grid, dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2))
+print("scipy.linalg" in sys.modules)
+"""
+    assert _fresh_python(code).split() == ["False", "True"]
