@@ -11,23 +11,26 @@ step, not with this module: it costs about 0.2 s and loads ``numpy.f2py``,
 which split-step runs do not need.
 
 Split-step carries the spectrum from step to step: a step multiplies it by
-the kinetic phase, and only with a potential transforms it back and the
-frame, times the half potential phase, forward again.  So a free step costs
-one kinetic phase; a frame is transformed back only when the sink asks for
-it.  With a potential every frame is bit-identical to an ``fftn``/``ifftn``
-loop's.  A line uses ``numpy.fft``; 2-D and 3-D grids run ``scipy.fft`` one
-axis at a time, last axis first, which rounds as ``numpy.fft.fftn`` does
-and is about 40 % faster at 40^3.  ``scipy.fft`` is imported on the first
+the kinetic phase into a new array, and only with a potential transforms it
+back and the frame, times the half potential phase, forward again.  So a
+free step costs one kinetic phase, and its frame holds that step's spectrum
+until it is first read, when one inverse transform builds it and the
+spectrum is dropped; a frame nobody reads is never transformed back.  With
+a potential every frame is bit-identical to an ``fftn``/``ifftn`` loop's.
+A line uses ``numpy.fft``; 2-D and 3-D grids run ``scipy.fft`` one axis at
+a time, last axis first, which rounds as ``numpy.fft.fftn`` does and is
+about 40 % faster at 40^3.  ``scipy.fft`` is imported on the first
 such step, not with this module: the import loads ``scipy.special`` and
 costs about 0.1 s and 3-7 MB of peak memory, which Crank-Nicolson runs and
 lines, where ``numpy.fft.fft`` is about as fast, do not pay.
 
 ``evolve`` offers every frame to an optional sink, ``keep(j, frame)``, where
 ``frame()`` builds frame j on its first call and returns that same array on
-every later one, and stores only the frames it accepts.  So a caller that
-needs a few frames, or only numbers taken from them, holds O(N) memory
-rather than O(steps N), and a free split-step run transforms back only the
-frames its sink reads; without a sink ``evolve`` stores every frame.
+every later one, and stores only the frames it accepts (every frame without
+a sink), unbuilt until they are read.  So a caller that needs a few frames,
+or only numbers taken from them, holds O(N) memory rather than O(steps N),
+and a free split-step run, with a sink or without, transforms back only the
+frames its caller reads.
 
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past the grid's edges, since an RK4 stage may step
@@ -40,11 +43,12 @@ import functools
 import itertools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridError, SnapshotSeries
+from .grids import Grid, GridError, SnapshotSeries, write_csv
 
 SCHEME_BOUNDARY = {"crank-nicolson": "clamped", "split-step": "periodic"}
 
@@ -138,6 +142,36 @@ def _fft_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
     return x
 
 
+class _Frame:
+    """Frame j of a run: psi, or, when psi is None, build() on the first call,
+    after which build and the spectrum it holds are dropped.  Every call
+    returns the same array."""
+
+    def __init__(self, psi: np.ndarray = None, build=None):
+        self.psi, self.build = psi, build
+
+    def __call__(self) -> np.ndarray:
+        if self.psi is None:
+            self.psi, self.build = self.build(), None
+        return self.psi
+
+
+class _Frames(Sequence):
+    """A read-only sequence of _Frames that builds an entry on its first read;
+    a slice is a list of built frames."""
+
+    def __init__(self, entries: list):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [frame() for frame in self._entries[i]]
+        return self._entries[i]()
+
+
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
@@ -149,11 +183,13 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     it is read.  keep(j, frame) is called once per frame, j = 0..steps in
     order, and the frames it returns true for are stored.  frame() builds
     frame j on its first call and returns that same array on every later
-    one; it is valid only while keep(j, frame) runs.  A built frame is never
+    one, during keep(j, frame) or after it returns.  A built frame is never
     written afterwards, so keep may hold on to it.  Returns the stored frames
     at their times (all steps+1 of them when keep is None), numbered as the
     run numbers them in steps of dt, the full time grid's step times their
-    index spacing; unevenly spaced frames raise GridError.
+    index spacing; unevenly spaced frames raise GridError.  The series'
+    frames are a read-only sequence that builds each frame on its first
+    read: an index, a slice or an iteration.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -193,41 +229,35 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
 
     stored, frames = [], []
 
-    def frame() -> np.ndarray:
-        """The current frame: a free split-step step leaves psi None, and the
-        first call transforms phi back into it."""
-        nonlocal psi
-        if psi is None:
-            psi = _fft_passes(fft.ifft, phi, fft_axes)
-        return psi
-
-    def store(j: int):
+    def store(j: int, frame: _Frame):
         if keep is None or keep(j, frame):
             stored.append(j)
-            frames.append(frame())
+            frames.append(frame)
 
     # one copy keeps the caller's psi0 out of the frames; every step below
-    # binds psi to a new array, which the frames keep as it is
+    # makes a new array, which the frames keep as it is
     psi = psi0.copy()
-    store(0)
+    store(0, _Frame(psi))
     for j in range(1, cfg.steps + 1):
         if cfg.scheme == "crank-nicolson":
             if half_v is not None:
                 psi = psi * half_v
             for ax in range(grid.dim):
                 psi = _cn_axis_step(psi, ax, *banded[ax])
+            frame = _Frame(psi)
         else:
-            phi *= kin
-            psi = None  # frame() transforms phi back when it is read
+            phi = phi * kin  # a new array: an unbuilt frame keeps this step's spectrum
+            frame = _Frame(build=functools.partial(_fft_passes, fft.ifft, phi, fft_axes))
         if half_v is not None:
             psi = frame() * half_v
-        store(j)
+            frame = _Frame(psi)
+        store(j, frame)
         if half_v is not None and cfg.scheme == "split-step" and j < cfg.steps:
             phi = _fft_passes(fft.fft, psi * half_v, fft_axes)
     times = cfg.dt * np.asarray(stored)
     spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
     dt = cfg.dt * spacing if len(stored) >= 2 else None
-    return SnapshotSeries(times, frames, grid, dt, stored[0] // spacing if stored else 0)
+    return SnapshotSeries(times, _Frames(frames), grid, dt, stored[0] // spacing if stored else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +277,8 @@ class TrajectorySet:
                                 np.tile(self.times, n_seeds),
                                 self.paths.transpose(1, 0, 2).reshape(-1, dim),
                                 np.repeat(self.truncated, n_frames)])
-        header = ",".join(["seed_id", "t", *("x", "y", "z")[:dim], "truncated_flag"])
-        with open(path, "w", newline="") as fh:
-            np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (dim + 1) + ["%d"], delimiter=",",
-                       newline="\r\n", header=header, comments="")
+        write_csv(path, ["seed_id", "t", *("x", "y", "z")[:dim], "truncated_flag"], rows,
+                  ["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
 
 
 def _cell_weights(coords: list, x: np.ndarray) -> list:

@@ -95,7 +95,7 @@ class SnapshotSeries:
     """
 
     times: np.ndarray
-    frames: list  # ndarrays sharing one shape
+    frames: list  # ndarrays sharing one shape, or a read-only sequence of them
     grid: Grid = None
     dt: float = None
     first: int = 0
@@ -361,6 +361,14 @@ def export_csv(path, grid: Grid, columns: dict) -> None:
         else:
             names.extend(f"{name}_{i}" for i in range(flat.shape[1]))
         cols.append(flat)
+    write_csv(path, names, np.hstack(cols), ["%.17g"] * len(names))
+
+
+def write_csv(path, names: list, table: np.ndarray, formats: list) -> None:
+    """Write a header line of names, then one line per row of a 2-D table, each
+    value printed by its column's % format: commas between values, CRLF line
+    ends, the bytes numpy.savetxt writes with the same formats."""
+    row = ",".join(formats)
+    lines = [",".join(names)] + [row % tuple(values) for values in table.tolist()]
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.hstack(cols), fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(names), comments="")
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -40,6 +40,11 @@ ENV_OUT_ROOT = "CLIFFORDQM_OUT_ROOT"
 # host); a fifth level takes 4.2e8 to 6.3e8, and steps: 1e9 on 128 points
 # 1.3e11, so both are refused before they run.
 MAX_POINT_STEPS = 2 ** 28
+# bytes per grid point a run holds at its peak, without trajectory seeds: the
+# three-frame window and the observables derived from it.  A warmed
+# run_scenario at n = 4096 and 2 steps traced 381 B a point on
+# schrodinger_gaussian and 838 B on pauli_superposition and pauli_texture.
+RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 
 
 class ConfigError(ValueError):
@@ -209,10 +214,10 @@ def _scenario(raw, source: str) -> Scenario:
     gspec = root.section("grid")
     lo, hi = gspec.finite("lo"), gspec.finite("hi")
     n = gspec.number("n", kind=int)
-    # one frame in GB, as a float: 16 bytes per complex component
-    gb, memory = n * (32e-9 if particle == "pauli" else 16e-9), _memory_bytes() / 1e9
+    # a run's working set in GB, as a float
+    gb, memory = n * (RUN_BYTES_PER_POINT[particle] * 1e-9), _memory_bytes() / 1e9
     if gb > memory:  # n lies within the float range, so both figures are finite
-        raise gspec.error(f"one frame of {n:.3g} points takes {gb:.3g} GB, more than the "
+        raise gspec.error(f"a run on {n:.3g} points takes {gb:.3g} GB, more than the "
                           f"{memory:.1f} GB of memory", "n")
     boundary = gspec.get("boundary", "clamped")
     if boundary not in ("clamped", "periodic"):

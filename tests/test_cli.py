@@ -1,7 +1,9 @@
 """Scenario harness and command line contract: exit codes, files, determinism."""
 
 import json
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +207,33 @@ def test_run_to_files_memory_does_not_grow_with_steps(tmp_path):
     assert peak < every_frame / 8, (peak, every_frame)
 
 
+def test_memory_guard_prices_a_run_not_a_frame(monkeypatch):
+    """96 Pauli points take 32 B a point as one frame but about 840 B in a run,
+    so a memory of 100 B a point refuses the config, in one line."""
+    n = harness.parse_config(SMALL_PAULI).grid.n_points
+    monkeypatch.setattr(harness, "_memory_bytes", lambda: 100 * n)
+    with pytest.raises(harness.ConfigError, match="grid.n: a run on 96 points takes") as exc:
+        harness.parse_config(SMALL_PAULI)
+    assert len(str(exc.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_superposition", "pauli_texture"])
+def test_a_warmed_run_stays_within_its_price_per_point(name):
+    text = (harness.bundled_dir() / f"{name}.cfg").read_text()
+    text = re.sub(r"seeds: \[.*\]", "seeds: []", re.sub(r"steps: \d+", "steps: 2", text))
+    sc = harness.parse_config(re.sub(r"\n  n: \d+", "\n  n: 4096", text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dt is past h^2 m at this n
+        harness.run_scenario(sc)
+        tracemalloc.start()
+        try:
+            harness.run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / sc.grid.n_points < harness.RUN_BYTES_PER_POINT[sc.particle]
+
+
 def test_default_checks_are_those_of_the_particle():
     pauli = harness.parse_config(SMALL_PAULI)
     assert pauli.checks == ["qhj", "continuity", "triple_agreement", "spin_transport",
@@ -320,7 +349,7 @@ MALFORMED = [
      "schema_version:"),
     ("grid_hi_inf", SMALL_SCHRODINGER, ("hi: 10.0", "hi: .inf"), "grid.hi"),
     ("grid_lo_inf", SMALL_SCHRODINGER, ("lo: -10.0", "lo: -.inf"), "grid.lo"),
-    # one frame of 10^15 points exceeds any machine's memory: refused before any allocation
+    # a run on 10^15 points exceeds any machine's memory: refused before any allocation
     ("n_exceeds_memory", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+15"), "grid.n"),
     # the refusal's figures stay finite next to the float maximum
     ("n_near_float_max", SMALL_SCHRODINGER, ("n: 128", "n: 1.0e+308"), "grid.n"),
@@ -414,6 +443,9 @@ def test_potential_is_sampled_after_the_point_step_bound(monkeypatch):
         raise AssertionError("the potential was sampled")
 
     monkeypatch.setattr(harness, "_parse_potential", never)
+    # a 1 TB host, so that the memory guard, which a run on 3e7 points trips
+    # on a host of under 16 GB, admits the config and the point-step bound sees it
+    monkeypatch.setattr(harness, "_memory_bytes", lambda: 2 ** 40)
     big = SMALL_SCHRODINGER.replace("n: 128", "n: 3.0e+7").replace(
         "potential: {kind: none}", "potential: {kind: harmonic}")
     with pytest.raises(harness.ConfigError, match="evolution.steps"):
@@ -425,9 +457,9 @@ def test_scientific_notation_reads_as_a_number():
     dotted = harness.parse_config(SMALL_SCHRODINGER.replace("dt: 0.002", "dt: 5.0e-4"))
     short = harness.parse_config(SMALL_SCHRODINGER.replace("dt: 0.002", "dt: 5e-4"))
     assert short.evolution.dt == dotted.evolution.dt == 5e-4
-    with pytest.raises(harness.ConfigError, match="grid.n: one frame of"):
+    with pytest.raises(harness.ConfigError, match="grid.n: a run on"):
         harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 1e15"))
-    with pytest.raises(harness.ConfigError, match=r"of 1e\+308 points takes 1.6e\+300 GB, more"):
+    with pytest.raises(harness.ConfigError, match=r"on 1e\+308 points takes 5.12e\+301 GB, more"):
         harness.parse_config(SMALL_SCHRODINGER.replace("n: 128", "n: 1.0e+308"))
     with pytest.raises(harness.ConfigError, match="name: expected a directory name, got 1000.0"):
         harness.parse_config(SMALL_SCHRODINGER.replace("name: small_gaussian", "name: 1e3"))
@@ -487,7 +519,9 @@ def test_cli_sweep_refuses_a_non_string_scheme(tmp_path, capsys):
 def test_nan_norm_drift_aborts():
     sc = harness.parse_config(SMALL_SCHRODINGER)
     series = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
-    series.frames[-1] = np.full_like(series.frames[-1], np.nan)
+    frames = list(series.frames)
+    frames[-1] = np.full_like(frames[-1], np.nan)
+    series = harness.gd.SnapshotSeries(series.times, frames, series.grid, series.dt)
     norms = [harness.dy.norm(frame, sc.grid) for frame in (series.frames[0], series.frames[-1])]
     with pytest.raises(harness.RunAborted, match="nan"):
         harness._check(sc, series, len(series) // 2, abs(norms[1] - norms[0]))

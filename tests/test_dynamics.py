@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +307,7 @@ def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli, harmoni
     window = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: 9 <= j <= 11)
     assert window.times[1] - window.times[0] != cfg.dt
     assert window.dt == full.dt == cfg.dt
-    assert dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).frames == []
+    assert list(dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).frames) == []
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
@@ -366,6 +367,74 @@ def test_evolve_frame_builds_each_frame_once(scheme, boundary, pauli, harmonic):
     assert len(seen) == cfg.steps + 1
     assert all(a is b for a, b in zip(series.frames, seen[::2]))
     assert [f.tobytes() for f in seen] == [f.tobytes() for f in dy.evolve(psi0, grid, cfg).frames]
+
+
+def _free_split_step_run(shape, harmonic=False):
+    grid = gd.Grid(tuple(gd.Axis(-3.0, 3.0 + ax, n) for ax, n in enumerate(shape)), "periodic")
+    rng = np.random.default_rng(len(shape))
+    psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    V = 0.5 * sum(x ** 2 for x in grid.meshgrid()) if harmonic else None
+    return psi0, grid, dy.EvolutionConfig(m=1.3, dt=1e-3, steps=12, V=V, scheme="split-step")
+
+
+@pytest.mark.parametrize("shape", [(64,), (6, 7, 8)])
+def test_free_split_step_transforms_back_only_the_frames_read(shape, monkeypatch):
+    """Without a sink a free run stores its frames unbuilt: reading frames 0,
+    k-1, k, k+1 and the last, twice, costs four inverse transforms, since
+    frame 0 is psi0.  A line transforms with numpy.fft, a cube with one
+    scipy.fft pass per axis."""
+    import scipy.fft
+
+    passes = []
+    for module in (np.fft, scipy.fft):
+        def counting(*args, _ifft=module.ifft, **kwargs):
+            passes.append(1)
+            return _ifft(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ifft", counting)
+    psi0, grid, cfg = _free_split_step_run(shape)
+    series = dy.evolve(psi0, grid, cfg)
+    k = len(series) // 2
+    read = (0, k - 1, k, k + 1, cfg.steps)
+    for _ in range(2):
+        got = [series.frames[j] for j in read[:-1]] + [series.frames[-1]]
+    assert len(passes) == 4 * grid.dim
+    monkeypatch.undo()
+    want = _numpy_split_step_frames(psi0, grid, cfg)
+    assert [f.tobytes() for f in got] == [want[j].tobytes() for j in read]
+
+
+@pytest.mark.parametrize("shape", [(64,), (6, 7, 8)])
+@pytest.mark.parametrize("harmonic", [False, True])
+def test_frames_read_last_to_first_equal_frames_read_in_order(shape, harmonic):
+    """Each unbuilt frame holds its own step's spectrum, so the order of the
+    reads does not matter, and frame() stays valid after keep returns."""
+    psi0, grid, cfg = _free_split_step_run(shape, harmonic)
+    in_order = []
+    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: in_order.append(frame().tobytes()))
+    series = dy.evolve(psi0, grid, cfg)
+    assert [series.frames[j].tobytes() for j in range(-1, -len(series) - 1, -1)] \
+        == in_order[::-1]
+    held = []
+    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: held.append(frame))
+    assert [frame().tobytes() for frame in reversed(held)] == in_order[::-1]
+    assert [f.tobytes() for f in series.frames[::4]] == in_order[::4]
+
+
+def test_a_read_frame_drops_its_spectrum():
+    """Once every frame of a free run has been read, the series holds the
+    steps + 1 frames and no spectrum beside them."""
+    psi0, grid, cfg = _free_split_step_run((16, 16, 16))
+    dy.evolve(psi0, grid, cfg)  # imports scipy.fft and plans its transforms
+    tracemalloc.start()
+    try:
+        series = dy.evolve(psi0, grid, cfg)
+        for frame in series.frames:
+            assert frame.nbytes == psi0.nbytes
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= (cfg.steps + 1) * psi0.nbytes + psi0.nbytes // 4, held / psi0.nbytes
 
 
 def test_evolve_keep_rejects_unevenly_spaced_frames():

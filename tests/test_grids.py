@@ -181,6 +181,22 @@ def test_export_csv_deterministic(tmp_path):
         b"1,1e-300,0.5,1.0000000000000001e+300,4\r\n")
 
 
+def test_write_csv_writes_the_bytes_of_savetxt(tmp_path):
+    """numpy.savetxt, which both CSV outputs used, is the reference."""
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-320, 300, size=(200, 4))
+    table[:, 0] = np.arange(200)
+    table[:, 3] = rng.integers(0, 2, size=200)
+    table[:4, 1:3] = [[-0.0, np.nan], [np.inf, -np.inf], [5e-324, -1.7976931348623157e308],
+                      [1e16, 0.1]]
+    formats, names = ["%d", "%.17g", "%.17g", "%d"], ["i", "a", "b", "flag"]
+    gd.write_csv(tmp_path / "got.csv", names, table, formats)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=formats, delimiter=",", newline="\r\n",
+                   header=",".join(names), comments="")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 @pytest.mark.parametrize("weights", [(0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)],
                          ids=["zero", "nan", "inf"])
 def test_pauli_superposition_rejects_weights_without_finite_norm(weights):
