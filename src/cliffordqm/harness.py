@@ -9,10 +9,13 @@ A run streams its evolution through a frame sink rather than storing every
 frame.  The sink keeps the norms of the first and last frames (for the
 drift check), frames k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
-stride-th raw frame; after the evolution the run integrates the seeds'
-Bohm paths through those frames' velocities, and paths that cross fail it.
-It builds no other frame, so a free split-step run transforms back only
-those.  run_scenario and run_to_files return the same report.
+stride-th raw frame, written into one preallocated stack; after the
+evolution the run derives every stride frame's velocity in one stacked
+pass and integrates the seeds' Bohm paths through them, and paths that
+cross fail it.  It builds no other frame, so a free split-step run
+transforms back only those.  run_scenario and run_to_files return the
+same report.  The memory guard prices the run per grid point and, with
+seeds, each stride frame on top.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ MAX_POINT_STEPS = 2 ** 28
 # run_scenario at n = 4096 and 2 steps traced 381 B a point on
 # schrodinger_gaussian and 838 B on pauli_superposition and pauli_texture.
 RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
+# bytes per grid point each trajectory stride frame adds to a run with seeds:
+# the raw frame, its velocity and node mask, and the temporaries of the one
+# stacked pass that derives them.  A warmed seeded run_scenario at n = 4096
+# and stride 1 traced 192 B a point per frame on schrodinger_gaussian and
+# 337 B on pauli_texture, the same at 3, 41 and 201 frames.
+STRIDE_FRAME_BYTES_PER_POINT = {"schrodinger": 256, "pauli": 512}
 
 
 class ConfigError(ValueError):
@@ -244,6 +253,24 @@ def _scenario(raw, source: str) -> Scenario:
     if grid.n_points * steps > MAX_POINT_STEPS:  # ints: the product neither overflows nor rounds
         raise espec.error(f"{grid.n_points} points x {steps:.3g} steps exceed the "
                           f"{MAX_POINT_STEPS:.3g} point-steps of one run", "steps")
+
+    tspec = root.section("trajectories", {})
+    seeds = tspec.numbers("seeds", [])
+    for i, s in enumerate(seeds):
+        if not lo <= s <= hi:
+            raise tspec.error(f"seed {s} lies outside the grid [{lo}, {hi}]", f"seeds[{i}]")
+    stride = tspec.number("stride", 10, int)
+    if stride < 1:
+        raise tspec.error(f"must be at least 1, got {stride}", "stride")
+    if seeds:  # the run keeps every stride-th frame, the sink's min(stride, steps)
+        frames = steps // min(stride, steps) + 1
+        gb += n * frames * (STRIDE_FRAME_BYTES_PER_POINT[particle] * 1e-9)
+        if gb > memory:
+            raise tspec.error(f"a run on {n:.3g} points that keeps {frames:.3g} stride frames "
+                              f"takes {gb:.3g} GB, more than the {memory:.1f} GB of memory",
+                              "stride")
+    tspec.done()
+
     # sampled after the size refusals: a harmonic V holds one float per grid point
     pspec = root.section("potential", {"kind": "none"})
     potential = _parse_potential(pspec, grid)
@@ -263,16 +290,6 @@ def _scenario(raw, source: str) -> Scenario:
     # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
     if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
         raise espec.error(f"too small for dt and h, dt/(m h^2) overflows, got {m}", "m")
-
-    tspec = root.section("trajectories", {})
-    seeds = tspec.numbers("seeds", [])
-    for i, s in enumerate(seeds):
-        if not lo <= s <= hi:
-            raise tspec.error(f"seed {s} lies outside the grid [{lo}, {hi}]", f"seeds[{i}]")
-    stride = tspec.number("stride", 10, int)
-    if stride < 1:
-        raise tspec.error(f"must be at least 1, got {stride}", "stride")
-    tspec.done()
 
     tol = root.section("tolerances", {})
     tol_C = tol.positive("C", 1.0)
@@ -412,20 +429,25 @@ def _initial_field(sc: Scenario) -> np.ndarray:
 class _FrameSink:
     """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
     and records the drift norms and every stride-th frame on the side,
-    calling frame() only for those, so no other frame is built."""
+    calling frame() only for those, so no other frame is built.  The stride
+    frames are written into one preallocated stack, on the axis after the
+    grid axes, as ``observables.velocity_series`` takes them."""
 
     def __init__(self, sc: Scenario):
         steps = sc.evolution.steps
         self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
         self.stride = min(sc.trajectory_stride, steps) if sc.seeds else 0
         self.norms = []
-        self.traj_frames = []
+        if self.stride:
+            spin = (2,) if sc.particle == "pauli" else ()
+            self.stack = np.empty(sc.grid.shape + (steps // self.stride + 1,) + spin, complex)
+            self._by_frame = np.moveaxis(self.stack, sc.grid.dim, 0)
 
     def __call__(self, j: int, frame) -> bool:
         if j == 0 or j == self.last:
             self.norms.append(dy.norm(frame(), self.grid))
         if self.stride and j % self.stride == 0:
-            self.traj_frames.append(frame())
+            self._by_frame[j // self.stride] = frame()
         return abs(j - self.k) <= 1
 
     @property
@@ -442,7 +464,7 @@ def _run(sc: Scenario):
     if not sc.seeds:
         return report, obs, None
     times = sc.evolution.dt * np.arange(0, sc.evolution.steps + 1, sink.stride)
-    velocities, masks = ob.velocity_series(sc.grid, sink.traj_frames, times, sc.evolution.m)
+    velocities, masks = ob.velocity_series(sc.grid, sink.stack, times, sc.evolution.m)
     traj = dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)), masks)
     ordered = dy.ordering_preserved(traj.paths)
     report["trajectories"] = {"n_seeds": len(sc.seeds), "n_truncated": int(traj.truncated.sum()),

@@ -18,7 +18,8 @@ products and component loops read one contiguous block per component.
 A quantity at frame k that needs a time derivative reads frames k-1, k and
 k+1 through one ``Window``: ``window(series, k)`` turns each of the three
 frames into a SpinorField once, and ``Window.d_dt`` differences whatever the
-two neighbours derive and cache.
+two neighbours derive and cache.  The trajectory velocities of many frames
+come from one SpinorField that stacks them (``velocity_series``).
 """
 
 from __future__ import annotations
@@ -65,16 +66,30 @@ _DUAL = np.array([1.0, -1.0, 1.0])
 @dataclass(eq=False)
 class SpinorField:
     """A sampled spinor state: complex psi of shape grid.shape (Schrodinger)
-    or grid.shape + (2,) (Pauli)."""
+    or grid.shape + (2,) (Pauli).
+
+    A stacked field holds n frames of one grid on an axis right after the
+    grid axes, psi of shape grid.shape + (n,) or grid.shape + (n, 2), and
+    every field it derives carries that axis there too.  The stack is
+    declared, not read off the shape: a stack of two Schrodinger frames has
+    the shape of one Pauli frame.  The point-by-point fields and the spatial
+    stencils ride along the stack axis, so a stacked field's rho, mask, g,
+    spin, omega and P, and ``pauli_current`` of it, equal each frame's own
+    bit for bit; its node mask takes each frame's own peak density.  The
+    other functions below take single frames.
+    """
 
     grid: Grid
     psi: np.ndarray
+    stacked: bool = False
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
-        if self.psi.shape == self.grid.shape:
+        dim = self.grid.dim
+        points = self.grid.shape + (self.psi.shape[dim:dim + 1] if self.stacked else ())
+        if self.psi.shape == points:
             self.signature = SCHRODINGER
-        elif self.psi.shape == self.grid.shape + (2,):
+        elif self.psi.shape == points + (2,):
             self.signature = PAULI
         else:
             raise ValueError(f"psi shape {self.psi.shape} does not fit grid {self.grid.shape}")
@@ -91,7 +106,7 @@ class SpinorField:
     @cached_property
     def mask(self) -> np.ndarray:
         """True where the density is large enough for per-rho fields to be valid."""
-        return support_mask(self.rho, NODE_EPS)
+        return support_mask(self.rho, NODE_EPS, tuple(range(self.grid.dim)))
 
     @cached_property
     def ln_rho(self) -> np.ndarray:
@@ -125,8 +140,8 @@ class SpinorField:
         """
         if not self.is_pauli:
             half_e = 0.5 * phase_generator(SCHRODINGER).coeffs
-            return np.broadcast_to(half_e, self.grid.shape + (2,))
-        S = component_first(self.grid.shape + (4,), self.grid.dim)
+            return np.broadcast_to(half_e, self.rho.shape + (2,))
+        S = component_first(self.rho.shape + (4,), self.rho.ndim)
         S[..., 1:] = _DUAL * self.spin
         return S
 
@@ -139,8 +154,8 @@ class SpinorField:
 
     @cached_property
     def P(self) -> np.ndarray:
-        """P_B^j = -<Omega^j S>_0 per unit rho; shape grid.shape + (3,), masked at density nodes."""
-        out = component_first(self.grid.shape + (3,), self.grid.dim)
+        """P_B^j = -<Omega^j S>_0 per unit rho; shape rho.shape + (3,), masked at density nodes."""
+        out = component_first(self.rho.shape + (3,), self.rho.ndim)
         for ax, om in enumerate(self.omega):
             out[..., ax] = -gp_coeffs(self.signature, om, self.spin_bivector_coeffs)[..., 0]
         out[~self.mask] = 0.0
@@ -324,16 +339,16 @@ def pauli_current(state: SpinorField, m: float) -> CurrentSplit:
     return CurrentSplit(j_conv, j_rot, masked_divide(j_conv + j_rot, state.rho, state.mask))
 
 
-def velocity_series(grid: Grid, frames: list, times, m: float):
-    """The Bohm velocities of raw frames evenly spaced in time and each frame's node
-    mask, as ``dynamics.integrate_trajectories`` takes them: (SnapshotSeries, masks).
-    One frame's SpinorField, with its cached fields, is live at a time."""
-    velocities, masks = [], []
-    for psi in frames:
-        state = SpinorField(grid, psi)
-        velocities.append(pauli_current(state, m).v)
-        masks.append(state.mask)
-    return SnapshotSeries(times, velocities, grid), masks
+def velocity_series(grid: Grid, stack: np.ndarray, times, m: float):
+    """The Bohm velocities and node masks of raw frames evenly spaced in time,
+    stacked on the axis after the grid axes (grid.shape + (n,), with a
+    trailing (2,) for Pauli frames), as ``dynamics.integrate_trajectories``
+    takes them: (SnapshotSeries, masks), both indexed by frame first.  One
+    stacked SpinorField derives every frame's in one pass, so the number of
+    conversions does not grow with the number of frames."""
+    state = SpinorField(grid, stack, stacked=True)
+    v = np.moveaxis(pauli_current(state, m).v, grid.dim, 0)
+    return SnapshotSeries(times, v, grid), np.moveaxis(state.mask, grid.dim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +486,17 @@ def compute_observables(series: SnapshotSeries, k: int, m: float,
 NODE_EPS = 1e-12
 
 
-def support_mask(rho: np.ndarray, rel: float = 1e-8) -> np.ndarray:
+def support_mask(rho: np.ndarray, rel: float = 1e-8, axes: tuple = None) -> np.ndarray:
     """Region carrying non-negligible density: rho >= rel * max(rho).
 
-    At rel = NODE_EPS this is the density-node test, ``SpinorField.mask``.
+    The maximum is taken over axes, every axis by default; over the leading
+    grid axes it is each stacked frame's own.  At rel = NODE_EPS this is the
+    density-node test, ``SpinorField.mask``.
     Residual statistics take a larger rel: in the far tails relative stencil
     noise dominates any residual built from ln(rho) or 1/rho, so they are
     taken on the support, and the discarded fraction is reported alongside.
     """
-    return rho >= rel * float(np.max(rho))
+    return rho >= rel * np.max(rho, axis=axes)
 
 
 def residual_stats(res: np.ndarray, mask: np.ndarray) -> dict:

@@ -338,8 +338,8 @@ def test_criterion_09_bohm_trajectories():
     series = dy.evolve(psi0, grid, cfg)
 
     stride = 10
-    v_series, masks = ob.velocity_series(grid, series.frames[::stride],
-                                         series.times[::stride], m)
+    stack = np.stack(series.frames[::stride], axis=grid.dim)
+    v_series, masks = ob.velocity_series(grid, stack, series.times[::stride], m)
 
     seeds = np.linspace(-2.0, 2.0, 32).reshape(-1, 1)
     traj = dy.integrate_trajectories(v_series, seeds, masks)

@@ -184,7 +184,8 @@ def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
     if sc.seeds:
         stride = sc.trajectory_stride
         velocities, masks = harness.ob.velocity_series(
-            sc.grid, full.frames[::stride], full.times[::stride], sc.evolution.m)
+            sc.grid, np.stack(full.frames[::stride], axis=sc.grid.dim), full.times[::stride],
+            sc.evolution.m)
         traj = harness.dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)),
                                                  masks)
         traj.to_csv(tmp_path / "full.csv")
@@ -217,10 +218,19 @@ def test_memory_guard_prices_a_run_not_a_frame(monkeypatch):
     assert len(str(exc.value).splitlines()) == 1
 
 
-@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_superposition", "pauli_texture"])
-def test_a_warmed_run_stays_within_its_price_per_point(name):
+@pytest.mark.parametrize("name, seeds", [
+    *(pytest.param(name, "[]", id=name)
+      for name in ("schrodinger_gaussian", "pauli_superposition", "pauli_texture")),
+    pytest.param("schrodinger_gaussian", "[-1.5, 0.0, 1.5]", id="schrodinger_gaussian-seeded"),
+    pytest.param("pauli_texture", "[3.0, 6.0, 9.0]", id="pauli_texture-seeded"),
+])
+def test_a_warmed_run_stays_within_its_price_per_point(name, seeds):
+    """A run without seeds on 2 steps; a seeded one keeps all 41 frames of 40
+    steps for its trajectories, each priced on top of the run."""
     text = (harness.bundled_dir() / f"{name}.cfg").read_text()
-    text = re.sub(r"seeds: \[.*\]", "seeds: []", re.sub(r"steps: \d+", "steps: 2", text))
+    steps = 40 if seeds != "[]" else 2
+    text = re.sub(r"steps: \d+", f"steps: {steps}", text)
+    text = re.sub(r"seeds: \[.*\]", f"seeds: {seeds}", re.sub(r"stride: \d+", "stride: 1", text))
     sc = harness.parse_config(re.sub(r"\n  n: \d+", "\n  n: 4096", text))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # dt is past h^2 m at this n
@@ -231,7 +241,10 @@ def test_a_warmed_run_stays_within_its_price_per_point(name):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak / sc.grid.n_points < harness.RUN_BYTES_PER_POINT[sc.particle]
+    price = harness.RUN_BYTES_PER_POINT[sc.particle]
+    if sc.seeds:
+        price += (steps + 1) * harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
+    assert peak / sc.grid.n_points < price
 
 
 def test_default_checks_are_those_of_the_particle():
@@ -406,6 +419,12 @@ MALFORMED = [
     ("potential_key_unknown", SMALL_SCHRODINGER,
      ("potential: {kind: none}", "potential: {kind: none, omega: 2.0}"),
      "potential.omega: unknown key"),
+    # 2^21 + 1 stride frames of 128 points take about 69 GB: refused on any
+    # smaller host, though the run's 2^28 point-steps are within the bound
+    ("stride_frames_exceed_memory", SMALL_SCHRODINGER,
+     ("steps: 40, scheme: crank-nicolson}\ntrajectories:\n  seeds: [-1.0, 0.0, 1.0]\n  stride: 10",
+      "steps: 2097152, scheme: crank-nicolson}\ntrajectories:\n  seeds: [-1.0, 0.0, 1.0]\n"
+      "  stride: 1"), "trajectories.stride: a run on 128 points that keeps"),
 ]
 
 

@@ -1,10 +1,14 @@
 """Bohm fields from the algebraic pipeline against closed forms and oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cliffordqm import algebra as alg
+from cliffordqm import dynamics as dy
 from cliffordqm import grids as gd
+from cliffordqm import harness
 from cliffordqm import observables as ob
 from cliffordqm import oracle
 from cliffordqm import spinors as sp
@@ -424,3 +428,84 @@ def test_bohm_momentum_is_the_frames_read_only_P():
     for shared in (P, state.grad_spin, state.lap_spin):
         with pytest.raises(ValueError):
             shared[0, 0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# stacked frames: the trajectory velocities of many frames in one pass
+
+def bundled_stride_frames(name, steps=40, stride=10):
+    """Every stride-th frame of a bundled scenario's first steps: (grid, frames, times, m)."""
+    sc = harness.load_bundled(name)
+    psi0 = gd.sample(sc.descriptor, sc.grid)
+    series = dy.evolve(psi0 / dy.norm(psi0, sc.grid), sc.grid,
+                       dataclasses.replace(sc.evolution, steps=steps))
+    return sc.grid, series.frames[::stride], series.times[::stride], sc.evolution.m
+
+
+def assert_bitwise_equal(a, b):
+    """Equal bit for bit: array_equal alone calls -0.0 and 0.0 equal."""
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["schrodinger_gaussian", "pauli_texture"])
+def test_stacked_velocities_equal_each_frames_own_bit_for_bit(name):
+    """A clamped and a periodic run: one stacked pass gives every frame the
+    velocity and node mask of that frame's own SpinorField."""
+    grid, frames, times, m = bundled_stride_frames(name)
+    velocities, masks = ob.velocity_series(grid, np.stack(frames, axis=grid.dim), times, m)
+    assert len(velocities) == len(masks) == len(frames) == 5
+    for psi, v, mask in zip(frames, velocities.frames, masks):
+        state = ob.SpinorField(grid, psi)
+        assert_bitwise_equal(v, ob.pauli_current(state, m).v)
+        assert np.array_equal(mask, state.mask)
+
+
+@pytest.mark.parametrize("pauli", [False, True], ids=["schrodinger", "pauli"])
+def test_a_stacked_node_mask_takes_each_frames_own_peak(pauli):
+    """Two frames whose peak densities differ by 1e6: the faint frame's mask is
+    its own, which a threshold at the stack's peak would cut down."""
+    grid = gd.Grid.line(-30.0, 30.0, 301)
+
+    def packet(x0):
+        if pauli:
+            return gd.sample(gd.EulerTexture(theta0=1.0, sigma=1.0, x0=(x0, 0.0, 0.0)), grid)
+        return gd.sample(gd.GaussianPacket(sigma=1.0, x0=(x0, 0.0, 0.0)), grid)
+
+    frames = [packet(0.0), 1e-3 * packet(3.0)]
+    stack = ob.SpinorField(grid, np.stack(frames, axis=grid.dim), stacked=True)
+    for i, psi in enumerate(frames):
+        own = ob.support_mask(ob.SpinorField(grid, psi).rho, ob.NODE_EPS)
+        assert np.array_equal(stack.mask[..., i], own)
+    faint = stack.rho[..., 1]
+    assert not np.array_equal(stack.mask[..., 1], faint >= ob.NODE_EPS * stack.rho.max())
+
+
+def test_a_stack_is_declared_not_read_off_the_shape():
+    """Two Schrodinger frames stacked have the shape of one Pauli frame."""
+    grid = gd.Grid.line(-6.0, 6.0, 65)
+    two = np.stack([gd.sample(gd.GaussianPacket(), grid)] * 2, axis=grid.dim)
+    assert ob.SpinorField(grid, two).is_pauli
+    assert not ob.SpinorField(grid, two, stacked=True).is_pauli
+    with pytest.raises(ValueError):
+        ob.SpinorField(grid, two[..., None, None], stacked=True)
+
+
+def test_velocity_series_conversions_do_not_grow_with_frames(monkeypatch):
+    calls = []
+    for name in ("g_from_wavefunction", "g_from_components"):
+        def counting(*args, convert=getattr(ob, name)):
+            calls.append(convert)
+            return convert(*args)
+        monkeypatch.setattr(ob, name, counting)
+
+    grid = gd.Grid.line(-8.0, 8.0, 129)
+    counts = []
+    for n_frames in (5, 50):
+        calls.clear()
+        times = 1e-2 * np.arange(n_frames)
+        stack = np.stack([gd.sample(gd.GaussianPacket(), grid, t) for t in times], axis=grid.dim)
+        ob.velocity_series(grid, stack, times, 1.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
