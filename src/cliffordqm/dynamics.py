@@ -281,6 +281,11 @@ class TrajectorySet:
                   ["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
 
 
+def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
+    """np.clip(a, lo, hi) for non-NaN a, without np.clip's few microseconds a call."""
+    return np.minimum(np.maximum(a, lo), hi)
+
+
 def _cell_weights(coords: list, x: np.ndarray) -> list:
     """Corners and weights of multilinear interpolation at points x (n, dim).
 
@@ -291,7 +296,7 @@ def _cell_weights(coords: list, x: np.ndarray) -> list:
     """
     lower, frac = [], []
     for ax, c in enumerate(coords):
-        i = np.clip(np.searchsorted(c, x[:, ax], side="right") - 1, 0, c.size - 2)
+        i = _clamp(np.searchsorted(c, x[:, ax], side="right") - 1, 0, c.size - 2)
         lower.append(i)
         frac.append((x[:, ax] - c[i]) / (c[i + 1] - c[i]))
     corners = []
@@ -313,9 +318,12 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     """Integrate seed points through time-indexed velocity fields.
 
     Classic 4th-order one-step integration per frame interval; velocity is
-    multilinear in space and linear in time.  Paths leaving the grid are
-    clamped and flagged; paths that reach a node where masks[frame] is False
-    (a density node, as in ``SpinorField.mask``) are frozen and flagged.
+    multilinear in space and linear in time, so the last stage reads the
+    interval's end frame alone.  Paths leaving the grid are clamped and
+    flagged; paths that reach a node where masks[frame] is False (a density
+    node, as in ``SpinorField.mask``) are frozen and flagged.  Every seed
+    takes every step, and a frozen seed keeps its position in place of its
+    step's result, so a moving seed's path does not depend on the others.
     """
     grid = velocity_series.grid
     dim = grid.dim
@@ -330,47 +338,36 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     coords = [grid.coords(ax) for ax in range(dim)]
     frames = [frame[..., :dim] for frame in velocity_series.frames]
 
-    def vel(frame_a: int, w: float, x: np.ndarray) -> np.ndarray:
+    def vel(f: int, x: np.ndarray) -> np.ndarray:
+        """The velocity of frame f at x."""
+        return _interpolate(frames[f], _cell_weights(coords, x))
+
+    def vel_mid(f: int, x: np.ndarray) -> np.ndarray:
+        """The velocity halfway between frames f and f + 1 at x."""
         corners = _cell_weights(coords, x)
-        va = _interpolate(frames[frame_a], corners)
-        if w == 0.0:
-            return va
-        vb = _interpolate(frames[frame_a + 1], corners)
-        return (1.0 - w) * va + w * vb
+        return 0.5 * _interpolate(frames[f], corners) + 0.5 * _interpolate(frames[f + 1], corners)
+
+    def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
+        idx = tuple(_clamp(np.rint((x[:, ax] - lo[ax]) / grid.spacing[ax]).astype(int),
+                           0, grid.shape[ax] - 1)
+                    for ax in range(dim))
+        return ~masks[frame][idx]
 
     n_frames = len(velocity_series)
     dt = velocity_series.dt
-    n_seeds = seeds.shape[0]
-    paths = np.empty((n_frames, n_seeds, dim))
-    paths[0] = seeds
-    truncated = np.zeros(n_seeds, dtype=bool)
-    active = ~truncated
-
-    def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
-        idx = tuple(
-            np.clip(np.rint((x[:, ax] - lo[ax]) / grid.spacing[ax]).astype(int),
-                    0, grid.shape[ax] - 1)
-            for ax in range(dim)
-        )
-        return ~masks[frame][idx]
-
-    x = seeds.copy()
+    paths = np.empty((n_frames,) + seeds.shape)
+    paths[0] = x = seeds
+    truncated = np.zeros(seeds.shape[0], dtype=bool)
     for f in range(n_frames - 1):
-        xa = x[active]
-        if xa.size:
-            k1 = vel(f, 0.0, xa)
-            k2 = vel(f, 0.5, xa + 0.5 * dt * k1)
-            k3 = vel(f, 0.5, xa + 0.5 * dt * k2)
-            k4 = vel(f, 1.0, xa + dt * k3)
-            xa = xa + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            out = np.any((xa < lo) | (xa > hi), axis=1)
-            xa = np.clip(xa, lo, hi)
-            dead = out | masked_out(xa, f + 1)
-            x_active_idx = np.flatnonzero(active)
-            x[active] = xa
-            truncated[x_active_idx[dead]] = True
-            active = ~truncated
-        paths[f + 1] = x
+        k1 = vel(f, x)
+        k2 = vel_mid(f, x + 0.5 * dt * k1)
+        k3 = vel_mid(f, x + 0.5 * dt * k2)
+        k4 = vel(f + 1, x + dt * k3)
+        step = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        out = np.any((step < lo) | (step > hi), axis=1)
+        step = _clamp(step, lo, hi)
+        paths[f + 1] = x = np.where(truncated[:, None], x, step)
+        truncated |= out | masked_out(step, f + 1)
     return TrajectorySet(seeds, velocity_series.times.copy(), paths, truncated)
 
 

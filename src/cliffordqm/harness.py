@@ -45,14 +45,15 @@ ENV_OUT_ROOT = "CLIFFORDQM_OUT_ROOT"
 MAX_POINT_STEPS = 2 ** 28
 # bytes per grid point a run holds at its peak, without trajectory seeds: the
 # three-frame window and the observables derived from it.  A warmed
-# run_scenario at n = 4096 and 2 steps traced 381 B a point on
+# run_scenario at n = 4096 and 2 steps traced 357 B a point on
 # schrodinger_gaussian and 838 B on pauli_superposition and pauli_texture.
 RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 # bytes per grid point each trajectory stride frame adds to a run with seeds:
 # the raw frame, its velocity and node mask, and the temporaries of the one
 # stacked pass that derives them.  A warmed seeded run_scenario at n = 4096
-# and stride 1 traced 192 B a point per frame on schrodinger_gaussian and
-# 337 B on pauli_texture, the same at 3, 41 and 201 frames.
+# and stride 1 traced 142 and 144 B a point per frame over the run without
+# seeds on schrodinger_gaussian, and 333 and 336 B on pauli_texture, at 41
+# and 201 frames.
 STRIDE_FRAME_BYTES_PER_POINT = {"schrodinger": 256, "pauli": 512}
 
 
@@ -262,8 +263,8 @@ def _scenario(raw, source: str) -> Scenario:
     stride = tspec.number("stride", 10, int)
     if stride < 1:
         raise tspec.error(f"must be at least 1, got {stride}", "stride")
-    if seeds:  # the run keeps every stride-th frame, the sink's min(stride, steps)
-        frames = steps // min(stride, steps) + 1
+    if seeds:
+        frames = _stride_frames(steps, stride)[1]
         gb += n * frames * (STRIDE_FRAME_BYTES_PER_POINT[particle] * 1e-9)
         if gb > memory:
             raise tspec.error(f"a run on {n:.3g} points that keeps {frames:.3g} stride frames "
@@ -426,21 +427,31 @@ def _initial_field(sc: Scenario) -> np.ndarray:
     return psi0 / n
 
 
+def _stride_frames(steps: int, stride: int) -> tuple[int, int]:
+    """A seeded run's trajectory stride, at most steps, and the number of
+    frames it keeps: frames 0, stride, 2 stride, ... up to steps."""
+    stride = min(stride, steps)
+    return stride, steps // stride + 1
+
+
 class _FrameSink:
     """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
     and records the drift norms and every stride-th frame on the side,
     calling frame() only for those, so no other frame is built.  The stride
-    frames are written into one preallocated stack, on the axis after the
-    grid axes, as ``observables.velocity_series`` takes them."""
+    frames, as many as ``_stride_frames`` counts and the memory guard
+    prices, are written into one preallocated stack, on the axis after the
+    grid axes, and the sink holds their times: the stack and times that
+    ``observables.velocity_series`` takes."""
 
     def __init__(self, sc: Scenario):
         steps = sc.evolution.steps
         self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
-        self.stride = min(sc.trajectory_stride, steps) if sc.seeds else 0
+        self.stride, n_frames = _stride_frames(steps, sc.trajectory_stride) if sc.seeds else (0, 0)
         self.norms = []
         if self.stride:
+            self.times = sc.evolution.dt * (self.stride * np.arange(n_frames))
             spin = (2,) if sc.particle == "pauli" else ()
-            self.stack = np.empty(sc.grid.shape + (steps // self.stride + 1,) + spin, complex)
+            self.stack = np.empty(sc.grid.shape + self.times.shape + spin, complex)
             self._by_frame = np.moveaxis(self.stack, sc.grid.dim, 0)
 
     def __call__(self, j: int, frame) -> bool:
@@ -463,8 +474,7 @@ def _run(sc: Scenario):
     report, obs = _check(sc, window, sink.k, sink.drift)
     if not sc.seeds:
         return report, obs, None
-    times = sc.evolution.dt * np.arange(0, sc.evolution.steps + 1, sink.stride)
-    velocities, masks = ob.velocity_series(sc.grid, sink.stack, times, sc.evolution.m)
+    velocities, masks = ob.velocity_series(sc.grid, sink.stack, sink.times, sc.evolution.m)
     traj = dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)), masks)
     ordered = dy.ordering_preserved(traj.paths)
     report["trajectories"] = {"n_seeds": len(sc.seeds), "n_truncated": int(traj.truncated.sum()),

@@ -223,21 +223,6 @@ def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # Bohm momentum and energy: algebraic route
 
-def bohm_momentum_vector_part(state: SpinorField) -> np.ndarray:
-    """Diagnostic non-scalar term -i Omega^j / 2 of the Pauli momentum.
-
-    Returned as the grade-1 coefficients per axis, shape grid.shape + (3, 3):
-    [..., axis, component].  The bivector w1 e23 + w2 e13 + w3 e12 of Omega^j
-    gives -i Omega^j / 2 = (w1 e1 - w2 e2 + w3 e3) / 2.
-    """
-    if not state.is_pauli:
-        raise UnsupportedAlgebraError("vector part is a Pauli diagnostic")
-    out = component_first(state.grid.shape + (3, 3), state.grid.dim)
-    for ax, om in enumerate(state.omega):
-        out[..., ax, :] = 0.5 * om[..., 1:] * _DUAL
-    return out
-
-
 def bohm_energy(win: Window) -> np.ndarray:
     """E_B = <Omega_t S>_0 per unit rho at the window's middle frame, Omega_t = 2 (d_t U) ~U."""
     state = win.cur
@@ -329,13 +314,15 @@ def pauli_current(state: SpinorField, m: float) -> CurrentSplit:
     """Convective and rotational currents and the trajectory velocity.
 
     m J_conv = rho P_B; m J_rot = curl(rho s); v = (J_conv + J_rot)/rho.
-    Schrodinger states have no rotational part.
+    Schrodinger states have no rotational part: their J_rot is a read-only
+    zero view, and v divides J_conv alone.
     """
     j_conv = state.rho[..., None] * state.P / m
-    if state.is_pauli:
-        j_rot = curl(state.rho[..., None] * state.spin, state.grid) / m
-    else:
-        j_rot = np.zeros_like(j_conv)
+    if not state.is_pauli:
+        v = masked_divide(j_conv, state.rho, state.mask)
+        v += 0.0  # a -0.0 reads +0.0, as in a sum with zeros
+        return CurrentSplit(j_conv, np.broadcast_to(0.0, j_conv.shape), v)
+    j_rot = curl(state.rho[..., None] * state.spin, state.grid) / m
     return CurrentSplit(j_conv, j_rot, masked_divide(j_conv + j_rot, state.rho, state.mask))
 
 
@@ -345,7 +332,8 @@ def velocity_series(grid: Grid, stack: np.ndarray, times, m: float):
     trailing (2,) for Pauli frames), as ``dynamics.integrate_trajectories``
     takes them: (SnapshotSeries, masks), both indexed by frame first.  One
     stacked SpinorField derives every frame's in one pass, so the number of
-    conversions does not grow with the number of frames."""
+    conversions does not grow with the number of frames, and a Schrodinger
+    stack builds no rotational current."""
     state = SpinorField(grid, stack, stacked=True)
     v = np.moveaxis(pauli_current(state, m).v, grid.dim, 0)
     return SnapshotSeries(times, v, grid), np.moveaxis(state.mask, grid.dim, 0)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     _G_SLOTS,
-    DEFAULT_TOL,
     PAULI,
     SCHRODINGER,
     Multivector,
@@ -219,17 +218,6 @@ def phase_rotate(phi: IdealSpinor, lam: float) -> IdealSpinor:
     gen = phase_generator(sig)
     rot = math.cos(lam) * Multivector.scalar(sig, 1.0) + math.sin(lam) * gen
     return IdealSpinor(phi.R, phi.U * rot)
-
-
-def unit_defect(phi: IdealSpinor) -> float:
-    """Max-norm deviation of U ~U from 1."""
-    one = Multivector.scalar(phi.signature, 1.0)
-    return (phi.U * phi.U.conjugate() - one).norm_inf()
-
-
-def check_spinor(phi: IdealSpinor, tol: float = DEFAULT_TOL) -> None:
-    if not phi.degenerate and unit_defect(phi) > tol:
-        raise ValueError("U is not unit-normalized")
 
 
 # ---------------------------------------------------------------------------

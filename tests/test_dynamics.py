@@ -187,6 +187,31 @@ def test_trajectory_truncation_at_edge():
     assert traj.paths[-1, 0, 0] == pytest.approx(1.0)
 
 
+def test_frozen_seeds_leave_the_moving_paths_bit_for_bit_as_they_run_alone():
+    """A slowly varying flow v = 0.6 + 0.02 x + 0.05 t: the seed at 9.0 leaves
+    the grid, the one at 5.0 reaches the node at x = 6.0, whose mask is False,
+    and the two behind them never reach either."""
+    grid = gd.Grid.line(0.0, 10.0, 101)
+    x = grid.coords(0)
+    times = np.linspace(0.0, 3.0, 61)
+    series = gd.SnapshotSeries(times, [(0.6 + 0.02 * x + 0.05 * t)[:, None] for t in times],
+                               grid)
+    node = np.ones(grid.shape, bool)
+    node[60] = False
+    masks = [node] * len(series)
+    traj = dy.integrate_trajectories(series, [[0.5], [9.0], [2.0], [5.0]], masks)
+    assert traj.truncated.tolist() == [False, True, False, True]
+    edge, at_node = traj.paths[:, 1, 0], traj.paths[:, 3, 0]
+    first = np.flatnonzero(edge == 10.0)[0]
+    assert 1 < first < len(series) - 10 and np.all(edge[first:] == 10.0)
+    first = np.flatnonzero(np.abs(at_node - 6.0) <= 0.05)[0]
+    assert 1 < first < len(series) - 10 and np.all(at_node[first:] == at_node[first])
+    for i, seed in ((0, 0.5), (2, 2.0)):
+        alone = dy.integrate_trajectories(series, [[seed]], masks)
+        assert not alone.truncated[0]
+        assert traj.paths[:, i].tobytes() == alone.paths[:, 0].tobytes()
+
+
 def test_ordering_preserved_helper():
     good = np.zeros((3, 4, 1))
     good[:, :, 0] = [[0, 1, 2, 3], [0.1, 1.1, 2.1, 3.1], [0.2, 1.2, 2.2, 3.2]]

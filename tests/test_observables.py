@@ -1,6 +1,7 @@
 """Bohm fields from the algebraic pipeline against closed forms and oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,19 +91,6 @@ def test_weighted_and_algebraic_momentum_agree():
         mask = state.mask & ob.support_mask(state.rho)
         diff = np.abs(P_alg - P_w)[mask]
         assert np.max(diff) < 20.0 * grid.spacing[0] ** 2
-
-
-def test_momentum_vector_part_contracts_to_momentum():
-    """-i Omega^j/2 is the vector omega^j/2; omega^j . a recovers P^j."""
-    grid = gd.Grid.line(-6.0, 6.0, 129)
-    psi = gd.sample(gd.EulerTexture(theta0=1.1, chi_k=(0.4, 0, 0), sigma=2.0), grid)
-    state = ob.SpinorField(grid, psi)
-    P = state.P
-    vec = ob.bohm_momentum_vector_part(state)
-    a = 2.0 * state.spin
-    contracted = (vec[..., 0, :] * a).sum(axis=-1)
-    contracted[~state.mask] = 0.0
-    assert np.max(np.abs(contracted - P[..., 0])) < 1e-10
 
 
 def test_spin_norm_is_half():
@@ -334,8 +322,8 @@ def test_schrodinger_bohm_bilinear_matches_e_omega_reference():
 
 
 def full_algebra_bilinears(win):
-    """P, E and the Pauli vector part with U embedded in every blade of the
-    algebra and each product taken over the whole Cayley table."""
+    """P and E with U embedded in every blade of the algebra and each
+    product taken over the whole Cayley table."""
     state = win.cur
     sig, grid = state.signature, state.grid
     i = alg.central_unit(sig).coeffs
@@ -348,17 +336,15 @@ def full_algebra_bilinears(win):
     else:
         S = np.broadcast_to(0.5 * i, grid.shape + (2,))
     P = np.zeros(grid.shape + (3,))
-    vec = np.zeros(grid.shape + (3, 3))
     for ax in range(grid.dim):
         omega = 2.0 * alg.gp_coeffs(sig, gd.deriv(u, grid, ax), u_conj)
         P[..., ax] = -alg.gp_coeffs(sig, omega, S)[..., 0]
-        vec[..., ax, :] = -0.5 * alg.gp_coeffs(sig, i, omega)[..., 1:4]
     P[~state.mask] = 0.0
     du_dt = (sp.even_field_coeffs(sig, win.next.g) - sp.even_field_coeffs(sig, win.prev.g)) \
         / (2.0 * win.dt)
     E = alg.gp_coeffs(sig, 2.0 * alg.gp_coeffs(sig, du_dt, u_conj), S)[..., 0]
     E[~state.mask] = 0.0
-    return P, E, vec
+    return P, E
 
 
 def pauli_texture_3d_series():
@@ -373,12 +359,10 @@ def pauli_texture_3d_series():
                          ids=("schrodinger_1d", "pauli_3d"))
 def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
     win = ob.window(make_series(), 1)
-    P_ref, E_ref, vec_ref = full_algebra_bilinears(win)
+    P_ref, E_ref = full_algebra_bilinears(win)
     assert np.array_equal(win.cur.P, P_ref)
     assert np.array_equal(ob.bohm_energy(win), E_ref)
     assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
-    if win.cur.is_pauli:
-        assert np.array_equal(ob.bohm_momentum_vector_part(win.cur), vec_ref)
 
 
 STENCILS = ("deriv", "gradient", "laplacian", "divergence", "curl", "time_derivative")
@@ -460,6 +444,24 @@ def test_stacked_velocities_equal_each_frames_own_bit_for_bit(name):
         state = ob.SpinorField(grid, psi)
         assert_bitwise_equal(v, ob.pauli_current(state, m).v)
         assert np.array_equal(mask, state.mask)
+
+
+@pytest.mark.parametrize("name, bound", [("schrodinger_gaussian", 152.0),
+                                         ("pauli_texture", 320.0)])
+def test_a_warmed_velocity_series_peaks_within_its_bytes_per_point_frame(name, bound):
+    """41 stride frames.  Without a rotational current a Schrodinger stack
+    peaks at 128 B a point-frame; a zero J_rot and its sum with J_conv
+    would take it to 176 B.  A Pauli stack peaks at 305 B."""
+    grid, frames, times, m = bundled_stride_frames(name, steps=80, stride=2)
+    stack = np.stack(frames, axis=grid.dim)
+    ob.velocity_series(grid, stack, times, m)
+    tracemalloc.start()
+    try:
+        ob.velocity_series(grid, stack, times, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (grid.n_points * len(frames)) < bound
 
 
 @pytest.mark.parametrize("pauli", [False, True], ids=["schrodinger", "pauli"])
