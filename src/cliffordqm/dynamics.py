@@ -4,37 +4,47 @@ Evolution runs in the standard column representation (complex arrays) so
 that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
 
-Crank-Nicolson factors each axis's tridiagonal matrix once per run (LAPACK
-``zgttrf``) and solves every step against those factors (``zgttrs``).  Both
-come from ``scipy.linalg``, which is imported on the first Crank-Nicolson
-step, not with this module: it costs about 0.2 s and loads ``numpy.f2py``,
-which split-step runs do not need.
+A run without a potential carries its spectrum from step to step, and so
+does every split-step run: a step multiplies the spectrum by the step's
+factor into a new array, and its frame holds that step's spectrum until it
+is first read, when the inverse transform builds it and the spectrum is
+dropped; a frame nobody reads is never transformed back.
 
-Split-step carries the spectrum from step to step: a step multiplies it by
-the kinetic phase into a new array, and only with a potential transforms it
-back and the frame, times the half potential phase, forward again.  So a
-free step costs one kinetic phase, and its frame holds that step's spectrum
-until it is first read, when one inverse transform builds it and the
-spectrum is dropped; a frame nobody reads is never transformed back.  With
-a potential every frame is bit-identical to an ``fftn``/``ifftn`` loop's.
-A line uses ``numpy.fft``; 2-D and 3-D grids run ``scipy.fft`` one axis at
-a time, last axis first, which rounds as ``numpy.fft.fftn`` does and is
-about 40 % faster at 40^3.  ``scipy.fft`` is imported on the first
-such step, not with this module: the import loads ``scipy.special`` and
-costs about 0.1 s and 3-7 MB of peak memory, which Crank-Nicolson runs and
-lines, where ``numpy.fft.fft`` is about as fast, do not pay.
+Crank-Nicolson without a potential works in the type-I discrete sine
+(DST-I) basis, which diagonalises the clamped second difference on every
+axis, so a step multiplies each mode by its Cayley factor
+(1 - gamma lam)/(1 + gamma lam).  The DST-I is the odd extension of each
+axis through ``numpy.fft``, so a free run loads neither ``scipy.linalg`` nor
+``scipy.fft``.  With a potential, Crank-Nicolson factors each axis's
+tridiagonal matrix once per run (LAPACK ``zgttrf``) and solves every step
+against those factors (``zgttrs``), which is about twice as fast as a
+transform pair per step.  Both come from ``scipy.linalg``, which is imported
+on the first such run, not with this module: it costs about 0.2 s and loads
+``numpy.f2py``, which other runs do not need.
+
+Split-step multiplies the spectrum by the kinetic phase and, only with a
+potential, transforms it back and the frame, times the half potential
+phase, forward again.  With a potential every frame is bit-identical to an
+``fftn``/``ifftn`` loop's.  A line uses ``numpy.fft``; 2-D and 3-D grids run
+``scipy.fft`` one axis at a time, last axis first, which rounds as
+``numpy.fft.fftn`` does and is about 40 % faster at 40^3.  ``scipy.fft`` is
+imported on the first such step, not with this module: the import loads
+``scipy.special`` and costs about 0.1 s and 3-7 MB of peak memory, which
+Crank-Nicolson runs and lines, where ``numpy.fft.fft`` is about as fast, do
+not pay.
 
 ``evolve`` offers every frame to an optional sink, ``keep(j, frame)``, where
 ``frame()`` builds frame j on its first call and returns that same array on
 every later one, and stores only the frames it accepts (every frame without
 a sink), unbuilt until they are read.  So a caller that needs a few frames,
 or only numbers taken from them, holds O(N) memory rather than O(steps N),
-and a free split-step run, with a sink or without, transforms back only the
-frames its caller reads.
+and a free run of either scheme, with a sink or without, transforms back
+only the frames its caller reads.
 
 Trajectories read the velocity through a multilinear interpolator that
-extrapolates linearly past the grid's edges, since an RK4 stage may step
-outside the grid before the path is clamped.
+extrapolates linearly past a clamped grid's edges, since an RK4 stage may
+step outside the grid before the path is clamped, and wraps around a
+periodic grid, whose paths are never clamped.
 """
 
 from __future__ import annotations
@@ -90,18 +100,38 @@ def _check_accuracy(grid: Grid, cfg: EvolutionConfig):
         )
 
 
+def _cn_gamma(h: float, dt: float, m: float) -> complex:
+    """gamma = i dt/(4 m h^2), so that A = I + gamma T and B = I - gamma T for
+    T = tridiag(-1, 2, -1), whose eigenvalues reach 4."""
+    gamma = 1j * dt / (4.0 * m * h * h)
+    if not np.isfinite(4.0 * gamma):  # a subnormal m, say
+        raise GridError("Crank-Nicolson matrix is not finite: dt/(m h^2) overflows")
+    return gamma
+
+
 def _cn_banded(n: int, h: float, dt: float, m: float):
     """A = I + i dt/2 K factored by zgttrf, as a zgttrs solve against those
     factors, and the diagonal and off-diagonal of B = I - i dt/2 K, for
     K = -D2/2m on n clamped nodes."""
     from scipy.linalg.lapack import zgttrf, zgttrs  # here, not at the top: see the module docstring
 
-    gamma = 1j * dt / (4.0 * m * h * h)
-    if not np.isfinite(gamma):  # a subnormal m, say
-        raise GridError("Crank-Nicolson matrix is not finite: dt/(m h^2) overflows")
+    gamma = _cn_gamma(h, dt, m)
     off = np.full(n - 1, -gamma)
     *lu, _ = zgttrf(off, np.full(n, 1.0 + 2.0 * gamma), off)  # A is diagonally dominant
     return functools.partial(zgttrs, *lu), 1.0 - 2.0 * gamma, gamma
+
+
+def _cn_symbol(grid: Grid, dt: float, m: float) -> np.ndarray:
+    """One free Crank-Nicolson step in the DST-I basis, which diagonalises T on
+    every clamped axis: mode k of an n-node axis has eigenvalue
+    4 sin^2(pi k / 2(n+1)) and is multiplied by (1 - gamma lam)/(1 + gamma lam);
+    the axes' factors commute, so the grid's symbol is their outer product."""
+    symbol = np.ones(())
+    for n, h in zip(grid.shape, grid.spacing):
+        gamma = _cn_gamma(h, dt, m)
+        lam = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+        symbol = np.multiply.outer(symbol, (1.0 - gamma * lam) / (1.0 + gamma * lam))
+    return symbol
 
 
 def _cn_axis_step(psi: np.ndarray, axis: int, solve, diag_b, off_b) -> np.ndarray:
@@ -142,6 +172,25 @@ def _fft_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
     return x
 
 
+def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
+    """The type-I sine transform (DST-I) along each of axes, into a new
+    C-ordered array that owns its data: x is never written.
+
+    Along an n-node axis, x is extended to the odd sequence
+    [0, x, 0, -x reversed] of length 2(n+1), whose discrete Fourier
+    transform is odd too, and entries 1..n of that transform are kept.  So
+    numpy.fft.fft maps x to -2i S x, for S the sine matrix
+    sin(pi j k/(n+1)), and numpy.fft.ifft maps that back to x."""
+    for ax in axes:
+        n = x.shape[ax]
+        v = x.swapaxes(0, ax)
+        odd = np.zeros((2 * n + 2,) + v.shape[1:], complex)
+        odd[1:n + 1] = v
+        np.negative(v[::-1], out=odd[n + 2:])
+        x = transform(odd, axis=0)[1:n + 1].swapaxes(0, ax)
+    return x.copy()
+
+
 class _Frame:
     """Frame j of a run: psi, or, when psi is None, build() on the first call,
     after which build and the spectrum it holds are dropped.  Every call
@@ -177,19 +226,23 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
 
     Strang splitting: half potential phase, full kinetic step (per-axis
     Crank-Nicolson solves, or on periodic grids FFT passes, last axis
-    first), half potential phase; split-step carries the spectrum between
-    steps, so its frames equal a numpy.fft.fftn loop's bit for bit only when
-    there is a potential, and a free step transforms a frame back only when
-    it is read.  keep(j, frame) is called once per frame, j = 0..steps in
-    order, and the frames it returns true for are stored.  frame() builds
-    frame j on its first call and returns that same array on every later
-    one, during keep(j, frame) or after it returns.  A built frame is never
-    written afterwards, so keep may hold on to it.  Returns the stored frames
-    at their times (all steps+1 of them when keep is None), numbered as the
-    run numbers them in steps of dt, the full time grid's step times their
-    index spacing; unevenly spaced frames raise GridError.  The series'
-    frames are a read-only sequence that builds each frame on its first
-    read: an index, a slice or an iteration.
+    first), half potential phase.  A run without a potential, and every
+    split-step run, carries the spectrum between steps: the DST-I spectrum
+    for Crank-Nicolson, the Fourier spectrum for split-step.  A free step
+    multiplies it by the step's symbol and transforms a frame back only when
+    it is read, so free frames differ from a step-by-step solve at
+    roundoff; with a potential, Crank-Nicolson frames are the zgttrs solves'
+    and split-step frames equal a numpy.fft.fftn loop's bit for bit.
+    keep(j, frame) is called once per frame, j = 0..steps in order, and the
+    frames it returns true for are stored.  frame() builds frame j on its
+    first call and returns that same array on every later one, during
+    keep(j, frame) or after it returns.  A built frame is C-ordered, owns
+    its data and is never written afterwards, so keep may hold on to it.
+    Returns the stored frames at their times (all steps+1 of them when keep
+    is None), numbered as the run numbers them in steps of dt, the full time
+    grid's step times their index spacing; unevenly spaced frames raise
+    GridError.  The series' frames are a read-only sequence that builds each
+    frame on its first read: an index, a slice or an iteration.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -213,19 +266,28 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         if pauli:
             half_v = half_v[..., None]
 
-    if cfg.scheme == "crank-nicolson":
-        banded = [_cn_banded(grid.shape[ax], grid.spacing[ax], cfg.dt, cfg.m)
-                  for ax in range(grid.dim)]
-    else:
+    # a run without a potential, and every split-step run, carries the
+    # spectrum phi that the next step's factor kin acts on; a Crank-Nicolson
+    # run with a potential (kin None) solves the factored matrices instead
+    axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
+    if cfg.scheme == "split-step":
         fft = np.fft
         if grid.dim > 1:
             import scipy.fft as fft  # here, not at the top: see the module docstring
         kin = _kinetic_phase(grid, cfg.dt, cfg.m)
+        forward, back = (functools.partial(_fft_passes, t, axes=axes) for t in (fft.fft, fft.ifft))
+    elif half_v is None:
+        kin = _cn_symbol(grid, cfg.dt, cfg.m)
+        forward, back = (functools.partial(_sine_passes, t, axes=axes)
+                         for t in (np.fft.fft, np.fft.ifft))
+    else:
+        kin = None
+        banded = [_cn_banded(grid.shape[ax], grid.spacing[ax], cfg.dt, cfg.m)
+                  for ax in range(grid.dim)]
+    if kin is not None:
         if pauli:
             kin = kin[..., None]
-        fft_axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
-        # phi carries the spectrum that the next kinetic phase acts on
-        phi = _fft_passes(fft.fft, psi0 if half_v is None else psi0 * half_v, fft_axes)
+        phi = forward(psi0 if half_v is None else psi0 * half_v)
 
     stored, frames = [], []
 
@@ -239,21 +301,20 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     psi = psi0.copy()
     store(0, _Frame(psi))
     for j in range(1, cfg.steps + 1):
-        if cfg.scheme == "crank-nicolson":
-            if half_v is not None:
-                psi = psi * half_v
+        if kin is None:
+            psi = psi * half_v
             for ax in range(grid.dim):
                 psi = _cn_axis_step(psi, ax, *banded[ax])
             frame = _Frame(psi)
         else:
             phi = phi * kin  # a new array: an unbuilt frame keeps this step's spectrum
-            frame = _Frame(build=functools.partial(_fft_passes, fft.ifft, phi, fft_axes))
+            frame = _Frame(build=functools.partial(back, phi))
         if half_v is not None:
             psi = frame() * half_v
             frame = _Frame(psi)
         store(j, frame)
-        if half_v is not None and cfg.scheme == "split-step" and j < cfg.steps:
-            phi = _fft_passes(fft.fft, psi * half_v, fft_axes)
+        if half_v is not None and kin is not None and j < cfg.steps:
+            phi = forward(psi * half_v)
     times = cfg.dt * np.asarray(stored)
     spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
     dt = cfg.dt * spacing if len(stored) >= 2 else None
@@ -286,13 +347,15 @@ def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(a, lo), hi)
 
 
-def _cell_weights(coords: list, x: np.ndarray) -> list:
+def _cell_weights(coords: list, x: np.ndarray, wrap: bool = False) -> list:
     """Corners and weights of multilinear interpolation at points x (n, dim).
 
     Along each axis a point's cell starts at the last node at or below it,
     clipped to the first and last cells, so a point past an edge
-    extrapolates linearly from the edge cell.  Returns (index tuple, weight)
-    per cell corner, in itertools.product((0, 1), repeat=dim) order.
+    extrapolates linearly from the edge cell.  With wrap, each axis's coords
+    end with node 0 once more, one period on, and x lies within the period,
+    so the last cell joins the last node to node 0.  Returns (index tuple,
+    weight) per cell corner, in itertools.product((0, 1), repeat=dim) order.
     """
     lower, frac = [], []
     for ax, c in enumerate(coords):
@@ -302,7 +365,10 @@ def _cell_weights(coords: list, x: np.ndarray) -> list:
     corners = []
     for bits in itertools.product((0, 1), repeat=len(coords)):
         weight = math.prod(y if b else 1 - y for y, b in zip(frac, bits))
-        corners.append((tuple(i + b for i, b in zip(lower, bits)), weight[:, None]))
+        index = tuple(i + b for i, b in zip(lower, bits))
+        if wrap:
+            index = tuple(i % (c.size - 1) for i, c in zip(index, coords))
+        corners.append((index, weight[:, None]))
     return corners
 
 
@@ -319,11 +385,14 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
 
     Classic 4th-order one-step integration per frame interval; velocity is
     multilinear in space and linear in time, so the last stage reads the
-    interval's end frame alone.  Paths leaving the grid are clamped and
-    flagged; paths that reach a node where masks[frame] is False (a density
-    node, as in ``SpinorField.mask``) are frozen and flagged.  Every seed
-    takes every step, and a frozen seed keeps its position in place of its
-    step's result, so a moving seed's path does not depend on the others.
+    interval's end frame alone.  On a clamped grid, paths leaving the grid
+    are clamped and flagged; on a periodic grid the velocity is read at the
+    position modulo the period, interpolated across the wrap between the
+    last node and node 0, and paths are kept unwrapped, never clamped.
+    Paths that reach a node where masks[frame] is False (a density node, as
+    in ``SpinorField.mask``) are frozen and flagged.  Every seed takes every
+    step, and a frozen seed keeps its position in place of its step's
+    result, so a moving seed's path does not depend on the others.
     """
     grid = velocity_series.grid
     dim = grid.dim
@@ -335,23 +404,30 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     if np.any(seeds < lo) or np.any(seeds > hi):
         raise GridError("seed outside grid")
 
-    coords = [grid.coords(ax) for ax in range(dim)]
+    periodic = grid.boundary == "periodic"
+    n, h = np.array(grid.shape), np.array(grid.spacing)
+    # a periodic axis ends with node 0 again, one period on
+    coords = [grid.coords(ax) if not periodic else
+              np.append(grid.coords(ax), hi[ax]) for ax in range(dim)]
     frames = [frame[..., :dim] for frame in velocity_series.frames]
+
+    def within(x: np.ndarray) -> np.ndarray:
+        """x, or on a periodic grid its image in the period [lo, hi)."""
+        return lo + np.mod(x - lo, hi - lo) if periodic else x
 
     def vel(f: int, x: np.ndarray) -> np.ndarray:
         """The velocity of frame f at x."""
-        return _interpolate(frames[f], _cell_weights(coords, x))
+        return _interpolate(frames[f], _cell_weights(coords, within(x), periodic))
 
     def vel_mid(f: int, x: np.ndarray) -> np.ndarray:
         """The velocity halfway between frames f and f + 1 at x."""
-        corners = _cell_weights(coords, x)
+        corners = _cell_weights(coords, within(x), periodic)
         return 0.5 * _interpolate(frames[f], corners) + 0.5 * _interpolate(frames[f + 1], corners)
 
     def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
-        idx = tuple(_clamp(np.rint((x[:, ax] - lo[ax]) / grid.spacing[ax]).astype(int),
-                           0, grid.shape[ax] - 1)
-                    for ax in range(dim))
-        return ~masks[frame][idx]
+        node = np.rint((x - lo) / h).astype(int)
+        node = np.mod(node, n) if periodic else _clamp(node, 0, n - 1)
+        return ~masks[frame][tuple(node.T)]
 
     n_frames = len(velocity_series)
     dt = velocity_series.dt
@@ -364,8 +440,9 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
         k3 = vel_mid(f, x + 0.5 * dt * k2)
         k4 = vel(f + 1, x + dt * k3)
         step = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        out = np.any((step < lo) | (step > hi), axis=1)
-        step = _clamp(step, lo, hi)
+        out = False if periodic else np.any((step < lo) | (step > hi), axis=1)
+        if not periodic:
+            step = _clamp(step, lo, hi)
         paths[f + 1] = x = np.where(truncated[:, None], x, step)
         truncated |= out | masked_out(step, f + 1)
     return TrajectorySet(seeds, velocity_series.times.copy(), paths, truncated)

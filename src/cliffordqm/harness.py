@@ -12,7 +12,7 @@ k = (steps+1)//2, and, when the scenario has trajectory seeds, every
 stride-th raw frame, written into one preallocated stack; after the
 evolution the run derives every stride frame's velocity in one stacked
 pass and integrates the seeds' Bohm paths through them, and paths that
-cross fail it.  It builds no other frame, so a free split-step run
+cross fail it.  It builds no other frame, so a free run of either scheme
 transforms back only those.  run_scenario and run_to_files return the
 same report.  The memory guard prices the run per grid point and, with
 seeds, each stride frame on top.

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 
@@ -185,6 +187,33 @@ def test_trajectory_truncation_at_edge():
     assert traj.truncated[0]
     # once clamped the path stays at the boundary
     assert traj.paths[-1, 0, 0] == pytest.approx(1.0)
+
+
+def test_periodic_paths_wrap_across_the_period_edge():
+    """On a periodic line a path crosses the period edge unclamped and
+    unflagged, and between the last node and hi it reads the velocity
+    interpolated towards node 0: the same path as on a clamped line two
+    periods long that holds the velocity twice."""
+    grid = gd.Grid.line(0.0, 1.0, 10, "periodic")
+    times = np.linspace(0.0, 0.5, 11)
+    uniform = gd.SnapshotSeries(times, [np.ones(grid.shape + (1,))] * 11, grid)
+    traj = dy.integrate_trajectories(uniform, [[0.5], [0.95]], no_nodes(uniform))
+    assert not traj.truncated.any()
+    assert np.allclose(traj.paths[-1, :, 0], [1.0, 1.45], rtol=0.0, atol=1e-12)
+    assert dy.ordering_preserved(traj.paths)
+
+    def flow(x):
+        return (1.0 + 0.5 * np.sin(2.0 * np.pi * x))[:, None]
+
+    twice = gd.Grid.line(0.0, 2.0, 21)
+    periodic = gd.SnapshotSeries(times, [flow(grid.coords(0))] * 11, grid)
+    clamped = gd.SnapshotSeries(times, [flow(twice.coords(0))] * 11, twice)
+    seeds = [[0.5], [0.85], [0.95]]
+    got = dy.integrate_trajectories(periodic, seeds, no_nodes(periodic))
+    want = dy.integrate_trajectories(clamped, seeds, no_nodes(clamped))
+    assert not got.truncated.any() and not want.truncated.any()
+    assert np.all(got.paths[-1, 1:, 0] > 1.0)  # the seeds that start past 0.8
+    assert np.max(np.abs(got.paths - want.paths)) <= 1e-13
 
 
 def test_frozen_seeds_leave_the_moving_paths_bit_for_bit_as_they_run_alone():
@@ -503,6 +532,87 @@ def test_cn_step_equals_solve_banded(shape, components):
         assert got.flags.c_contiguous
 
 
+def _banded_frames(psi0, grid, cfg):
+    """Every frame of a free Crank-Nicolson run, one zgttrs solve per axis and step."""
+    banded = [dy._cn_banded(n, h, cfg.dt, cfg.m) for n, h in zip(grid.shape, grid.spacing)]
+    frames = [psi0]
+    for _ in range(cfg.steps):
+        psi = frames[-1]
+        for ax, step in enumerate(banded):
+            psi = dy._cn_axis_step(psi, ax, *step)
+        frames.append(psi)
+    return frames
+
+
+def _free_crank_nicolson_run(shape, steps):
+    """A moving Gaussian on a clamped grid, its support well inside, with a
+    Pauli spinor past one axis."""
+    grid = gd.Grid(tuple(gd.Axis(-6.0, 6.0 + ax, n) for ax, n in enumerate(shape)))
+    mesh = grid.meshgrid()
+    packet = np.exp(-0.5 * sum(x ** 2 for x in mesh) + 1j * mesh[0])
+    psi0 = packet if len(shape) == 1 else np.stack([packet, 0.5j * packet], axis=-1)
+    return psi0, grid, dy.EvolutionConfig(m=1.3, dt=1e-3, steps=steps)
+
+
+@pytest.mark.parametrize("shape, steps", [((384,), 1600), ((24, 20), 200)])
+def test_free_crank_nicolson_equals_the_banded_loop(shape, steps):
+    """Without a potential the run carries the sine spectrum: each frame is
+    one inverse transform of the symbol-weighted spectrum, within roundoff
+    of stepping the factored matrices frame by frame."""
+    psi0, grid, cfg = _free_crank_nicolson_run(shape, steps)
+    got = dy.evolve(psi0, grid, cfg).frames
+    want = _banded_frames(psi0, grid, cfg)
+    assert len(got) == len(want) == steps + 1
+    for frame, ref in zip(got, want):
+        assert frame.shape == ref.shape
+        assert frame.flags.c_contiguous and frame.flags.owndata
+        assert np.max(np.abs(frame - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(64,), (6, 7, 8)])
+def test_free_crank_nicolson_transforms_back_only_the_frames_read(shape, monkeypatch):
+    """A free run transforms psi0 once per axis and, reading frames 0, k-1,
+    k, k+1 and the last, twice, transforms back four frames, one numpy.fft
+    pass per axis each, since frame 0 is psi0."""
+    passes = {"fft": 0, "ifft": 0}
+    for name in passes:
+        def counting(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            passes[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    psi0, grid, cfg = _free_crank_nicolson_run(shape, 12)
+    series = dy.evolve(psi0, grid, cfg)
+    k = len(series) // 2
+    read = (0, k - 1, k, k + 1, cfg.steps)
+    for _ in range(2):
+        got = [series.frames[j] for j in read[:-1]] + [series.frames[-1]]
+    assert passes == {"fft": grid.dim, "ifft": 4 * grid.dim}
+    monkeypatch.undo()
+    want = _banded_frames(psi0, grid, cfg)
+    assert got[0].tobytes() == psi0.tobytes()
+    for frame, j in zip(got, read):
+        assert np.max(np.abs(frame - want[j])) <= 1e-13
+
+
+@given(st.integers(2, 64), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_sine_passes_equal_the_sine_matrix(n, axis, seed):
+    """The odd extension through numpy.fft is the DST-I along any axis:
+    fft gives -2i S x and ifft takes that back to x, for S = sin(pi j k/(n+1))."""
+    rng = np.random.default_rng(seed)
+    shape = [3, 2, 4]
+    shape[axis] = n
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    j = np.arange(1, n + 1)
+    sine = np.sin(np.pi * np.outer(j, j) / (n + 1))
+    want = np.moveaxis(np.tensordot(-2j * sine, np.moveaxis(x, axis, 0), axes=1), 0, axis)
+    got = dy._sine_passes(np.fft.fft, x, (axis,))
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert np.max(np.abs(got - want)) <= 1e-13 * n * np.max(np.abs(x))
+    back = dy._sine_passes(np.fft.ifft, got, (axis,))
+    assert np.max(np.abs(back - x)) <= 1e-14 * n * np.max(np.abs(x))
+
+
 def _numpy_split_step_frames(psi0, grid, cfg):
     """Every frame of a split-step run on numpy's multi-axis FFT.
 
@@ -643,13 +753,21 @@ for scheme, shape in (("crank-nicolson", (32,)), ("crank-nicolson", (8, 8)),
 
 
 def test_scipy_linalg_loads_on_the_first_crank_nicolson_run():
+    """A free Crank-Nicolson run carries its sine spectrum on numpy.fft, so
+    the bundled schrodinger_gaussian run loads neither scipy.linalg nor
+    scipy.fft; a run with a potential solves with LAPACK."""
     code = """
 import sys, numpy as np
 from cliffordqm import dynamics as dy, grids as gd, harness
 harness.run_scenario(harness.load_bundled("pauli_superposition"))
 print("scipy.linalg" in sys.modules)
+harness.run_scenario(harness.load_bundled("schrodinger_gaussian"))
+print("scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
 grid = gd.Grid.line(-6.0, 6.0, 32)
-dy.evolve(np.ones(32, dtype=complex), grid, dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2))
+cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=2, V=0.5 * grid.coords(0) ** 2)
+dy.evolve(np.ones(32, dtype=complex), grid, cfg)
 print("scipy.linalg" in sys.modules)
 """
-    assert _fresh_python(code).split() == ["False", "True"]
+    first, gaussian, harmonic = _fresh_python(code).split("\n")
+    assert gaussian.split() == ["False", "False"]
+    assert [first, harmonic] == ["False", "True"]

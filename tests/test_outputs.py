@@ -39,12 +39,12 @@ DIGESTS = {
         "report.json": "2ec55b98ea5bb7afe49074f003b2364461b87762e42e66fdfa2075e24f371a08",
     },
     "schrodinger_gaussian": {
-        "fields.csv": "0759ec15988bf9435390ab98bbc38d7310c496c880cca49783ab8918d89ebd16",
-        "report.json": "2e3b3ee6e194350fa2f189ba2799eb91c006f4e3e875c66da2aa55267870032b",
-        "trajectories.csv": "7e9a0379209cb71904c0ec2495d86b7c16e6175812b8ae06d466a44536da0c2a",
+        "fields.csv": "6eac1aadf9ffde403761f4638c7d684622a812ba6530eb77c07f02389212048d",
+        "report.json": "e28308460740ff67d3106e37a8d9b7a536175c4a38f39d51286fe89d7e92fcd0",
+        "trajectories.csv": "b54b8507b25d484176e4c52d3813763515d6b6224d3e7f328ca4e0ebdb87ee42",
     },
 }
-SWEEP_DIGEST = "b3681068399443503c8b790a50931b3500a0ac04a6e80e2657a751f7463fbec9"
+SWEEP_DIGEST = "81b106c196b4cc80722863bbf02518483deda6d4da7dc1edd48fc3a8333ce468"
 
 pytestmark = pytest.mark.skipif(
     RUNNING != RECORDED, reason=f"digests recorded with {RECORDED}, running {RUNNING}")
