@@ -17,14 +17,28 @@ from . import harness
 def _load(config_arg: str) -> harness.Scenario:
     path = Path(config_arg)
     if path.is_file():
-        return harness.parse_config(path.read_text(), str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise harness.ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        return harness.parse_config(text, str(path))
     # fall back to a bundled scenario name
     return harness.load_bundled(config_arg)
 
 
+def _out_dir(args, sc: harness.Scenario) -> Path:
+    """The run's output directory, refused before the run when it or one of
+    its parents is an existing file."""
+    out = Path(args.out) if args.out else harness.default_out_root() / sc.name
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise harness.ConfigError(f"output directory {out}: {path} is not a directory")
+    return out
+
+
 def _cmd_run(args) -> int:
     sc = _load(args.config)
-    out = Path(args.out) if args.out else harness.default_out_root() / sc.name
+    out = _out_dir(args, sc)
     report = harness.run_to_files(sc, out)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{sc.name}: {status} (report written to {out / 'report.json'})")

@@ -4,34 +4,35 @@ Evolution runs in the standard column representation (complex arrays) so
 that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
 
-A run without a potential carries its spectrum from step to step, and so
-does every split-step run: a step multiplies the spectrum by the step's
-factor into a new array, and its frame holds that step's spectrum until it
-is first read, when the inverse transform builds it and the spectrum is
-dropped; a frame nobody reads is never transformed back.
+``evolve`` runs one of two loops.  A run without a potential, of either
+scheme, carries its spectrum from step to step: a step multiplies the
+spectrum by the scheme's symbol into a new array, and its frame holds that
+step's spectrum until it is first read, when the inverse transform builds
+it and the spectrum is dropped; a frame nobody reads is never transformed
+back.  A run with a potential takes Strang steps (Strang, SIAM J. Numer.
+Anal. 5 (1968) 506): half the potential phase, the scheme's kinetic step,
+half the potential phase, each frame stored as it is made.
 
-Crank-Nicolson without a potential works in the type-I discrete sine
-(DST-I) basis, which diagonalises the clamped second difference on every
-axis, so a step multiplies each mode by its Cayley factor
-(1 - gamma lam)/(1 + gamma lam).  The DST-I is the odd extension of each
-axis through ``numpy.fft``, so a free run loads neither ``scipy.linalg`` nor
-``scipy.fft``.  With a potential, Crank-Nicolson factors each axis's
-tridiagonal matrix once per run (LAPACK ``zgttrf``) and solves every step
-against those factors (``zgttrs``), which is about twice as fast as a
-transform pair per step.  Both come from ``scipy.linalg``, which is imported
-on the first such run, not with this module: it costs about 0.2 s and loads
-``numpy.f2py``, which other runs do not need.
+Crank-Nicolson's spectrum is the type-I discrete sine (DST-I) one, which
+diagonalises the clamped second difference on every axis, so its symbol
+multiplies each mode by its Cayley factor (1 - gamma lam)/(1 + gamma lam).
+The DST-I is the odd extension of each axis through ``numpy.fft``, so a
+free run loads neither ``scipy.linalg`` nor ``scipy.fft``.  Its kinetic
+step solves each axis's tridiagonal matrix, factored once per run (LAPACK
+``zgttrf``), every step (``zgttrs``), about twice as fast as a transform
+pair.  Both come from ``scipy.linalg``, which is imported on the first such
+run, not with this module: it costs about 0.2 s and loads ``numpy.f2py``,
+which other runs do not need.
 
-Split-step multiplies the spectrum by the kinetic phase and, only with a
-potential, transforms it back and the frame, times the half potential
-phase, forward again.  With a potential every frame is bit-identical to an
-``fftn``/``ifftn`` loop's.  A line uses ``numpy.fft``; 2-D and 3-D grids run
-``scipy.fft`` one axis at a time, last axis first, which rounds as
-``numpy.fft.fftn`` does and is about 40 % faster at 40^3.  ``scipy.fft`` is
-imported on the first such step, not with this module: the import loads
-``scipy.special`` and costs about 0.1 s and 3-7 MB of peak memory, which
-Crank-Nicolson runs and lines, where ``numpy.fft.fft`` is about as fast, do
-not pay.
+Split-step's spectrum is the Fourier one and its symbol the kinetic phase;
+its kinetic step is a transform pair around that phase, so with a potential
+every frame is bit-identical to an ``fftn``/``ifftn`` loop's.  A line uses
+``numpy.fft``; 2-D and 3-D grids run ``scipy.fft`` one axis at a time, last
+axis first, which rounds as ``numpy.fft.fftn`` does and is about 40 %
+faster at 40^3.  ``scipy.fft`` is imported on the first such step, not
+with this module: the import loads ``scipy.special`` and costs about 0.1 s
+and 3-7 MB of peak memory, which Crank-Nicolson runs and lines, where
+``numpy.fft.fft`` is about as fast, do not pay.
 
 ``evolve`` offers every frame to an optional sink, ``keep(j, frame)``, where
 ``frame()`` builds frame j on its first call and returns that same array on
@@ -109,18 +110,6 @@ def _cn_gamma(h: float, dt: float, m: float) -> complex:
     return gamma
 
 
-def _cn_banded(n: int, h: float, dt: float, m: float):
-    """A = I + i dt/2 K factored by zgttrf, as a zgttrs solve against those
-    factors, and the diagonal and off-diagonal of B = I - i dt/2 K, for
-    K = -D2/2m on n clamped nodes."""
-    from scipy.linalg.lapack import zgttrf, zgttrs  # here, not at the top: see the module docstring
-
-    gamma = _cn_gamma(h, dt, m)
-    off = np.full(n - 1, -gamma)
-    *lu, _ = zgttrf(off, np.full(n, 1.0 + 2.0 * gamma), off)  # A is diagonally dominant
-    return functools.partial(zgttrs, *lu), 1.0 - 2.0 * gamma, gamma
-
-
 def _cn_symbol(grid: Grid, dt: float, m: float) -> np.ndarray:
     """One free Crank-Nicolson step in the DST-I basis, which diagonalises T on
     every clamped axis: mode k of an n-node axis has eigenvalue
@@ -134,29 +123,41 @@ def _cn_symbol(grid: Grid, dt: float, m: float) -> np.ndarray:
     return symbol
 
 
-def _cn_axis_step(psi: np.ndarray, axis: int, solve, diag_b, off_b) -> np.ndarray:
-    """Solve A psi' = B psi along one axis; psi' is a new C-ordered array."""
-    v = psi.swapaxes(0, axis)
-    shape = v.shape
-    v = v.reshape(shape[0], -1)
-    rhs = np.multiply(diag_b, v, order="F")  # zgttrs solves in place in F order
-    rhs[:-1] += off_b * v[1:]
-    rhs[1:] += off_b * v[:-1]
-    x, _ = solve(rhs, overwrite_b=True)
-    out = np.empty(psi.shape, dtype=complex)
-    out.swapaxes(0, axis)[...] = x.reshape(shape)
-    return out
+def _cn_kinetic(grid: Grid, dt: float, m: float):
+    """The Crank-Nicolson kinetic step: A psi' = B psi along each axis, A =
+    I + gamma T factored once (zgttrf) and solved every step (zgttrs), into
+    a new C-ordered array; B = I - gamma T.  Its argument is never written."""
+    from scipy.linalg.lapack import zgttrf, zgttrs  # here, not at the top: see the module docstring
+
+    factors = []
+    for n, h in zip(grid.shape, grid.spacing):
+        gamma = _cn_gamma(h, dt, m)
+        off = np.full(n - 1, -gamma)
+        *lu, _ = zgttrf(off, np.full(n, 1.0 + 2.0 * gamma), off)  # A is diagonally dominant
+        factors.append((functools.partial(zgttrs, *lu), 1.0 - 2.0 * gamma, gamma))
+
+    def kinetic(psi: np.ndarray) -> np.ndarray:
+        for axis, (solve, diag_b, off_b) in enumerate(factors):
+            v = psi.swapaxes(0, axis)
+            shape = v.shape
+            v = v.reshape(shape[0], -1)
+            rhs = np.multiply(diag_b, v, order="F")  # zgttrs solves in place in F order
+            rhs[:-1] += off_b * v[1:]
+            rhs[1:] += off_b * v[:-1]
+            x, _ = solve(rhs, overwrite_b=True)
+            psi = np.empty(psi.shape, dtype=complex)
+            psi.swapaxes(0, axis)[...] = x.reshape(shape)
+        return psi
+
+    return kinetic
 
 
 def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
-    ks = []
-    for ax in range(grid.dim):
-        n = grid.shape[ax]
-        ks.append(2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[ax]))
-    k2 = np.zeros(grid.shape)
-    mesh = np.meshgrid(*ks, indexing="ij")
-    for km in mesh:
-        k2 += km ** 2
+    """One free split-step: exp(-i k^2 dt/2m) on the FFT's wavenumbers, k^2
+    the outer sum over axes of each axis's k^2."""
+    k2 = np.zeros(())
+    for n, h in zip(grid.shape, grid.spacing):
+        k2 = np.add.outer(k2, (2.0 * np.pi * np.fft.fftfreq(n, d=h)) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         phase = np.exp(-1j * k2 * dt / (2.0 * m))
     if not np.all(np.isfinite(phase)):  # a subnormal m, say
@@ -224,15 +225,11 @@ class _Frames(Sequence):
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
-    Strang splitting: half potential phase, full kinetic step (per-axis
-    Crank-Nicolson solves, or on periodic grids FFT passes, last axis
-    first), half potential phase.  A run without a potential, and every
-    split-step run, carries the spectrum between steps: the DST-I spectrum
-    for Crank-Nicolson, the Fourier spectrum for split-step.  A free step
-    multiplies it by the step's symbol and transforms a frame back only when
-    it is read, so free frames differ from a step-by-step solve at
-    roundoff; with a potential, Crank-Nicolson frames are the zgttrs solves'
-    and split-step frames equal a numpy.fft.fftn loop's bit for bit.
+    Runs one of the module's two loops: without a potential, the spectrum
+    carried and a frame transformed back only when it is read, so free
+    frames differ from a step-by-step solve at roundoff; with a potential,
+    Strang steps around the scheme's kinetic step, whose split-step frames
+    equal a numpy.fft.fftn loop's bit for bit.
     keep(j, frame) is called once per frame, j = 0..steps in order, and the
     frames it returns true for are stored.  frame() builds frame j on its
     first call and returns that same array on every later one, during
@@ -266,28 +263,26 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         if pauli:
             half_v = half_v[..., None]
 
-    # a run without a potential, and every split-step run, carries the
-    # spectrum phi that the next step's factor kin acts on; a Crank-Nicolson
-    # run with a potential (kin None) solves the factored matrices instead
-    axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
-    if cfg.scheme == "split-step":
-        fft = np.fft
-        if grid.dim > 1:
-            import scipy.fft as fft  # here, not at the top: see the module docstring
-        kin = _kinetic_phase(grid, cfg.dt, cfg.m)
-        forward, back = (functools.partial(_fft_passes, t, axes=axes) for t in (fft.fft, fft.ifft))
-    elif half_v is None:
-        kin = _cn_symbol(grid, cfg.dt, cfg.m)
-        forward, back = (functools.partial(_sine_passes, t, axes=axes)
-                         for t in (np.fft.fft, np.fft.ifft))
+    # a free run carries the spectrum phi that each step multiplies by kin; a
+    # run with a potential takes Strang steps around the scheme's kinetic step
+    if cfg.scheme == "crank-nicolson" and half_v is not None:
+        kinetic = _cn_kinetic(grid, cfg.dt, cfg.m)
     else:
-        kin = None
-        banded = [_cn_banded(grid.shape[ax], grid.spacing[ax], cfg.dt, cfg.m)
-                  for ax in range(grid.dim)]
-    if kin is not None:
-        if pauli:
-            kin = kin[..., None]
-        phi = forward(psi0 if half_v is None else psi0 * half_v)
+        axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
+        if cfg.scheme == "split-step":
+            fft = np.fft
+            if grid.dim > 1:
+                import scipy.fft as fft  # here, not at the top: see the module docstring
+            kin, passes = _kinetic_phase(grid, cfg.dt, cfg.m), _fft_passes
+        else:
+            fft, kin, passes = np.fft, _cn_symbol(grid, cfg.dt, cfg.m), _sine_passes
+        forward, back = (functools.partial(passes, t, axes=axes) for t in (fft.fft, fft.ifft))
+        kin = kin[..., None] if pauli else kin
+
+        def kinetic(psi: np.ndarray) -> np.ndarray:
+            phi = forward(psi)
+            phi *= kin
+            return back(phi)
 
     stored, frames = [], []
 
@@ -300,21 +295,16 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     # makes a new array, which the frames keep as it is
     psi = psi0.copy()
     store(0, _Frame(psi))
-    for j in range(1, cfg.steps + 1):
-        if kin is None:
-            psi = psi * half_v
-            for ax in range(grid.dim):
-                psi = _cn_axis_step(psi, ax, *banded[ax])
-            frame = _Frame(psi)
-        else:
+    if half_v is None:
+        phi = forward(psi0)
+        for j in range(1, cfg.steps + 1):
             phi = phi * kin  # a new array: an unbuilt frame keeps this step's spectrum
-            frame = _Frame(build=functools.partial(back, phi))
-        if half_v is not None:
-            psi = frame() * half_v
-            frame = _Frame(psi)
-        store(j, frame)
-        if half_v is not None and kin is not None and j < cfg.steps:
-            phi = forward(psi * half_v)
+            store(j, _Frame(build=functools.partial(back, phi)))
+    else:
+        for j in range(1, cfg.steps + 1):
+            psi = kinetic(psi * half_v)
+            psi *= half_v  # a new array that keep has not seen yet
+            store(j, _Frame(psi))
     times = cfg.dt * np.asarray(stored)
     spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
     dt = cfg.dt * spacing if len(stored) >= 2 else None

@@ -689,6 +689,34 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--levels", "3"]])
+def test_cli_config_that_is_not_utf8_exits_2(command, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert cli.main([command[0], str(cfg), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"{cfg}: not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+def test_cli_run_refuses_an_out_path_at_or_under_a_file_before_the_run(
+        under, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_run", lambda sc: pytest.fail("the run started"))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SCHRODINGER)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker.joinpath(*under)
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"{blocker} is not a directory" in captured.err
+    assert blocker.read_text() == "kept"
+
+
 def test_cli_unknown_subcommand_exit_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -519,29 +519,64 @@ def _solve_banded_step(psi, axis, h, dt, m):
     return np.moveaxis(solve_banded((1, 1), ab, rhs).reshape(shape), 0, axis)
 
 
+def _axes_grid(shape, boundary="clamped"):
+    """A grid whose axes differ in length and spacing."""
+    return gd.Grid(tuple(gd.Axis(-3.0, 3.0 + ax, n) for ax, n in enumerate(shape)), boundary)
+
+
+def _random_field(shape, components):
+    rng = np.random.default_rng(len(shape) + len(components))
+    return rng.normal(size=shape + components) + 1j * rng.normal(size=shape + components)
+
+
 @pytest.mark.parametrize("shape", [(37,), (9, 11), (5, 6, 7)])
 @pytest.mark.parametrize("components", [(), (2,)])
 def test_cn_step_equals_solve_banded(shape, components):
-    rng = np.random.default_rng(len(shape) + len(components))
-    psi = rng.normal(size=shape + components) + 1j * rng.normal(size=shape + components)
-    spacing = (0.1, 0.07, 0.13)
-    for ax in range(len(shape)):
-        step = dy._cn_banded(shape[ax], spacing[ax], 1e-3, 1.3)
-        got = dy._cn_axis_step(psi, ax, *step)
-        assert np.array_equal(got, _solve_banded_step(psi, ax, spacing[ax], 1e-3, 1.3))
-        assert got.flags.c_contiguous
+    grid = _axes_grid(shape)
+    psi = _random_field(shape, components)
+    want = psi
+    for ax, h in enumerate(grid.spacing):
+        want = _solve_banded_step(want, ax, h, 1e-3, 1.3)
+    got = dy._cn_kinetic(grid, 1e-3, 1.3)(psi)
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
 
 
 def _banded_frames(psi0, grid, cfg):
     """Every frame of a free Crank-Nicolson run, one zgttrs solve per axis and step."""
-    banded = [dy._cn_banded(n, h, cfg.dt, cfg.m) for n, h in zip(grid.shape, grid.spacing)]
+    kinetic = dy._cn_kinetic(grid, cfg.dt, cfg.m)
     frames = [psi0]
     for _ in range(cfg.steps):
-        psi = frames[-1]
-        for ax, step in enumerate(banded):
-            psi = dy._cn_axis_step(psi, ax, *step)
-        frames.append(psi)
+        frames.append(kinetic(frames[-1]))
     return frames
+
+
+def _strang_solve_banded_frames(psi0, grid, cfg):
+    """Every frame of a Crank-Nicolson run with a potential: half potential
+    phase, one solve_banded step per axis, half potential phase."""
+    half_v = np.exp(-0.5j * cfg.dt * cfg.V)
+    if psi0.ndim > grid.dim:
+        half_v = half_v[..., None]
+    frames = [psi0]
+    for _ in range(cfg.steps):
+        psi = frames[-1] * half_v
+        for ax, h in enumerate(grid.spacing):
+            psi = _solve_banded_step(psi, ax, h, cfg.dt, cfg.m)
+        frames.append(psi * half_v)
+    return frames
+
+
+@pytest.mark.parametrize("shape", [(37,), (9, 11), (5, 6, 7)])
+@pytest.mark.parametrize("components", [(), (2,)])
+def test_crank_nicolson_with_a_potential_equals_strang_steps_bit_for_bit(shape, components):
+    grid = _axes_grid(shape)
+    psi0 = _random_field(shape, components)
+    V = 0.5 * sum(x ** 2 for x in grid.meshgrid())
+    cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=5, V=V)
+    got = dy.evolve(psi0, grid, cfg).frames
+    want = _strang_solve_banded_frames(psi0, grid, cfg)
+    assert len(got) == len(want) == cfg.steps + 1
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 def _free_crank_nicolson_run(shape, steps):
@@ -640,6 +675,17 @@ def _numpy_split_step_frames(psi0, grid, cfg):
             psi = psi * half_v
         frames.append(psi)
     return frames
+
+
+@pytest.mark.parametrize("shape", [(64,), (30, 20), (7, 11, 13), (40, 40, 40)])
+def test_kinetic_phase_equals_a_meshgrid_reference(shape):
+    grid = _axes_grid(shape, "periodic")
+    ks = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.shape, grid.spacing)]
+    k2 = np.zeros(grid.shape)
+    for k in np.meshgrid(*ks, indexing="ij"):
+        k2 += k ** 2
+    want = np.exp(-1j * k2 * 1e-3 / (2.0 * 1.3))
+    assert dy._kinetic_phase(grid, 1e-3, 1.3).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(64,), (30, 20), (7, 11, 13)])
