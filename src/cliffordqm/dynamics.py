@@ -45,7 +45,10 @@ only the frames its caller reads.
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past a clamped grid's edges, since an RK4 stage may
 step outside the grid before the path is clamped, and wraps around a
-periodic grid, whose paths are never clamped.
+periodic grid, whose paths are never clamped.  It holds the frames as one
+flat array, a periodic grid's padded once with node 0 at the end of every
+axis, and finds a point's cell among each axis's interior nodes, so an RK4
+stage makes the same few numpy calls whatever the grid's boundary.
 """
 
 from __future__ import annotations
@@ -337,37 +340,68 @@ def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(a, lo), hi)
 
 
-def _cell_weights(coords: list, x: np.ndarray, wrap: bool = False) -> list:
-    """Corners and weights of multilinear interpolation at points x (n, dim).
+class _Interpolator:
+    """Multilinear interpolation in fields of one grid stacked in time.
 
-    Along each axis a point's cell starts at the last node at or below it,
-    clipped to the first and last cells, so a point past an edge
-    extrapolates linearly from the edge cell.  With wrap, each axis's coords
-    end with node 0 once more, one period on, and x lies within the period,
-    so the last cell joins the last node to node 0.  Returns (index tuple,
-    weight) per cell corner, in itertools.product((0, 1), repeat=dim) order.
+    The first grid.dim components of every frame are held once as one
+    C-contiguous (n_frames * rows, dim) array, so a stage finds its corners
+    by flat row.  A periodic grid's frames are padded on every axis with
+    node 0 once more, one period on, and its coords end with hi, so the last
+    cell joins the last node to node 0 and no corner takes a modulo.  Along
+    each axis a point's cell starts at the last node at or below it, clipped
+    to the first and last cells, which is its place among the interior
+    nodes c[1:-1]: a point past a clamped grid's edge extrapolates linearly
+    from the edge cell, and a point on a periodic grid is read at its image
+    in the period [lo, hi).
     """
-    lower, frac = [], []
-    for ax, c in enumerate(coords):
-        i = _clamp(np.searchsorted(c, x[:, ax], side="right") - 1, 0, c.size - 2)
-        lower.append(i)
-        frac.append((x[:, ax] - c[i]) / (c[i + 1] - c[i]))
-    corners = []
-    for bits in itertools.product((0, 1), repeat=len(coords)):
-        weight = math.prod(y if b else 1 - y for y, b in zip(frac, bits))
-        index = tuple(i + b for i, b in zip(lower, bits))
-        if wrap:
-            index = tuple(i % (c.size - 1) for i, c in zip(index, coords))
-        corners.append((index, weight[:, None]))
-    return corners
 
+    def __init__(self, grid: Grid, frames):
+        dim = grid.dim
+        self.periodic = grid.boundary == "periodic"
+        self.lo = np.array([ax.lo for ax in grid.axes])
+        self.period = np.array([ax.hi for ax in grid.axes]) - self.lo
+        coords = [grid.coords(ax) for ax in range(dim)]
+        v = np.stack([frame[..., :dim] for frame in frames])
+        if self.periodic:
+            coords = [np.append(c, ax.hi) for c, ax in zip(coords, grid.axes)]
+            v = np.pad(v, [(0, 0)] + [(0, 1)] * dim + [(0, 0)], mode="wrap")
+        self.coords = coords
+        self.inner = [c[1:-1] for c in coords]
+        self.widths = [np.diff(c) for c in coords]  # the bits of c[i + 1] - c[i]
+        self.steps = [s // v.strides[-2] for s in v.strides[1:-1]]  # rows per node, per axis
+        self.flat = v.reshape(-1, dim)
+        # bases[f]: the rows of the corners of frame f's cell at node 0, in
+        # itertools.product order
+        corners = np.array(list(itertools.product((0, 1), repeat=dim))) @ self.steps
+        first_rows = v.shape[1] * self.steps[0] * np.arange(len(v))
+        self.bases = first_rows[:, None, None] + corners[:, None]
+        self._one = np.ones((1, 1))
 
-def _interpolate(field: np.ndarray, corners: list) -> np.ndarray:
-    """Sum of corner values times weights; field is (*grid.shape, k)."""
-    value = 0.0  # so that a sum of zeros is +0.0, whatever the signs of its terms
-    for idx, weight in corners:
-        value = value + field[idx] * weight
-    return value
+    def locate(self, base: np.ndarray, x: np.ndarray):
+        """The rows of the corners of the cells of points x (n, dim), from
+        bases (..., 2^dim, 1) of ``self.bases``, and their weights (2^dim, n, 1),
+        corners in itertools.product((0, 1), repeat=dim) order."""
+        if self.periodic:
+            x = self.lo + np.mod(x - self.lo, self.period)
+        rows, weight = base, self._one  # the empty product: 1.0 * w has w's bits
+        for ax, (inner, c, widths, step) in enumerate(
+                zip(self.inner, self.coords, self.widths, self.steps)):
+            i = inner.searchsorted(x[:, ax], "right")
+            y = (x[:, ax] - c[i]) / widths[i]
+            rows = rows + i * step
+            weight = (weight[:, None] * np.array((1 - y, y))).reshape(-1, len(x))
+        return rows, weight[..., None]
+
+    def __call__(self, base: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The values at points x (n, dim) of frame f, (n, dim), for base
+        ``self.bases[f]``, or of frames f..g, (g + 1 - f, n, dim), for
+        ``self.bases[f:g + 1]``."""
+        rows, weights = self.locate(base, x)
+        terms = self.flat.take(rows, axis=0) * weights
+        value = 0.0  # so that a sum of zeros is +0.0, whatever the signs of its terms
+        for k in range(len(weights)):
+            value = value + terms[..., k, :, :]
+        return value
 
 
 def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) -> TrajectorySet:
@@ -375,44 +409,36 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
 
     Classic 4th-order one-step integration per frame interval; velocity is
     multilinear in space and linear in time, so the last stage reads the
-    interval's end frame alone.  On a clamped grid, paths leaving the grid
-    are clamped and flagged; on a periodic grid the velocity is read at the
-    position modulo the period, interpolated across the wrap between the
-    last node and node 0, and paths are kept unwrapped, never clamped.
-    Paths that reach a node where masks[frame] is False (a density node, as
-    in ``SpinorField.mask``) are frozen and flagged.  Every seed takes every
+    interval's end frame alone.  Each stage locates its points once, by
+    their places among each axis's interior nodes, and gathers every
+    corner's velocity by flat row, of frames f and f + 1 at once in the two
+    midpoint stages (``_Interpolator``).  On a clamped grid, paths leaving
+    the grid are clamped and flagged; on a periodic grid, padded once with
+    node 0 at the end of every axis, the velocity is read at the position
+    modulo the period, interpolated across the wrap between the last node
+    and node 0, and paths are kept unwrapped, never clamped.  Paths that
+    reach a node where masks[frame] is False (a density node, as in
+    ``SpinorField.mask``) are frozen and flagged.  Every seed takes every
     step, and a frozen seed keeps its position in place of its step's
-    result, so a moving seed's path does not depend on the others.
+    result, so a moving seed's path does not depend on the others.  A seed
+    that is not finite and within [lo, hi] on every axis, or a number of
+    masks other than one per frame, raises GridError.
     """
     grid = velocity_series.grid
     dim = grid.dim
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.shape[1] != dim:
         raise GridError(f"seeds must have {dim} coordinates")
+    if len(masks) != len(velocity_series):
+        raise GridError(f"{len(masks)} masks for {len(velocity_series)} frames")
     lo = np.array([ax.lo for ax in grid.axes])
     hi = np.array([ax.hi for ax in grid.axes])
-    if np.any(seeds < lo) or np.any(seeds > hi):
+    if not np.all((seeds >= lo) & (seeds <= hi)):  # a NaN seed fails both
         raise GridError("seed outside grid")
 
     periodic = grid.boundary == "periodic"
     n, h = np.array(grid.shape), np.array(grid.spacing)
-    # a periodic axis ends with node 0 again, one period on
-    coords = [grid.coords(ax) if not periodic else
-              np.append(grid.coords(ax), hi[ax]) for ax in range(dim)]
-    frames = [frame[..., :dim] for frame in velocity_series.frames]
-
-    def within(x: np.ndarray) -> np.ndarray:
-        """x, or on a periodic grid its image in the period [lo, hi)."""
-        return lo + np.mod(x - lo, hi - lo) if periodic else x
-
-    def vel(f: int, x: np.ndarray) -> np.ndarray:
-        """The velocity of frame f at x."""
-        return _interpolate(frames[f], _cell_weights(coords, within(x), periodic))
-
-    def vel_mid(f: int, x: np.ndarray) -> np.ndarray:
-        """The velocity halfway between frames f and f + 1 at x."""
-        corners = _cell_weights(coords, within(x), periodic)
-        return 0.5 * _interpolate(frames[f], corners) + 0.5 * _interpolate(frames[f + 1], corners)
+    vel = _Interpolator(grid, velocity_series.frames)
 
     def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
         node = np.rint((x - lo) / h).astype(int)
@@ -425,10 +451,12 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     paths[0] = x = seeds
     truncated = np.zeros(seeds.shape[0], dtype=bool)
     for f in range(n_frames - 1):
-        k1 = vel(f, x)
-        k2 = vel_mid(f, x + 0.5 * dt * k1)
-        k3 = vel_mid(f, x + 0.5 * dt * k2)
-        k4 = vel(f + 1, x + dt * k3)
+        k1 = vel(vel.bases[f], x)
+        k2 = vel(vel.bases[f:f + 2], x + 0.5 * dt * k1)
+        k2 = 0.5 * k2[0] + 0.5 * k2[1]
+        k3 = vel(vel.bases[f:f + 2], x + 0.5 * dt * k2)
+        k3 = 0.5 * k3[0] + 0.5 * k3[1]
+        k4 = vel(vel.bases[f + 1], x + dt * k3)
         step = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out = False if periodic else np.any((step < lo) | (step > hi), axis=1)
         if not periodic:

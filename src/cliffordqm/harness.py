@@ -53,7 +53,9 @@ RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 # stacked pass that derives them.  A warmed seeded run_scenario at n = 4096
 # and stride 1 traced 142 and 144 B a point per frame over the run without
 # seeds on schrodinger_gaussian, and 333 and 336 B on pauli_texture, at 41
-# and 201 frames.
+# and 201 frames.  The RK4 interpolator's flat velocity copy, 8 B a point
+# per grid axis (for a moment 16 B on a periodic grid, while it is padded),
+# comes after that pass has freed its temporaries: it does not raise the peak.
 STRIDE_FRAME_BYTES_PER_POINT = {"schrodinger": 256, "pauli": 512}
 
 

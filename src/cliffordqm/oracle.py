@@ -23,10 +23,11 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 
 @lru_cache(maxsize=None)
-def _blade_matrices(sig: Signature) -> tuple:
-    """Representation of each blade, in blade order; read-only, one per signature."""
+def _blade_matrices(sig: Signature) -> np.ndarray:
+    """Representation of each blade, stacked in blade order: (dim, 2, 2), or
+    (2,) for Cl(0,1); read-only, one per signature."""
     if (sig.p, sig.q) == (0, 1):
-        mats = [np.array(1.0 + 0j), np.array(1j)]
+        mats = np.array([1.0 + 0j, 1j])
     else:
         mats = []
         for blade in ((), (1,), (2,), (3,), (2, 3), (1, 3), (1, 2), (1, 2, 3)):
@@ -34,15 +35,15 @@ def _blade_matrices(sig: Signature) -> tuple:
             for idx in blade:
                 m = m @ SIGMA[idx - 1]
             mats.append(m)
-    for m in mats:
-        m.flags.writeable = False
-    return tuple(mats)
+        mats = np.array(mats)
+    mats.flags.writeable = False
+    return mats
 
 
 def matrix_rep(a: Multivector):
     """Algebra homomorphism into C (for Cl(0,1)) or 2x2 complex matrices."""
     mats = _blade_matrices(a.signature)
-    out = sum(c * m for c, m in zip(a.coeffs, mats))
+    out = (a.coeffs.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats).sum(axis=0)
     if (a.signature.p, a.signature.q) == (0, 1):
         return complex(out)
     return out

@@ -1,5 +1,7 @@
 """Time evolution schemes and Bohm trajectory integration."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -187,6 +189,25 @@ def test_trajectory_truncation_at_edge():
     assert traj.truncated[0]
     # once clamped the path stays at the boundary
     assert traj.paths[-1, 0, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+@pytest.mark.parametrize("seed", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+def test_a_seed_not_finite_and_inside_the_grid_is_refused(seed, boundary):
+    """A NaN seed fails both seed < lo and seed > hi, so it is refused by
+    asking that every seed lie in [lo, hi], not that none lie outside."""
+    grid = gd.Grid(tuple(gd.Axis(0.0, 1.0, 10) for _ in range(2)), boundary)
+    series = gd.SnapshotSeries([0.0, 0.1], [np.ones(grid.shape + (2,))] * 2, grid)
+    with pytest.raises(gd.GridError, match="seed outside grid"):
+        dy.integrate_trajectories(series, [[0.5, 0.5], [0.5, seed]], no_nodes(series))
+
+
+def test_one_mask_per_frame_is_required():
+    grid = gd.Grid.line(0.0, 1.0, 10)
+    series = gd.SnapshotSeries([0.0, 0.1, 0.2], [np.ones(grid.shape + (1,))] * 3, grid)
+    for masks in (no_nodes(series)[:2], no_nodes(series) * 2):
+        with pytest.raises(gd.GridError, match="masks for 3 frames"):
+            dy.integrate_trajectories(series, [[0.5]], masks)
 
 
 def test_periodic_paths_wrap_across_the_period_edge():
@@ -731,9 +752,9 @@ def test_free_split_step_keeps_the_norm(shape, steps):
 def test_interpolator_equals_regular_grid_interpolator(dim, tol):
     """Bitwise in 1-D and 3-D; scipy's 2-D fast path rounds differently."""
     rng = np.random.default_rng(dim)
-    shape = (7, 5, 6)[:dim]
-    coords = [np.linspace(-1.0, 2.0 + ax, n) for ax, n in enumerate(shape)]
-    field = rng.normal(size=shape + (dim,))
+    grid = gd.Grid(tuple(gd.Axis(-1.0, 2.0 + ax, n) for ax, n in enumerate((7, 5, 6)[:dim])))
+    coords = [grid.coords(ax) for ax in range(dim)]
+    field = rng.normal(size=grid.shape + (dim,))
     columns = []
     for c in coords:
         h = c[1] - c[0]
@@ -742,7 +763,8 @@ def test_interpolator_equals_regular_grid_interpolator(dim, tol):
                               rng.uniform(c[0] - h, c[-1] + h, 60)])
         columns.append(np.concatenate([col, rng.permutation(col)])[:120])
     x = np.stack(columns, axis=1)
-    got = dy._interpolate(field, dy._cell_weights(coords, x))
+    interp = dy._Interpolator(grid, [field])
+    got = interp(interp.bases[0], x)
     ref = np.column_stack([
         RegularGridInterpolator(coords, field[..., ax], bounds_error=False,
                                 fill_value=None)(x)
@@ -751,6 +773,147 @@ def test_interpolator_equals_regular_grid_interpolator(dim, tol):
         assert np.array_equal(got, ref)
     else:
         assert np.max(np.abs(got - ref)) <= tol
+
+
+@st.composite
+def _line_and_points(draw):
+    """A clamped or periodic line and points on its nodes, at lo and hi, and
+    anywhere from one cell below lo to one cell above hi."""
+    n = draw(st.integers(gd.MIN_POINTS, 40))
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    grid = gd.Grid.line(lo, hi, n, draw(st.sampled_from(["clamped", "periodic"])))
+    c, h = grid.coords(0), grid.spacing[0]
+    point = st.one_of(st.sampled_from(list(c) + [lo, hi]), st.floats(lo - h, hi + h))
+    return grid, np.array(draw(st.lists(point, min_size=1, max_size=20)))
+
+
+@given(_line_and_points())
+def test_a_cell_is_found_among_the_interior_nodes(case):
+    """The lower corner of a point's cell is its place among the interior
+    nodes c[1:-1], which is searchsorted(c, x, "right") - 1 clipped to the
+    cells [0, n - 2]; c ends with hi on a periodic line, whose points are
+    read in the period [lo, hi)."""
+    grid, x = case
+    interp = dy._Interpolator(grid, [np.zeros(grid.shape + (1,))])
+    c, image = interp.coords[0], x
+    if grid.boundary == "periodic":
+        assert c[-1] == grid.axes[0].hi and c.size == grid.shape[0] + 1
+        image = grid.axes[0].lo + np.mod(x - grid.axes[0].lo, interp.period[0])
+    want = np.clip(np.searchsorted(c, image, "right") - 1, 0, c.size - 2)
+    rows, weights = interp.locate(interp.bases[0], x[:, None])
+    assert np.array_equal(rows[0], want)
+    assert np.array_equal(rows[1], want + 1)
+    assert weights.sum(axis=0) == pytest.approx(1.0)
+
+
+def _reference_trajectories(series, seeds, masks):
+    """The RK4 loop as it interpolated before the flat gather: per stage and
+    axis a search among all nodes, clipped, and each corner's index taken
+    modulo the period on a periodic grid."""
+    def cell_weights(coords, x, wrap):
+        lower, frac = [], []
+        for ax, c in enumerate(coords):
+            i = np.clip(np.searchsorted(c, x[:, ax], side="right") - 1, 0, c.size - 2)
+            lower.append(i)
+            frac.append((x[:, ax] - c[i]) / (c[i + 1] - c[i]))
+        corners = []
+        for bits in itertools.product((0, 1), repeat=len(coords)):
+            weight = math.prod(y if b else 1 - y for y, b in zip(frac, bits))
+            index = tuple(i + b for i, b in zip(lower, bits))
+            if wrap:
+                index = tuple(i % (c.size - 1) for i, c in zip(index, coords))
+            corners.append((index, weight[:, None]))
+        return corners
+
+    def interpolate(field, corners):
+        value = 0.0
+        for idx, weight in corners:
+            value = value + field[idx] * weight
+        return value
+
+    grid = series.grid
+    dim = grid.dim
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    lo = np.array([ax.lo for ax in grid.axes])
+    hi = np.array([ax.hi for ax in grid.axes])
+    periodic = grid.boundary == "periodic"
+    n, h = np.array(grid.shape), np.array(grid.spacing)
+    coords = [grid.coords(ax) if not periodic else
+              np.append(grid.coords(ax), hi[ax]) for ax in range(dim)]
+    frames = [frame[..., :dim] for frame in series.frames]
+
+    def within(x):
+        return lo + np.mod(x - lo, hi - lo) if periodic else x
+
+    def vel(f, x):
+        return interpolate(frames[f], cell_weights(coords, within(x), periodic))
+
+    def vel_mid(f, x):
+        corners = cell_weights(coords, within(x), periodic)
+        return 0.5 * interpolate(frames[f], corners) + 0.5 * interpolate(frames[f + 1], corners)
+
+    def masked_out(x, frame):
+        node = np.rint((x - lo) / h).astype(int)
+        node = np.mod(node, n) if periodic else np.clip(node, 0, n - 1)
+        return ~masks[frame][tuple(node.T)]
+
+    dt = series.dt
+    paths = np.empty((len(series),) + seeds.shape)
+    paths[0] = x = seeds
+    truncated = np.zeros(seeds.shape[0], dtype=bool)
+    for f in range(len(series) - 1):
+        k1 = vel(f, x)
+        k2 = vel_mid(f, x + 0.5 * dt * k1)
+        k3 = vel_mid(f, x + 0.5 * dt * k2)
+        k4 = vel(f + 1, x + dt * k3)
+        step = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        out = False if periodic else np.any((step < lo) | (step > hi), axis=1)
+        if not periodic:
+            step = np.clip(step, lo, hi)
+        paths[f + 1] = x = np.where(truncated[:, None], x, step)
+        truncated |= out | masked_out(step, f + 1)
+    return paths, truncated
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flat_gather_paths_equal_the_per_corner_loop_bit_for_bit(dim, boundary):
+    """A drifting flow with noise, on axes of different lengths and sizes, and
+    a third velocity component that the paths must not read.  Seeds sit on
+    nodes, at lo and at hi, inside cells, and on a node whose mask is False;
+    the drift carries paths over hi, where they leave a clamped grid mid-run
+    and cross the period edge of a periodic one."""
+    rng = np.random.default_rng(10 * dim + (boundary == "periodic"))
+    grid = gd.Grid(tuple(gd.Axis(-1.0, 2.0 + ax, n) for ax, n in enumerate((9, 7, 6)[:dim])),
+                   boundary)
+    times = np.linspace(0.0, 2.0, 21)
+    frames = [0.9 + 0.3 * t + 0.2 * rng.normal(size=grid.shape + (3,)) for t in times]
+    series = gd.SnapshotSeries(times, frames, grid)
+    c = [grid.coords(ax) for ax in range(dim)]
+    lo = [ax.lo for ax in grid.axes]
+    hi = [ax.hi for ax in grid.axes]
+    masked = tuple(size // 2 for size in grid.shape)
+    node = np.ones(grid.shape, bool)
+    node[masked] = False  # in frames 1 and 2, before the drift carries other seeds there
+    seeds = np.array([[ca[2] for ca in c], lo, hi,
+                      [ca[-2] for ca in c],  # near hi: leaves or wraps within a few steps
+                      [ca[1] + 0.37 * (ca[2] - ca[1]) for ca in c],
+                      [ca[i] for ca, i in zip(c, masked)]])
+    seeds = np.vstack([seeds, rng.uniform(lo, hi, (6, dim))])
+    masks = [np.ones(grid.shape, bool), node, node] + [np.ones(grid.shape, bool)] * 18
+    want_paths, want_truncated = _reference_trajectories(series, seeds, masks)
+    traj = dy.integrate_trajectories(series, seeds, masks)
+    assert traj.paths.tobytes() == want_paths.tobytes()
+    assert traj.truncated.tobytes() == want_truncated.tobytes()
+    frozen = traj.paths[:, 5]
+    assert traj.truncated[5] and np.all(frozen[1:] == frozen[1])  # held at the masked node
+    if boundary == "clamped":
+        assert traj.truncated[2] and traj.truncated[3]
+        assert np.any(traj.paths[-1] == hi)
+    else:
+        assert np.any(traj.paths[-1] > hi)  # unwrapped past the period edge
+        assert not traj.truncated[[0, 1, 2, 3, 4]].any()
 
 
 def _fresh_python(code: str) -> str:
