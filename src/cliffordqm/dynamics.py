@@ -5,24 +5,22 @@ that the algebraic identities checked by the observables module are tested
 against an independent generator of the fields, not against themselves.
 
 ``evolve`` runs one of two loops.  A run without a potential, of either
-scheme, carries its spectrum from step to step: a step multiplies the
-spectrum by the scheme's symbol into a new array, and its frame holds that
-step's spectrum until it is first read, when the inverse transform builds
-it and the spectrum is dropped; a frame nobody reads is never transformed
-back.  A run with a potential takes Strang steps (Strang, SIAM J. Numer.
-Anal. 5 (1968) 506): half the potential phase, the scheme's kinetic step,
-half the potential phase, each frame stored as it is made.
+scheme, is diagonal in its spectrum, where a step turns each mode by the
+angle theta of its scheme: frame j is psi0's spectrum times exp(-i j theta),
+transformed back on its first read, so a step does no array work and an
+unbuilt frame holds only j.  A run with a potential takes Strang steps
+(Strang, SIAM J. Numer. Anal. 5 (1968) 506): half the potential phase, the
+scheme's kinetic step, half the potential phase, each frame stored as made.
 
 Crank-Nicolson's spectrum is the type-I discrete sine (DST-I) one, which
-diagonalises the clamped second difference on every axis, so its symbol
-multiplies each mode by its Cayley factor (1 - gamma lam)/(1 + gamma lam).
-The DST-I is the odd extension of each axis through ``numpy.fft``, so a
-free run loads neither ``scipy.linalg`` nor ``scipy.fft``.  Its kinetic
-step solves each axis's tridiagonal matrix, factored once per run (LAPACK
-``zgttrf``), every step (``zgttrs``), about twice as fast as a transform
-pair.  Both come from ``scipy.linalg``, which is imported on the first such
-run, not with this module: it costs about 0.2 s and loads ``numpy.f2py``,
-which other runs do not need.
+diagonalises the clamped second difference on every axis, and each mode's
+Cayley factor is a phase.  The DST-I is the odd extension of each axis
+through ``numpy.fft``, so a free run loads neither ``scipy.linalg`` nor
+``scipy.fft``.  Its kinetic step solves each axis's tridiagonal matrix,
+factored once per run (LAPACK ``zgttrf``), every step (``zgttrs``), about
+twice as fast as a transform pair.  Both come from ``scipy.linalg``, which
+is imported on the first such run, not with this module: it costs about
+0.2 s and loads ``numpy.f2py``, which other runs do not need.
 
 Split-step's spectrum is the Fourier one and its symbol the kinetic phase;
 its kinetic step is a transform pair around that phase, so with a potential
@@ -113,19 +111,6 @@ def _cn_gamma(h: float, dt: float, m: float) -> complex:
     return gamma
 
 
-def _cn_symbol(grid: Grid, dt: float, m: float) -> np.ndarray:
-    """One free Crank-Nicolson step in the DST-I basis, which diagonalises T on
-    every clamped axis: mode k of an n-node axis has eigenvalue
-    4 sin^2(pi k / 2(n+1)) and is multiplied by (1 - gamma lam)/(1 + gamma lam);
-    the axes' factors commute, so the grid's symbol is their outer product."""
-    symbol = np.ones(())
-    for n, h in zip(grid.shape, grid.spacing):
-        gamma = _cn_gamma(h, dt, m)
-        lam = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
-        symbol = np.multiply.outer(symbol, (1.0 - gamma * lam) / (1.0 + gamma * lam))
-    return symbol
-
-
 def _cn_kinetic(grid: Grid, dt: float, m: float):
     """The Crank-Nicolson kinetic step: A psi' = B psi along each axis, A =
     I + gamma T factored once (zgttrf) and solved every step (zgttrs), into
@@ -168,6 +153,24 @@ def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
     return phase
 
 
+def _free_angles(grid: Grid, cfg: EvolutionConfig) -> list:
+    """Each axis's angles theta: a free step multiplies spectral mode k by
+    exp(-i theta_k) per axis.  Split-step's are k^2 dt/2m; a clamped axis's
+    DST-I mode k has T's eigenvalue lam = 4 sin^2(pi k / 2(n+1)) and Cayley
+    factor (1 - i b lam)/(1 + i b lam) = exp(-2i arctan(b lam)), b = dt/(4 m h^2)."""
+    angles = []
+    with np.errstate(over="ignore"):  # reported below
+        for n, h in zip(grid.shape, grid.spacing):
+            if cfg.scheme == "split-step":
+                angles.append((2.0 * np.pi * np.fft.fftfreq(n, d=h)) ** 2 * cfg.dt / (2.0 * cfg.m))
+            else:
+                lam = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+                angles.append(2.0 * np.arctan(_cn_gamma(h, cfg.dt, cfg.m).imag * lam))
+        if not all(np.isfinite(cfg.steps * np.max(theta)) for theta in angles):  # a subnormal m
+            raise GridError("split-step kinetic phase is not finite: dt/(m h^2) overflows")
+    return angles
+
+
 def _fft_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
     """transform along each of axes in turn, into a new array: x is never written."""
     x = transform(x, axis=axes[0])
@@ -197,8 +200,8 @@ def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
 
 class _Frame:
     """Frame j of a run: psi, or, when psi is None, build() on the first call,
-    after which build and the spectrum it holds are dropped.  Every call
-    returns the same array."""
+    after which build and what it holds are dropped.  Every call returns
+    the same array."""
 
     def __init__(self, psi: np.ndarray = None, build=None):
         self.psi, self.build = psi, build
@@ -228,8 +231,8 @@ class _Frames(Sequence):
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
     """Evolve a complex field (trailing 2-component axis allowed).
 
-    Runs one of the module's two loops: without a potential, the spectrum
-    carried and a frame transformed back only when it is read, so free
+    Runs one of the module's two loops: without a potential, each frame
+    built from psi0's spectrum in closed form when it is read, so free
     frames differ from a step-by-step solve at roundoff; with a potential,
     Strang steps around the scheme's kinetic step, whose split-step frames
     equal a numpy.fft.fftn loop's bit for bit.
@@ -266,26 +269,30 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         if pauli:
             half_v = half_v[..., None]
 
-    # a free run carries the spectrum phi that each step multiplies by kin; a
-    # run with a potential takes Strang steps around the scheme's kinetic step
+    # a free run builds frame j from psi0's spectrum phi0 and j times each
+    # axis's angles; a run with a potential takes Strang steps around the
+    # scheme's kinetic step
     if cfg.scheme == "crank-nicolson" and half_v is not None:
         kinetic = _cn_kinetic(grid, cfg.dt, cfg.m)
     else:
         axes = tuple(reversed(range(grid.dim)))  # numpy.fft.fftn's order
-        if cfg.scheme == "split-step":
-            fft = np.fft
-            if grid.dim > 1:
-                import scipy.fft as fft  # here, not at the top: see the module docstring
-            kin, passes = _kinetic_phase(grid, cfg.dt, cfg.m), _fft_passes
-        else:
-            fft, kin, passes = np.fft, _cn_symbol(grid, cfg.dt, cfg.m), _sine_passes
+        fft, passes = np.fft, (_fft_passes if cfg.scheme == "split-step" else _sine_passes)
+        if cfg.scheme == "split-step" and grid.dim > 1:
+            import scipy.fft as fft  # here, not at the top: see the module docstring
         forward, back = (functools.partial(passes, t, axes=axes) for t in (fft.fft, fft.ifft))
-        kin = kin[..., None] if pauli else kin
+        if half_v is None:
+            angles, phi0 = _free_angles(grid, cfg), forward(psi0)
+        else:
+            kin = _kinetic_phase(grid, cfg.dt, cfg.m).reshape(half_v.shape)
 
         def kinetic(psi: np.ndarray) -> np.ndarray:
             phi = forward(psi)
             phi *= kin
             return back(phi)
+
+    def build(j: int) -> np.ndarray:  # free frame j: phi0 times S_j, the axes' exp(-i j theta)
+        s_j = functools.reduce(np.multiply.outer, (np.exp(-1j * j * t) for t in angles), np.ones(()))
+        return back(phi0 * (s_j[..., None] if pauli else s_j))
 
     stored, frames = [], []
 
@@ -294,15 +301,13 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
             stored.append(j)
             frames.append(frame)
 
-    # one copy keeps the caller's psi0 out of the frames; every step below
-    # makes a new array, which the frames keep as it is
+    # one copy keeps the caller's psi0 out of the frames; every Strang step
+    # below makes a new array, which the frames keep as it is
     psi = psi0.copy()
     store(0, _Frame(psi))
     if half_v is None:
-        phi = forward(psi0)
         for j in range(1, cfg.steps + 1):
-            phi = phi * kin  # a new array: an unbuilt frame keeps this step's spectrum
-            store(j, _Frame(build=functools.partial(back, phi)))
+            store(j, _Frame(build=functools.partial(build, j)))  # an unbuilt frame holds only j
     else:
         for j in range(1, cfg.steps + 1):
             psi = kinetic(psi * half_v)
@@ -361,10 +366,13 @@ class _Interpolator:
         self.lo = np.array([ax.lo for ax in grid.axes])
         self.period = np.array([ax.hi for ax in grid.axes]) - self.lo
         coords = [grid.coords(ax) for ax in range(dim)]
-        v = np.stack([frame[..., :dim] for frame in frames])
-        if self.periodic:
+        v = np.empty((len(frames),) + tuple(n + self.periodic for n in grid.shape) + (dim,))
+        for f, frame in enumerate(frames):
+            v[(f, *map(slice, grid.shape))] = frame[..., :dim]
+        if self.periodic:  # node 0 once more at the end of every axis, in place
             coords = [np.append(c, ax.hi) for c, ax in zip(coords, grid.axes)]
-            v = np.pad(v, [(0, 0)] + [(0, 1)] * dim + [(0, 0)], mode="wrap")
+            for ax in range(1, dim + 1):
+                v[(slice(None),) * ax + (-1,)] = v[(slice(None),) * ax + (0,)]
         self.coords = coords
         self.inner = [c[1:-1] for c in coords]
         self.widths = [np.diff(c) for c in coords]  # the bits of c[i + 1] - c[i]
@@ -420,12 +428,14 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     reach a node where masks[frame] is False (a density node, as in
     ``SpinorField.mask``) are frozen and flagged.  Every seed takes every
     step, and a frozen seed keeps its position in place of its step's
-    result, so a moving seed's path does not depend on the others.  A seed
-    that is not finite and within [lo, hi] on every axis, or a number of
-    masks other than one per frame, raises GridError.
+    result, so a moving seed's path does not depend on the others.  A series
+    with no frames, a seed that is not finite and within [lo, hi] on every
+    axis, or a number of masks other than one per frame, raises GridError.
     """
     grid = velocity_series.grid
     dim = grid.dim
+    if len(velocity_series) == 0:
+        raise GridError("the velocity series has no frames")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.shape[1] != dim:
         raise GridError(f"seeds must have {dim} coordinates")

@@ -17,6 +17,7 @@ from scipy.linalg import solve_banded
 
 from cliffordqm import dynamics as dy
 from cliffordqm import grids as gd
+from cliffordqm import harness
 from cliffordqm import observables as ob
 
 
@@ -200,6 +201,13 @@ def test_a_seed_not_finite_and_inside_the_grid_is_refused(seed, boundary):
     series = gd.SnapshotSeries([0.0, 0.1], [np.ones(grid.shape + (2,))] * 2, grid)
     with pytest.raises(gd.GridError, match="seed outside grid"):
         dy.integrate_trajectories(series, [[0.5, 0.5], [0.5, seed]], no_nodes(series))
+
+
+def test_a_series_with_no_frames_is_refused():
+    grid = gd.Grid.line(0.0, 1.0, 8)
+    empty = gd.SnapshotSeries(np.zeros(0), [], grid)
+    with pytest.raises(gd.GridError, match="no frames"):
+        dy.integrate_trajectories(empty, [[0.5]], [])
 
 
 def test_one_mask_per_frame_is_required():
@@ -477,12 +485,15 @@ def test_free_split_step_transforms_back_only_the_frames_read(shape, monkeypatch
     monkeypatch.undo()
     want = _numpy_split_step_frames(psi0, grid, cfg)
     assert [f.tobytes() for f in got] == [want[j].tobytes() for j in read]
+    chained = _chained_free_split_step_frames(psi0, grid, cfg)
+    for frame, j in zip(got, read):
+        assert np.max(np.abs(frame - chained[j])) <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(64,), (6, 7, 8)])
 @pytest.mark.parametrize("harmonic", [False, True])
 def test_frames_read_last_to_first_equal_frames_read_in_order(shape, harmonic):
-    """Each unbuilt frame holds its own step's spectrum, so the order of the
+    """Each unbuilt frame holds only its own step index, so the order of the
     reads does not matter, and frame() stays valid after keep returns."""
     psi0, grid, cfg = _free_split_step_run(shape, harmonic)
     in_order = []
@@ -497,19 +508,26 @@ def test_frames_read_last_to_first_equal_frames_read_in_order(shape, harmonic):
 
 
 def test_a_read_frame_drops_its_spectrum():
-    """Once every frame of a free run has been read, the series holds the
+    """Before any read a free run holds frame 0 and psi0's spectrum, whatever
+    its steps, and per step only a few hundred bytes of bookkeeping, far
+    below a spectrum.  Once every frame has been read, the series holds the
     steps + 1 frames and no spectrum beside them."""
-    psi0, grid, cfg = _free_split_step_run((16, 16, 16))
-    dy.evolve(psi0, grid, cfg)  # imports scipy.fft and plans its transforms
-    tracemalloc.start()
-    try:
-        series = dy.evolve(psi0, grid, cfg)
-        for frame in series.frames:
-            assert frame.nbytes == psi0.nbytes
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= (cfg.steps + 1) * psi0.nbytes + psi0.nbytes // 4, held / psi0.nbytes
+    for steps in (12, 100):
+        psi0, grid, cfg = _free_split_step_run((16, 16, 16))
+        cfg.steps = steps
+        dy.evolve(psi0, grid, cfg)  # imports scipy.fft and plans its transforms
+        tracemalloc.start()
+        try:
+            series = dy.evolve(psi0, grid, cfg)
+            unread = tracemalloc.get_traced_memory()[0]
+            for frame in series.frames:
+                assert frame.nbytes == psi0.nbytes
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert unread <= 2 * psi0.nbytes + psi0.nbytes // 8 + 512 * steps, unread / psi0.nbytes
+        assert held <= (steps + 1) * psi0.nbytes + psi0.nbytes // 8 + 1024 * steps, \
+            held / psi0.nbytes
 
 
 def test_evolve_keep_rejects_unevenly_spaced_frames():
@@ -669,25 +687,44 @@ def test_sine_passes_equal_the_sine_matrix(n, axis, seed):
     assert np.max(np.abs(back - x)) <= 1e-14 * n * np.max(np.abs(x))
 
 
+def _chained_free_split_step_frames(psi0, grid, cfg):
+    """Every frame of a free split-step run with the spectrum carried: one
+    fftn, then per frame one more kinetic factor and one ifftn."""
+    axes = tuple(range(grid.dim))
+    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
+    kin = kin[..., None] if psi0.ndim > grid.dim else kin
+    phi = np.fft.fftn(psi0, axes=axes)
+    frames = [psi0.copy()]
+    for _ in range(cfg.steps):
+        phi = phi * kin
+        frames.append(np.fft.ifftn(phi, axes=axes))
+    return frames
+
+
 def _numpy_split_step_frames(psi0, grid, cfg):
     """Every frame of a split-step run on numpy's multi-axis FFT.
 
-    Without a potential the spectrum is carried: one fftn, then per frame
-    the kinetic factor and one ifftn."""
+    Without a potential frame j is in closed form: ifftn of fftn(psi0) times
+    S_j, the outer product over axes of exp(-i j k^2 dt/2m)."""
     axes = tuple(range(grid.dim))
-    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
     half_v = None if cfg.V is None else np.exp(-0.5j * cfg.dt * cfg.V)
     if psi0.ndim > grid.dim:
-        kin = kin[..., None]
         half_v = None if half_v is None else half_v[..., None]
     psi = psi0.copy()
     frames = [psi]
     if half_v is None:
-        phi = np.fft.fftn(psi0, axes=axes)
-        for _ in range(cfg.steps):
-            phi = phi * kin
-            frames.append(np.fft.ifftn(phi, axes=axes))
+        phi0 = np.fft.fftn(psi0, axes=axes)
+        thetas = [(2.0 * np.pi * np.fft.fftfreq(n, d=h)) ** 2 * cfg.dt / (2.0 * cfg.m)
+                  for n, h in zip(grid.shape, grid.spacing)]
+        for j in range(1, cfg.steps + 1):
+            s_j = np.ones(())
+            for theta in thetas:
+                s_j = np.multiply.outer(s_j, np.exp(-1j * j * theta))
+            s_j = s_j[..., None] if psi0.ndim > grid.dim else s_j
+            frames.append(np.fft.ifftn(phi0 * s_j, axes=axes))
         return frames
+    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
+    kin = kin[..., None] if psi0.ndim > grid.dim else kin
     for _ in range(cfg.steps):
         if half_v is not None:
             psi = psi * half_v
@@ -722,12 +759,15 @@ def test_split_step_equals_numpy_fftn_bit_for_bit(shape, components, harmonic):
     got = dy.evolve(psi0, grid, cfg).frames
     want = _numpy_split_step_frames(psi0, grid, cfg)
     assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+    if not harmonic:  # within roundoff of carrying the spectrum step by step
+        for frame, ref in zip(got, _chained_free_split_step_frames(psi0, grid, cfg)):
+            assert np.max(np.abs(frame - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("shape, steps", [((4096,), 400), ((24, 24, 24), 40)])
 def test_free_split_step_keeps_the_norm(shape, steps):
-    """Without a potential the run carries the spectrum, so each frame is one
-    inverse transform of exactly phased Fourier data, not a chain of them."""
+    """Without a potential each frame is one inverse transform of psi0's
+    exactly phased Fourier data, not a chain of them."""
     grid = gd.Grid(tuple(gd.Axis(-4.0, 4.0, n) for n in shape), "periodic")
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
@@ -746,6 +786,42 @@ def test_free_split_step_keeps_the_norm(shape, steps):
     exact = np.fft.ifftn(np.fft.fftn(psi0, axes=axes)
                          * dy._kinetic_phase(grid, steps * dt, m)[..., None], axes=axes)
     assert np.max(np.abs(last - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["crank-nicolson", "split-step"])
+def test_free_norm_drift_does_not_grow_with_steps(scheme):
+    """Each free frame is one inverse transform of psi0's spectrum times
+    unit phases, so its norm drifts by roundoff of one transform pair, not
+    by the steps' accumulated roundoff: 1600 Crank-Nicolson steps on 384
+    points and 400 split steps of a Pauli superposition on 4096 points."""
+    if scheme == "crank-nicolson":
+        psi0, grid, cfg = _free_crank_nicolson_run((384,), 1600)
+    else:
+        grid = gd.Grid.line(0.0, 4.0 * np.pi, 4096, "periodic")
+        psi0 = gd.sample(gd.PauliSuperposition(), grid)
+        cfg = dy.EvolutionConfig(m=1.0, dt=5e-6, steps=400, scheme=scheme)
+    norms = []
+    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: norms.append(dy.norm(frame(), grid)))
+    assert len(norms) == cfg.steps + 1
+    assert np.max(np.abs(np.array(norms) - norms[0])) / norms[0] <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_step_rejects_a_kinetic_phase_that_overflows_over_the_run():
+    """A subnormal m whose one-step angles are finite, so that a one-step run
+    is accepted, but twice the largest of them overflows."""
+    grid = gd.Grid.line(-6.0, 6.0, 64, "periodic")
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    k_max = np.pi / grid.spacing[0]
+    m = k_max ** 2 * 1e-3 / 1.5 / np.finfo(float).max  # theta = k^2 dt/2m reaches 0.75 max
+    assert 0.0 < m < np.finfo(float).tiny
+    with pytest.warns(UserWarning):
+        frame = dy.evolve(psi, grid, dy.EvolutionConfig(m=m, dt=1e-3, steps=1,
+                                                         scheme="split-step")).frames[1]
+    assert np.all(np.isfinite(frame))
+    cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=2, scheme="split-step")
+    with pytest.warns(UserWarning), pytest.raises(gd.GridError, match="not finite"):
+        dy.evolve(psi, grid, cfg, keep=lambda j, frame: pytest.fail("a frame was offered"))
 
 
 @pytest.mark.parametrize("dim, tol", [(1, 0.0), (2, 1e-14), (3, 0.0)])
@@ -903,6 +979,10 @@ def test_flat_gather_paths_equal_the_per_corner_loop_bit_for_bit(dim, boundary):
     seeds = np.vstack([seeds, rng.uniform(lo, hi, (6, dim))])
     masks = [np.ones(grid.shape, bool), node, node] + [np.ones(grid.shape, bool)] * 18
     want_paths, want_truncated = _reference_trajectories(series, seeds, masks)
+    stacked = np.stack([frame[..., :dim] for frame in frames])
+    if boundary == "periodic":
+        stacked = np.pad(stacked, [(0, 0)] + [(0, 1)] * dim + [(0, 0)], mode="wrap")
+    assert dy._Interpolator(grid, frames).flat.tobytes() == stacked.tobytes()
     traj = dy.integrate_trajectories(series, seeds, masks)
     assert traj.paths.tobytes() == want_paths.tobytes()
     assert traj.truncated.tobytes() == want_truncated.tobytes()
@@ -914,6 +994,23 @@ def test_flat_gather_paths_equal_the_per_corner_loop_bit_for_bit(dim, boundary):
     else:
         assert np.any(traj.paths[-1] > hi)  # unwrapped past the period edge
         assert not traj.truncated[[0, 1, 2, 3, 4]].any()
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_the_interpolator_holds_8_bytes_a_point_frame(boundary):
+    """The velocity of 201 frames on pauli_texture's line at 4096 points: one
+    float per node and frame, a periodic grid's wrap slabs written into the
+    same array, with no stacked copy beside it."""
+    axis = harness.load_bundled("pauli_texture").grid.axes[0]
+    grid = gd.Grid.line(axis.lo, axis.hi, 4096, boundary)
+    frames = [np.full(grid.shape + (3,), 0.1 * f) for f in range(201)]
+    tracemalloc.start()
+    try:
+        dy._Interpolator(grid, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(frames) * grid.shape[0]) <= 8.25
 
 
 def _fresh_python(code: str) -> str:
@@ -962,9 +1059,9 @@ for scheme, shape in (("crank-nicolson", (32,)), ("crank-nicolson", (8, 8)),
 
 
 def test_scipy_linalg_loads_on_the_first_crank_nicolson_run():
-    """A free Crank-Nicolson run carries its sine spectrum on numpy.fft, so
-    the bundled schrodinger_gaussian run loads neither scipy.linalg nor
-    scipy.fft; a run with a potential solves with LAPACK."""
+    """A free Crank-Nicolson run builds its frames from psi0's sine spectrum
+    on numpy.fft, so the bundled schrodinger_gaussian run loads neither
+    scipy.linalg nor scipy.fft; a run with a potential solves with LAPACK."""
     code = """
 import sys, numpy as np
 from cliffordqm import dynamics as dy, grids as gd, harness

@@ -31,20 +31,20 @@ RUNNING = {"numpy": np.__version__, "scipy": scipy.__version__, "exp kernel": _e
 
 DIGESTS = {
     "pauli_superposition": {
-        "fields.csv": "e5e6fc1164e01398c2f9e28721d534158050585e91d98b60b716a228da0c5ef2",
-        "report.json": "1affe5671fec32b79490dffe63125f8cacfd391179385758b1306c97f6d0f622",
+        "fields.csv": "f0cee01c5872b61264b748b2ce28da9b9f3987a8e7be86575c34274ae8ba017f",
+        "report.json": "4d5c719662fa4bad71749efc067e0d492ed7e75dc7dc9a7b6948639c271d5044",
     },
     "pauli_texture": {
-        "fields.csv": "724ffcb900fd8efa3a955a69ddf59757913a33665eb9d7cb21bee7892cee23bd",
-        "report.json": "2ec55b98ea5bb7afe49074f003b2364461b87762e42e66fdfa2075e24f371a08",
+        "fields.csv": "f6a89b93f381114aca5d23e3bbd6b214a83e6aff27ee6ae7439f0ffb909f36bc",
+        "report.json": "e30b3cfa180b1474fc585eb73101e6edc880d862c07dfd8ee362bef82942c515",
     },
     "schrodinger_gaussian": {
-        "fields.csv": "6eac1aadf9ffde403761f4638c7d684622a812ba6530eb77c07f02389212048d",
-        "report.json": "e28308460740ff67d3106e37a8d9b7a536175c4a38f39d51286fe89d7e92fcd0",
-        "trajectories.csv": "b54b8507b25d484176e4c52d3813763515d6b6224d3e7f328ca4e0ebdb87ee42",
+        "fields.csv": "8d121dc892e6a7ed1f58f1204b38250b5678e1f03311598ac0c03357fcc8223d",
+        "report.json": "38debcbe10c8b30a9d2097abf7e14e2b34023e5e8e44f5887367454b12e193c9",
+        "trajectories.csv": "00f286a94487a40f06e4bba8f8e787fe5cc027f17df670633e6825934b3cc1da",
     },
 }
-SWEEP_DIGEST = "81b106c196b4cc80722863bbf02518483deda6d4da7dc1edd48fc3a8333ce468"
+SWEEP_DIGEST = "24d2c063ab905afa38cb9564f3f90278be49707ffa48554d74fc5a488291e559"
 
 pytestmark = pytest.mark.skipif(
     RUNNING != RECORDED, reason=f"digests recorded with {RECORDED}, running {RUNNING}")
