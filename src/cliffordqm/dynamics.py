@@ -11,6 +11,8 @@ transformed back on its first read, so a step does no array work and an
 unbuilt frame holds only j.  A run with a potential takes Strang steps
 (Strang, SIAM J. Numer. Anal. 5 (1968) 506): half the potential phase, the
 scheme's kinetic step, half the potential phase, each frame stored as made.
+One phase expression, exp(-i j theta) per axis, makes a free frame, a block
+of them and split-step's one-step kinetic phase.
 
 Crank-Nicolson's spectrum is the type-I discrete sine (DST-I) one, which
 diagonalises the clamped second difference on every axis, and each mode's
@@ -38,7 +40,11 @@ every later one, and stores only the frames it accepts (every frame without
 a sink), unbuilt until they are read.  So a caller that needs a few frames,
 or only numbers taken from them, holds O(N) memory rather than O(steps N),
 and a free run of either scheme, with a sink or without, transforms back
-only the frames its caller reads.
+only the frames its caller reads.  ``fill_frames`` writes a list of frames
+into one stack after the run: it copies the frames already built and
+builds a free run's others in one block, one inverse transform over their
+stacked phased spectra, which numpy rounds as it rounds each frame alone;
+there is one path, whatever the scheme.
 
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past a clamped grid's edges, since an RK4 stage may
@@ -140,24 +146,12 @@ def _cn_kinetic(grid: Grid, dt: float, m: float):
     return kinetic
 
 
-def _kinetic_phase(grid: Grid, dt: float, m: float) -> np.ndarray:
-    """One free split-step: exp(-i k^2 dt/2m) on the FFT's wavenumbers, k^2
-    the outer sum over axes of each axis's k^2."""
-    k2 = np.zeros(())
-    for n, h in zip(grid.shape, grid.spacing):
-        k2 = np.add.outer(k2, (2.0 * np.pi * np.fft.fftfreq(n, d=h)) ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        phase = np.exp(-1j * k2 * dt / (2.0 * m))
-    if not np.all(np.isfinite(phase)):  # a subnormal m, say
-        raise GridError("split-step kinetic phase is not finite: dt/(m h^2) overflows")
-    return phase
-
-
-def _free_angles(grid: Grid, cfg: EvolutionConfig) -> list:
+def _free_angles(grid: Grid, cfg: EvolutionConfig, steps: int) -> list:
     """Each axis's angles theta: a free step multiplies spectral mode k by
     exp(-i theta_k) per axis.  Split-step's are k^2 dt/2m; a clamped axis's
     DST-I mode k has T's eigenvalue lam = 4 sin^2(pi k / 2(n+1)) and Cayley
-    factor (1 - i b lam)/(1 + i b lam) = exp(-2i arctan(b lam)), b = dt/(4 m h^2)."""
+    factor (1 - i b lam)/(1 + i b lam) = exp(-2i arctan(b lam)), b = dt/(4 m h^2).
+    Refuses, naming the scheme, angles whose steps-th multiple is not finite."""
     angles = []
     with np.errstate(over="ignore"):  # reported below
         for n, h in zip(grid.shape, grid.spacing):
@@ -166,8 +160,14 @@ def _free_angles(grid: Grid, cfg: EvolutionConfig) -> list:
             else:
                 lam = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
                 angles.append(2.0 * np.arctan(_cn_gamma(h, cfg.dt, cfg.m).imag * lam))
-        if not all(np.isfinite(cfg.steps * np.max(theta)) for theta in angles):  # a subnormal m
-            raise GridError("split-step kinetic phase is not finite: dt/(m h^2) overflows")
+        try:
+            finite = all(np.isfinite(steps * np.max(theta)) for theta in angles)  # a subnormal m
+        except OverflowError:  # steps past the float range
+            finite = False
+    if not finite:
+        span = "one step" if steps == 1 else "the run's steps"
+        raise GridError(f"{cfg.scheme} kinetic phase over {span} is not finite: "
+                        "its angle overflows")
     return angles
 
 
@@ -199,17 +199,34 @@ def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 class _Frame:
-    """Frame j of a run: psi, or, when psi is None, build() on the first call,
+    """Frame j of a run: psi, or, when psi is None, build(j) on the first call,
     after which build and what it holds are dropped.  Every call returns
     the same array."""
 
-    def __init__(self, psi: np.ndarray = None, build=None):
-        self.psi, self.build = psi, build
+    __slots__ = ("psi", "build", "j")
+
+    def __init__(self, psi: np.ndarray = None, build=None, j: int = None):
+        self.psi, self.build, self.j = psi, build, j
 
     def __call__(self) -> np.ndarray:
         if self.psi is None:
-            self.psi, self.build = self.build(), None
+            self.psi, self.build = self.build(self.j), None
         return self.psi
+
+
+def fill_frames(out: np.ndarray, frames: list) -> None:
+    """Write frames[i]() into out[i] for every i, leaving every frame as it
+    was: a built frame is copied, and the unbuilt frames of a free run are
+    built together, one inverse transform over the block of their phased
+    spectra, which rounds as building each alone does."""
+    blocks = {}
+    for i, frame in enumerate(frames):
+        if frame.psi is None:
+            blocks.setdefault(frame.build, []).append(i)
+        else:
+            out[i] = frame.psi
+    for build, rows in blocks.items():
+        out[rows] = build(np.array([frames[i].j for i in rows]))
 
 
 class _Frames(Sequence):
@@ -269,9 +286,31 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         if pauli:
             half_v = half_v[..., None]
 
+    def phase(j) -> np.ndarray:
+        """S_j, the outer product over axes of exp(-i j theta), for steps j of
+        any shape on the axes after the grid's (and before a spin axis)."""
+        j = np.asarray(j)
+        s_j = np.ones(())
+        for ax, theta in enumerate(angles):
+            shape = [1] * (grid.dim + j.ndim)
+            shape[ax] = -1
+            s_j = np.multiply(s_j, np.exp(-1j * j * theta.reshape(shape)))
+        return s_j[..., None] if pauli else s_j
+
+    def build(j) -> np.ndarray:
+        """Free frame j, phi0 times S_j transformed back; for a 1-D array j,
+        those frames stacked on a first axis."""
+        j = np.asarray(j)
+        spectrum = phi0.reshape(grid.shape + (1,) * j.ndim + phi0.shape[grid.dim:])
+        # np.multiply, not *: numpy may take a * b as b * a, written into a
+        # temporary b of 256 KiB or more, and a complex product's rounding
+        # depends on its operands' order
+        frames = back(np.multiply(spectrum, phase(j)))
+        return np.moveaxis(frames, grid.dim, 0) if j.ndim else frames
+
     # a free run builds frame j from psi0's spectrum phi0 and j times each
     # axis's angles; a run with a potential takes Strang steps around the
-    # scheme's kinetic step
+    # scheme's kinetic step, split-step's the phase of one step
     if cfg.scheme == "crank-nicolson" and half_v is not None:
         kinetic = _cn_kinetic(grid, cfg.dt, cfg.m)
     else:
@@ -280,19 +319,16 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
         if cfg.scheme == "split-step" and grid.dim > 1:
             import scipy.fft as fft  # here, not at the top: see the module docstring
         forward, back = (functools.partial(passes, t, axes=axes) for t in (fft.fft, fft.ifft))
+        angles = _free_angles(grid, cfg, 1 if half_v is not None else cfg.steps)
         if half_v is None:
-            angles, phi0 = _free_angles(grid, cfg), forward(psi0)
+            phi0 = forward(psi0)
         else:
-            kin = _kinetic_phase(grid, cfg.dt, cfg.m).reshape(half_v.shape)
+            kin = phase(1).reshape(half_v.shape)
 
         def kinetic(psi: np.ndarray) -> np.ndarray:
             phi = forward(psi)
             phi *= kin
             return back(phi)
-
-    def build(j: int) -> np.ndarray:  # free frame j: phi0 times S_j, the axes' exp(-i j theta)
-        s_j = functools.reduce(np.multiply.outer, (np.exp(-1j * j * t) for t in angles), np.ones(()))
-        return back(phi0 * (s_j[..., None] if pauli else s_j))
 
     stored, frames = [], []
 
@@ -307,7 +343,7 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
     store(0, _Frame(psi))
     if half_v is None:
         for j in range(1, cfg.steps + 1):
-            store(j, _Frame(build=functools.partial(build, j)))  # an unbuilt frame holds only j
+            store(j, _Frame(build=build, j=j))  # an unbuilt frame holds only j
     else:
         for j in range(1, cfg.steps + 1):
             psi = kinetic(psi * half_v)

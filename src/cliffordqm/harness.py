@@ -1,16 +1,18 @@
 """Scenario-driven runs: configure, evolve, check, export.
 
 Configs are YAML documents with a schema_version field; see the bundled
-files under cliffordqm/scenarios for the dialect.  A run produces a fields
-CSV, a trajectories CSV, and a report JSON whose pass/fail flags drive the
-CLI exit code.
+files under cliffordqm/scenarios for the dialect.  They are read on
+libyaml when PyYAML has it, and a refusal's text always comes from the
+pure-Python parser.  A run produces a fields CSV, a trajectories CSV, and
+a report JSON whose pass/fail flags drive the CLI exit code.
 
 A run streams its evolution through a frame sink rather than storing every
 frame.  The sink keeps the norms of the first and last frames (for the
 drift check), frames k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
-stride-th raw frame, written into one preallocated stack; after the
-evolution the run derives every stride frame's velocity in one stacked
+stride-th raw frame, unbuilt; after the evolution the stride frames are
+written into one stack, a free run's unbuilt ones built in one block
+transform, the run derives every stride frame's velocity in one stacked
 pass and integrates the seeds' Bohm paths through them, and paths that
 cross fail it.  It builds no other frame, so a free run of either scheme
 transforms back only those.  run_scenario and run_to_files return the
@@ -20,6 +22,7 @@ seeds, each stride frame on top.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -39,9 +42,11 @@ from . import oracle as orc
 SCHEMA_VERSION = 1
 ENV_OUT_ROOT = "CLIFFORDQM_OUT_ROOT"
 # the most grid points x steps one run (or sweep level) may take.  The
-# bundled 4-level sweeps peak at 3072 x 25600 = 7.9e7 (2.1 s on a 2-core
-# host); a fifth level takes 4.2e8 to 6.3e8, and steps: 1e9 on 128 points
-# 1.3e11, so both are refused before they run.
+# bundled 4-level sweeps peak at 3072 x 25600 = 7.9e7 point-steps, yet
+# with free frames built in closed form a whole sweep takes 0.020 s
+# in-process on a 2-core host (best of 5).  A fifth level takes 4.2e8 to
+# 6.3e8, and steps: 1e9 on 128 points 1.3e11, so both are refused before
+# they run.
 MAX_POINT_STEPS = 2 ** 28
 # bytes per grid point a run holds at its peak, without trajectory seeds: the
 # three-frame window and the observables derived from it.  A warmed
@@ -53,9 +58,11 @@ RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 # stacked pass that derives them.  A warmed seeded run_scenario at n = 4096
 # and stride 1 traced 142 and 144 B a point per frame over the run without
 # seeds on schrodinger_gaussian, and 333 and 336 B on pauli_texture, at 41
-# and 201 frames.  The RK4 interpolator's flat velocity copy, 8 B a point
-# per grid axis (for a moment 16 B on a periodic grid, while it is padded),
-# comes after that pass has freed its temporaries: it does not raise the peak.
+# and 201 frames.  The block that builds a free run's stride frames before
+# that pass, stack included, peaks at 107-111 B a point-frame on
+# schrodinger_gaussian and 93-95 B on pauli_texture, and the RK4
+# interpolator's flat velocity copy, 8 B a point per grid axis, comes after
+# the pass has freed its temporaries: neither raises the peak.
 STRIDE_FRAME_BYTES_PER_POINT = {"schrodinger": 256, "pauli": 512}
 
 
@@ -76,10 +83,16 @@ _STATE_KINDS = {"plane-wave": "schrodinger", "gaussian": "schrodinger",
 _REQUIRED = object()
 
 
-class _Loader(yaml.SafeLoader):
+class _PyLoader(yaml.SafeLoader):
     """YAML 1.1 reads 5e-4 and 1.0e308 as strings: it wants a dot and a signed
     exponent.  This loader reads every decimal with an exponent as a float.
     An integer that int() will not read stays text, for _Spec to refuse."""
+
+
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """_PyLoader on libyaml's parser when PyYAML has it, which takes a
+    benchmark config's parse_config from 1.15 to 0.18 ms; the same resolvers
+    and constructors build the same mapping."""
 
 
 class _LongInt(str):
@@ -99,10 +112,11 @@ def _construct_int(loader, node):
         return _LongInt(text) if re.fullmatch(r"[-+]?[\d_]+", text) else text
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
-                              list("-+0123456789."))
-_Loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
+for _loader in (_PyLoader, _Loader):
+    _loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                                  re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
+                                  list("-+0123456789."))
+    _loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 
 class _Spec:
@@ -195,11 +209,14 @@ class Scenario:
 def parse_config(text: str, source: str = "<config>") -> Scenario:
     try:
         raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = f" at line {mark.line + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-        raise ConfigError(f"{source}: YAML parse error{line}: {problem}") from exc
+    except yaml.YAMLError:  # parsed again: a refusal reads as the pure-Python parser's
+        try:
+            raw = yaml.load(text, Loader=_PyLoader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = f" at line {mark.line + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(f"{source}: YAML parse error{line}: {problem}") from exc
     return _scenario(raw, source)
 
 
@@ -439,29 +456,35 @@ def _stride_frames(steps: int, stride: int) -> tuple[int, int]:
 class _FrameSink:
     """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
     and records the drift norms and every stride-th frame on the side,
-    calling frame() only for those, so no other frame is built.  The stride
-    frames, as many as ``_stride_frames`` counts and the memory guard
-    prices, are written into one preallocated stack, on the axis after the
-    grid axes, and the sink holds their times: the stack and times that
+    calling frame() only for the norms, so no other frame is built during
+    the run.  The stride frames, as many as ``_stride_frames`` counts and
+    the memory guard prices, are written into one stack on the axis after
+    the grid axes on its first read, after the run, by
+    ``dynamics.fill_frames``, which builds a free run's unbuilt frames in one
+    block; the sink holds their times too: the stack and times that
     ``observables.velocity_series`` takes."""
 
     def __init__(self, sc: Scenario):
         steps = sc.evolution.steps
         self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
         self.stride, n_frames = _stride_frames(steps, sc.trajectory_stride) if sc.seeds else (0, 0)
-        self.norms = []
-        if self.stride:
-            self.times = sc.evolution.dt * (self.stride * np.arange(n_frames))
-            spin = (2,) if sc.particle == "pauli" else ()
-            self.stack = np.empty(sc.grid.shape + self.times.shape + spin, complex)
-            self._by_frame = np.moveaxis(self.stack, sc.grid.dim, 0)
+        self.norms, self._frames = [], []
+        self.times = sc.evolution.dt * (self.stride * np.arange(n_frames))
+        self._spin = (2,) if sc.particle == "pauli" else ()
 
     def __call__(self, j: int, frame) -> bool:
         if j == 0 or j == self.last:
             self.norms.append(dy.norm(frame(), self.grid))
         if self.stride and j % self.stride == 0:
-            self._by_frame[j // self.stride] = frame()
+            self._frames.append(frame)
         return abs(j - self.k) <= 1
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        stack = np.empty(self.grid.shape + self.times.shape + self._spin, complex)
+        dy.fill_frames(np.moveaxis(stack, self.grid.dim, 0), self._frames)
+        self._frames = None
+        return stack
 
     @property
     def drift(self) -> float:

@@ -1,9 +1,13 @@
 """Scenario harness and command line contract: exit codes, files, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,13 +124,14 @@ def test_free_split_step_run_transforms_back_only_the_frames_its_sink_reads(
         seeds, stride, monkeypatch):
     """Without a potential a split step is one kinetic phase; frame j is
     transformed back only for the sink's norms (j = 0, last), its window
-    k-1..k+1 and its trajectory stride, and frame 0 is psi0 itself."""
+    k-1..k+1 and its trajectory stride, and frame 0 is psi0 itself.  The
+    stride frames not built for the others are built in one transform."""
     calls = []
     ifft = np.fft.ifft
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ifft(*args, **kwargs)
+    def counting(x, *args, **kwargs):
+        calls.append(x[0].size // 2)  # the frames of a (points[, frames], 2) block
+        return ifft(x, *args, **kwargs)
 
     config = harness.load_bundled("pauli_superposition").config
     sc = harness._scenario(dict(config, trajectories={"seeds": seeds, "stride": stride}),
@@ -143,7 +148,8 @@ def test_free_split_step_run_transforms_back_only_the_frames_its_sink_reads(
     else:
         assert traj is None
         assert len(calls) == 4
-    assert len(calls) == len(read - {0})
+    assert len(calls) == 4 + bool(seeds)
+    assert sum(calls) == len(read - {0})
 
 
 def test_run_to_files_computes_observables_once(tmp_path, monkeypatch):
@@ -245,6 +251,38 @@ def test_a_warmed_run_stays_within_its_price_per_point(name, seeds):
     if sc.seeds:
         price += (steps + 1) * harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
     assert peak / sc.grid.n_points < price
+
+
+@pytest.mark.parametrize("name, seeds", [("schrodinger_gaussian", "[-1.5, 0.0, 1.5]"),
+                                         ("pauli_texture", "[3.0, 6.0, 9.0]")])
+def test_block_built_stride_frames_stay_within_their_price(name, seeds):
+    """1600 steps on 384 points keep 81 stride frames, as the long benchmark
+    run does.  Their stack, built in one block after the run, peaks below a
+    stride frame's price a point, and the warmed run below the guard's price."""
+    text = (harness.bundled_dir() / f"{name}.cfg").read_text()
+    text = re.sub(r"seeds: \[.*\]", f"seeds: {seeds}", re.sub(r"stride: \d+", "stride: 20", text))
+    text = re.sub(r"\n  n: \d+", "\n  n: 384", re.sub(r"steps: \d+", "steps: 1600", text))
+    sc = harness.parse_config(text)
+    n, frames = sc.grid.n_points, 81
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dt is past h^2 m at this n
+        harness.run_scenario(sc)
+        sink = harness._FrameSink(sc)
+        harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution, keep=sink)
+        tracemalloc.start()
+        try:
+            stack = sink.stack
+            stack_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            harness.run_scenario(sc)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert stack.shape[sc.grid.dim] == frames
+    assert stack_peak / (n * frames) < harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
+    price = harness.RUN_BYTES_PER_POINT[sc.particle] + \
+        frames * harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
+    assert (run_peak - stack.nbytes) / n < price  # the stack was still held
 
 
 def test_default_checks_are_those_of_the_particle():
@@ -510,6 +548,80 @@ def test_cli_yaml_error_is_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert str(cfg) in err
     assert "line 3" in err
+
+
+# texts that no YAML parser reads, each failing at a different stage
+BROKEN_YAML = ["schema_version: 1\nname: [unclosed\n  bad", "a: [1, 2", "a: 'unclosed", "\ta: 1",
+               "a: 1\n b: 2", "a: &x 1\nb: *y", "a: !!python/object:os.system x",
+               "key: value\n- item", "%YAML 2.0\n---\na: 1", "a: 1\x07", "a: 1\n---\nb: 2",
+               'a: "\\q"', "a: b: c"]
+
+
+def _tree(value):
+    """value as nested lists of (type, bits) leaves, so that a NaN equals
+    itself and an int of any length compares by its hex digits."""
+    if isinstance(value, dict):
+        return [(_tree(k), _tree(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_tree(v) for v in value]
+    if type(value) in (int, float):
+        return type(value).__name__, value.hex() if type(value) is float else hex(value)
+    return type(value).__name__, value
+
+
+def _load(loader, text: str):
+    """The mapping a loader reads from text, as a _tree, or the name of the
+    YAML error it raises."""
+    try:
+        return _tree(harness.yaml.load(text, Loader=loader))
+    except harness.yaml.YAMLError as exc:
+        return type(exc).__name__
+
+
+def test_libyaml_and_pure_python_loaders_agree():
+    """On every bundled config, MALFORMED row and broken text, libyaml's
+    loader and the pure-Python one read equal mappings or both refuse."""
+    texts = [(harness.bundled_dir() / f"{name}.cfg").read_text()
+             for name, _ in harness.list_scenarios()]
+    texts += [config.replace(*change) for _, config, change, _ in MALFORMED]
+    texts += BROKEN_YAML
+    for text in texts:
+        assert _load(harness._Loader, text) == _load(harness._PyLoader, text)
+    assert all(isinstance(_load(harness._PyLoader, text), str) for text in BROKEN_YAML)
+    c_loader = getattr(harness.yaml, "CSafeLoader", ())  # absent without libyaml
+    assert harness.yaml.__with_libyaml__ == issubclass(harness._Loader, c_loader)
+
+
+@pytest.mark.parametrize("text", BROKEN_YAML)
+def test_a_yaml_refusal_reads_as_the_pure_python_parser_has_it(text, tmp_path, monkeypatch,
+                                                               capsys):
+    """The CLI's one refusal line is byte for byte the one a run on the
+    pure-Python loader alone prints, line number included."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    lines = []
+    for loader in (harness._Loader, harness._PyLoader):
+        monkeypatch.setattr(harness, "_Loader", loader)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "never")]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert len(lines[0].strip().splitlines()) == 1 and "YAML parse error" in lines[0]
+
+
+def test_without_libyaml_every_bundled_scenario_reads_the_same_config():
+    """A fresh interpreter whose yaml cannot import its C extension loads
+    every bundled scenario on the pure-Python loader to the same mapping."""
+    code = ("import sys; sys.modules['yaml._yaml'] = None\n"
+            "import yaml; from cliffordqm import harness\n"
+            "assert not yaml.__with_libyaml__ and harness._Loader.__bases__ == (yaml.SafeLoader,)\n"
+            "print(repr([harness.load_bundled(name).config "
+            "for name, _ in harness.list_scenarios()]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout.strip()
+    names = [name for name, _ in harness.list_scenarios()]
+    assert len(names) == 3
+    assert out == repr([harness.load_bundled(name).config for name in names])
 
 
 def test_cli_non_string_name_is_refused_without_out(tmp_path, monkeypatch, capsys):

@@ -687,11 +687,21 @@ def test_sine_passes_equal_the_sine_matrix(n, axis, seed):
     assert np.max(np.abs(back - x)) <= 1e-14 * n * np.max(np.abs(x))
 
 
+def _kinetic_phase(grid, dt, m):
+    """One split step's kinetic phase as a run with a potential takes it: the
+    outer product over axes of exp(-i theta), theta dynamics' angles."""
+    cfg = dy.EvolutionConfig(m=m, dt=dt, steps=1, scheme="split-step")
+    phase = np.ones(())
+    for theta in dy._free_angles(grid, cfg, 1):
+        phase = np.multiply.outer(phase, np.exp(-1j * theta))
+    return phase
+
+
 def _chained_free_split_step_frames(psi0, grid, cfg):
     """Every frame of a free split-step run with the spectrum carried: one
     fftn, then per frame one more kinetic factor and one ifftn."""
     axes = tuple(range(grid.dim))
-    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
+    kin = _kinetic_phase(grid, cfg.dt, cfg.m)
     kin = kin[..., None] if psi0.ndim > grid.dim else kin
     phi = np.fft.fftn(psi0, axes=axes)
     frames = [psi0.copy()]
@@ -723,7 +733,7 @@ def _numpy_split_step_frames(psi0, grid, cfg):
             s_j = s_j[..., None] if psi0.ndim > grid.dim else s_j
             frames.append(np.fft.ifftn(phi0 * s_j, axes=axes))
         return frames
-    kin = dy._kinetic_phase(grid, cfg.dt, cfg.m)
+    kin = _kinetic_phase(grid, cfg.dt, cfg.m)
     kin = kin[..., None] if psi0.ndim > grid.dim else kin
     for _ in range(cfg.steps):
         if half_v is not None:
@@ -739,11 +749,10 @@ def _numpy_split_step_frames(psi0, grid, cfg):
 def test_kinetic_phase_equals_a_meshgrid_reference(shape):
     grid = _axes_grid(shape, "periodic")
     ks = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.shape, grid.spacing)]
-    k2 = np.zeros(grid.shape)
+    want = np.ones(grid.shape)
     for k in np.meshgrid(*ks, indexing="ij"):
-        k2 += k ** 2
-    want = np.exp(-1j * k2 * 1e-3 / (2.0 * 1.3))
-    assert dy._kinetic_phase(grid, 1e-3, 1.3).tobytes() == want.tobytes()
+        want = np.multiply(want, np.exp(-1j * (k ** 2 * 1e-3 / (2.0 * 1.3))))  # in this order
+    assert _kinetic_phase(grid, 1e-3, 1.3).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(64,), (30, 20), (7, 11, 13)])
@@ -784,7 +793,7 @@ def test_free_split_step_keeps_the_norm(shape, steps):
     assert np.max(np.abs(np.array(norms) - norms[0])) / norms[0] <= 4e-15
     axes = tuple(range(grid.dim))
     exact = np.fft.ifftn(np.fft.fftn(psi0, axes=axes)
-                         * dy._kinetic_phase(grid, steps * dt, m)[..., None], axes=axes)
+                         * _kinetic_phase(grid, steps * dt, m)[..., None], axes=axes)
     assert np.max(np.abs(last - exact)) <= 1e-12
 
 
@@ -822,6 +831,107 @@ def test_split_step_rejects_a_kinetic_phase_that_overflows_over_the_run():
     cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=2, scheme="split-step")
     with pytest.warns(UserWarning), pytest.raises(gd.GridError, match="not finite"):
         dy.evolve(psi, grid, cfg, keep=lambda j, frame: pytest.fail("a frame was offered"))
+
+
+def test_split_step_with_a_potential_takes_a_finite_kinetic_phase_at_a_subnormal_m():
+    """The Strang step's kinetic phase is exp(-i theta) of each axis's real
+    angle theta = k^2 dt/2m, which is finite at this subnormal m, so a run
+    with a potential takes its one step; a complex division -i k^2 dt/2m
+    would overflow here."""
+    grid = gd.Grid.line(-6.0, 6.0, 64, "periodic")
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    k_max = np.pi / grid.spacing[0]
+    m = k_max ** 2 * 1e-3 / 1.5 / np.finfo(float).max  # theta = k^2 dt/2m reaches 0.75 max
+    assert 0.0 < m < np.finfo(float).tiny
+    cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=1, V=0.5 * grid.coords(0) ** 2,
+                             scheme="split-step")
+    with pytest.warns(UserWarning):
+        frames = dy.evolve(psi, grid, cfg).frames
+    assert np.all(np.isfinite(frames[1]))
+    assert abs(dy.norm(frames[1], grid) - dy.norm(psi, grid)) <= 1e-13 * dy.norm(psi, grid)
+
+
+@pytest.mark.filterwarnings("ignore:dt=0.5 exceeds")
+@pytest.mark.parametrize("scheme, boundary", [("crank-nicolson", "clamped"),
+                                              ("split-step", "periodic")])
+def test_free_angles_refuse_a_run_in_the_name_of_its_scheme(scheme, boundary):
+    """Steps past the float range make no float, and 1e308 steps of a
+    largest angle over 2 (dt 0.5) no finite angle: each run is refused in
+    one GridError naming its scheme, before a frame is offered."""
+    grid = gd.Grid.line(-6.0, 6.0, 32, boundary)
+    psi = gd.sample(gd.GaussianPacket(), grid)
+    for steps, dt in ((10 ** 309, 1e-3), (10 ** 308, 0.5)):
+        cfg = dy.EvolutionConfig(m=1.0, dt=dt, steps=steps, scheme=scheme)
+        with pytest.raises(gd.GridError, match=f"^{scheme} kinetic phase over the run's steps "
+                                               "is not finite"):
+            dy.evolve(psi, grid, cfg, keep=lambda j, frame: pytest.fail("a frame was offered"))
+
+
+def _stride_frames_two_ways(psi0, grid, cfg, stride):
+    """A run's stride frames 0, stride, ... read two ways: each frame built
+    alone, and written by fill_frames after a run whose sink reads the last
+    frame for its norm, as a harness run does, and whose window k-1..k+1 is
+    read before the fill.  Returns both, and the offered frames after the fill."""
+    steps, k = cfg.steps, (cfg.steps + 1) // 2
+    alone = dy.evolve(psi0, grid, cfg).frames
+    offered = []
+
+    def keep(j, frame):
+        if j == steps:
+            frame()
+        if j % stride == 0:
+            offered.append(frame)
+        return abs(j - k) <= 1
+
+    window = dy.evolve(psi0, grid, cfg, keep)
+    window.frames[:]
+    block = np.empty((len(offered),) + psi0.shape, complex)
+    dy.fill_frames(block, offered)
+    return [alone[j] for j in range(0, steps + 1, stride)], block, offered
+
+
+@pytest.mark.filterwarnings("ignore:dt=0.001 exceeds")  # on 4096 points
+@pytest.mark.parametrize("scheme, shape, components, steps, stride", [
+    ("crank-nicolson", (384,), (), 1600, 20),  # the 81 stride frames of a long 1-D run
+    ("crank-nicolson", (64,), (2,), 40, 4),
+    ("crank-nicolson", (7, 11, 13), (), 12, 2),
+    ("crank-nicolson", (5, 6, 7), (2,), 12, 3),
+    ("split-step", (4096,), (), 40, 1),
+    ("split-step", (64,), (2,), 40, 5),
+    ("split-step", (24, 24, 24), (), 12, 2),
+    ("split-step", (32, 32, 32), (), 8, 2),  # 512 KiB a frame: numpy may elide a temporary
+    ("split-step", (7, 11, 13), (2,), 12, 3),
+])
+def test_block_built_stride_frames_equal_frames_built_alone(scheme, shape, components, steps,
+                                                            stride):
+    """A free run's unbuilt stride frames, built in one block transform, equal
+    frames built one at a time byte for byte; frame 0 (psi0), the last frame
+    and window frames k-1..k+1 that are stride frames are copied, and the
+    fill leaves every offered frame as it was."""
+    boundary = dy.SCHEME_BOUNDARY[scheme]
+    grid = _axes_grid(shape, boundary)
+    psi0 = _random_field(shape, components)
+    cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=steps, scheme=scheme)
+    alone, block, offered = _stride_frames_two_ways(psi0, grid, cfg, stride)
+    k = (steps + 1) // 2
+    copied = {0, steps} | {j for j in (k - 1, k, k + 1) if j % stride == 0}
+    assert len(copied) >= 3  # a window frame is a stride frame
+    assert [frame.psi is not None for frame in offered] == \
+        [j in copied for j in range(0, steps + 1, stride)]
+    assert block[0].tobytes() == psi0.astype(complex).tobytes()
+    assert [f.tobytes() for f in block] == [f.tobytes() for f in alone]
+
+
+@pytest.mark.parametrize("scheme, components", [("crank-nicolson", ()),
+                                                ("split-step", (2,))])
+def test_a_run_with_a_potential_has_its_stride_frames_copied(scheme, components):
+    grid = _axes_grid((64,), dy.SCHEME_BOUNDARY[scheme])
+    psi0 = _random_field((64,), components)
+    cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=20, V=0.5 * grid.coords(0) ** 2,
+                             scheme=scheme)
+    alone, block, offered = _stride_frames_two_ways(psi0, grid, cfg, 3)
+    assert all(frame.psi is not None for frame in offered)
+    assert [f.tobytes() for f in block] == [f.tobytes() for f in alone]
 
 
 @pytest.mark.parametrize("dim, tol", [(1, 0.0), (2, 1e-14), (3, 0.0)])
