@@ -25,10 +25,20 @@ zero, and a sign of +-1 is exact, so a field product equals, bit for bit,
 the single-element products of its points.  A subalgebra product equals the
 full product of the embedded operands at the slots, bit for bit: the terms
 it leaves out are products with an exact zero.
+
+A ``Multivector`` owns its coefficients: a read-only array that no other
+object holds.  The public constructor copies its input and checks its shape.
+Every operator result, and every array ``spinors`` has just built for a
+point, goes through ``_owned`` instead, which marks the fresh array
+read-only and takes it without a copy.  A ``Signature`` computes its dim,
+trace weight and hash once, when it is built; operand checks compare
+signatures by identity first and by (p, q) after, so a signature rebuilt by
+unpickling still combines with ``PAULI`` and ``SCHRODINGER``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,36 +51,61 @@ class AlgebraMismatchError(ValueError):
     """Raised when operands belong to different Clifford algebras."""
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Metric signature (p, q): p generators square to +1, q to -1."""
+    """Metric signature (p, q): p generators square to +1, q to -1.
 
-    p: int
-    q: int
+    Immutable; dim, trace_weight and the hash are computed once, when the
+    signature is built.  Two signatures are equal when their (p, q) are, so a
+    pickled PAULI is equal to PAULI without being the same object.
+    """
 
-    def __post_init__(self):
-        if (self.p, self.q) not in ((0, 1), (3, 0)):
-            raise ValueError(f"unsupported signature Cl({self.p},{self.q})")
+    __slots__ = ("p", "q", "dim", "trace_weight", "_hash")
+
+    def __init__(self, p: int, q: int):
+        if (p, q) not in ((0, 1), (3, 0)):
+            raise ValueError(f"unsupported signature Cl({p},{q})")
+        # trace_weight: the scalar-part weight that reproduces the matrix-representation trace
+        for name, value in (("p", p), ("q", q), ("dim", 2 ** (p + q)),
+                            ("trace_weight", 1 if (p, q) == (0, 1) else 2),
+                            ("_hash", hash((p, q)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signature is immutable")
+
+    def __reduce__(self):
+        return Signature, (self.p, self.q)
 
     @property
     def n_generators(self) -> int:
         return self.p + self.q
 
-    @property
-    def dim(self) -> int:
-        return 2 ** (self.p + self.q)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
 
-    @property
-    def trace_weight(self) -> int:
-        # scalar-part weight that reproduces the matrix-representation trace
-        return 1 if (self.p, self.q) == (0, 1) else 2
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Signature(p={self.p}, q={self.q})"
 
 
 SCHRODINGER = Signature(0, 1)
 PAULI = Signature(3, 0)
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 # blade slots of the subalgebra layout (the g-coefficients of U) per signature
-_G_SLOTS = {SCHRODINGER: [0, 1], PAULI: [0, 4, 5, 6]}  # 1, e | 1, e23, e13, e12
+_G_SLOTS = {SCHRODINGER: _read_only(np.array([0, 1])),  # 1, e
+            PAULI: _read_only(np.array([0, 4, 5, 6]))}  # 1, e23, e13, e12
 
 # Canonical blade order (as ascending generator-index tuples).
 _BLADES = {
@@ -124,10 +159,8 @@ def cayley_table(sig: Signature) -> CayleyTable:
             index[i, j] = pos[blade]
             sign[i, j] = s
     grades = np.array([len(b) for b in blades], dtype=np.intp)
-    index.flags.writeable = False
-    sign.flags.writeable = False
-    grades.flags.writeable = False
-    return CayleyTable(sig, index, sign, grades, _BLADE_NAMES[(sig.p, sig.q)])
+    return CayleyTable(sig, _read_only(index), _read_only(sign), _read_only(grades),
+                       _BLADE_NAMES[(sig.p, sig.q)])
 
 
 @lru_cache(maxsize=None)
@@ -142,18 +175,16 @@ def _signed_permutation(sig: Signature, n: int) -> tuple:
     """
     if n not in (sig.dim, len(_G_SLOTS[sig])):
         raise ValueError(f"{n} coefficients fit no layout of Cl({sig.p},{sig.q})")
-    slots = np.arange(n) if n == sig.dim else np.array(_G_SLOTS[sig])
+    slots = np.arange(n) if n == sig.dim else _G_SLOTS[sig]
     tab = cayley_table(sig)
     block = np.ix_(slots, slots)
     inv = np.argsort(np.searchsorted(slots, tab.index[block]), axis=1)
     sign = np.take_along_axis(tab.sign[block], inv, axis=1)
     grades = tab.grades[slots]
     conj = np.where((grades == 1) | (grades == 2), -1.0, 1.0)
-    for table in (inv, sign, conj):
-        table.flags.writeable = False
     terms = tuple(tuple((i, int(inv[i, k]), np.add if sign[i, k] > 0 else np.subtract)
                         for i in range(n)) for k in range(n))
-    return inv, sign, terms, conj
+    return _read_only(inv), _read_only(sign), terms, _read_only(conj)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +232,13 @@ class Multivector:
     __slots__ = ("signature", "coeffs")
 
     def __init__(self, signature: Signature, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float).copy()
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.shape != (signature.dim,):
             raise ValueError(
                 f"expected {signature.dim} coefficients for Cl({signature.p},{signature.q}), "
                 f"got shape {coeffs.shape}"
             )
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "coeffs", coeffs)
+        _init(self, signature, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -220,7 +249,7 @@ class Multivector:
     def scalar(sig: Signature, value: float) -> "Multivector":
         c = np.zeros(sig.dim)
         c[0] = value
-        return Multivector(sig, c)
+        return _owned(sig, c)
 
     @staticmethod
     def blade(sig: Signature, name: str, value: float = 1.0) -> "Multivector":
@@ -229,74 +258,86 @@ class Multivector:
             raise ValueError(f"unknown blade {name!r} in Cl({sig.p},{sig.q})")
         c = np.zeros(sig.dim)
         c[names.index(name)] = value
-        return Multivector(sig, c)
+        return _owned(sig, c)
 
     # -- helpers ------------------------------------------------------------
 
     def _check(self, other: "Multivector"):
         if not isinstance(other, Multivector):
             raise TypeError(f"expected Multivector, got {type(other).__name__}")
-        if other.signature != self.signature:
+        if other.signature is not self.signature and other.signature != self.signature:
             raise AlgebraMismatchError(
                 f"cannot combine Cl({self.signature.p},{self.signature.q}) with "
                 f"Cl({other.signature.p},{other.signature.q})"
             )
 
+    def _with_real(self, ufunc, other, embed: bool = False, reflected: bool = False):
+        """ufunc of the coefficients and a real scalar of any type
+        (``numbers.Real``, numpy's included), which enters as float(other):
+        as the scalar element's coefficients if embed, as the left operand
+        if reflected.  Any other operand is refused with TypeError."""
+        # a float passes the first test, without the slower ABC check
+        if not isinstance(other, float) and not isinstance(other, numbers.Real):
+            raise TypeError(f"expected Multivector or real scalar, got {type(other).__name__}")
+        s = float(other)
+        if embed:
+            s = Multivector.scalar(self.signature, s).coeffs
+        return _owned(self.signature, ufunc(s, self.coeffs) if reflected else ufunc(self.coeffs, s))
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return Multivector(self.signature, self.coeffs * other)
-        self._check(other)
-        return Multivector(self.signature, gp_coeffs(self.signature, self.coeffs, other.coeffs))
+        if isinstance(other, Multivector):
+            self._check(other)
+            return _owned(self.signature, gp_coeffs(self.signature, self.coeffs, other.coeffs))
+        return self._with_real(np.multiply, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return Multivector(self.signature, self.coeffs * other)
-        return NotImplemented
+        return self._with_real(np.multiply, other)
 
     def __add__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            other = Multivector.scalar(self.signature, other)
-        self._check(other)
-        return Multivector(self.signature, self.coeffs + other.coeffs)
+        if isinstance(other, Multivector):
+            self._check(other)
+            return _owned(self.signature, self.coeffs + other.coeffs)
+        return self._with_real(np.add, other, embed=True)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            other = Multivector.scalar(self.signature, other)
-        self._check(other)
-        return Multivector(self.signature, self.coeffs - other.coeffs)
+        if isinstance(other, Multivector):
+            self._check(other)
+            return _owned(self.signature, self.coeffs - other.coeffs)
+        return self._with_real(np.subtract, other, embed=True)
+
+    def __rsub__(self, other):
+        return self._with_real(np.subtract, other, embed=True, reflected=True)
 
     def __neg__(self):
-        return Multivector(self.signature, -self.coeffs)
+        return _owned(self.signature, -self.coeffs)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return Multivector(self.signature, self.coeffs / other)
-        return NotImplemented
+        return self._with_real(np.divide, other)
 
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "Multivector":
-        return Multivector(self.signature, conj_coeffs(self.signature, self.coeffs))
+        return _owned(self.signature, conj_coeffs(self.signature, self.coeffs))
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.signature.n_generators:
             raise ValueError(f"grade {k} out of range for Cl({self.signature.p},{self.signature.q})")
-        return Multivector(self.signature, np.where(grade_mask(self.signature, k), self.coeffs, 0.0))
+        return _owned(self.signature, np.where(grade_mask(self.signature, k), self.coeffs, 0.0))
 
     @property
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
     def approx_eq(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         self._check(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
+        return bool(np.abs(self.coeffs - other.coeffs).max() <= tol)
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -304,7 +345,8 @@ class Multivector:
         return self.signature == other.signature and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.signature, self.coeffs.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: elements that compare equal hash equally
+        return hash((self.signature, (self.coeffs + 0.0).tobytes()))
 
     def __repr__(self):
         names = cayley_table(self.signature).names
@@ -317,6 +359,20 @@ class Multivector:
         """Debug dump: one line per blade, `<blade-name> <coefficient>`."""
         names = cayley_table(self.signature).names
         return "\n".join(f"{n} {c:.17g}" for n, c in zip(names, self.coeffs))
+
+
+def _init(element: Multivector, signature: Signature, coeffs: np.ndarray) -> None:
+    coeffs.setflags(write=False)
+    object.__setattr__(element, "signature", signature)
+    object.__setattr__(element, "coeffs", coeffs)
+
+
+def _owned(signature: Signature, coeffs: np.ndarray) -> Multivector:
+    """The element of coeffs, a fresh float array of shape (signature.dim,)
+    that nothing else holds: it is marked read-only and taken, not copied."""
+    element = object.__new__(Multivector)
+    _init(element, signature, coeffs)
+    return element
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def velocity_series(grid: Grid, stack: np.ndarray, times, m: float):
 
 def expectation(B: Multivector, rho_c: CliffordDensityElement) -> float:
     """<B> = tr(B rho_c) with the representation-matched trace weight."""
-    if B.signature != rho_c.signature:
+    if B.signature is not rho_c.signature and B.signature != rho_c.signature:
         raise UnsupportedAlgebraError("operator and state live in different algebras")
     return algebra_trace(B * rho_c.body)
 

@@ -43,10 +43,10 @@ def _blade_matrices(sig: Signature) -> np.ndarray:
 def matrix_rep(a: Multivector):
     """Algebra homomorphism into C (for Cl(0,1)) or 2x2 complex matrices."""
     mats = _blade_matrices(a.signature)
-    out = (a.coeffs.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats).sum(axis=0)
-    if (a.signature.p, a.signature.q) == (0, 1):
-        return complex(out)
-    return out
+    # np.add.reduce is what ndarray.sum runs, without its Python layer
+    if mats.ndim == 1:
+        return complex(np.add.reduce(a.coeffs * mats))
+    return np.add.reduce(a.coeffs[:, None, None] * mats)
 
 
 def rep_trace(m) -> complex:
@@ -59,7 +59,7 @@ def rep_trace(m) -> complex:
 def density_matrix(psi1: complex, psi2: complex) -> np.ndarray:
     """Outer product Psi Psi^dagger."""
     col = np.array([psi1, psi2], dtype=complex)
-    return np.outer(col, col.conjugate())
+    return col[:, None] * col.conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ normalisation (``math.hypot`` on Python complex numbers): for one point it is
 faster than ``g_from_components``/``g_from_wavefunction``, and it stays exact
 where the field's sqrt(|psi1|^2 + |psi2|^2) loses precision (|psi| below
 about 1e-154) and underflows to 0 (below about 1e-162).
+
+``from_components`` and ``from_wavefunction`` (and ``from_euler``, through
+``from_components``) take ownership of the coefficient array they have just
+built for U (``algebra._owned``): it becomes read-only and is not copied.
+Every other element here is a ``Multivector`` operator result, which owns
+its array in the same way.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .algebra import (
     SCHRODINGER,
     Multivector,
     Signature,
+    _owned,
     idempotent,
 )
 from .grids import component_first
@@ -111,7 +118,7 @@ def _polar(sig: Signature, R: float, g) -> IdealSpinor:
     """R U epsilon, U embedded from the g-coefficients g of R U (zero R: U = 1)."""
     if R == 0.0:
         return IdealSpinor(0.0, Multivector.scalar(sig, 1.0))
-    return IdealSpinor(R, Multivector(sig, even_field_coeffs(sig, np.array(g) / R)))
+    return IdealSpinor(R, _owned(sig, even_field_coeffs(sig, np.array(g) / R)))
 
 
 def from_wavefunction(psi: complex) -> IdealSpinor:
@@ -128,16 +135,16 @@ def from_components(psi1: complex, psi2: complex) -> IdealSpinor:
 
 
 def to_wavefunction(phi: IdealSpinor) -> complex:
-    if phi.signature != SCHRODINGER:
+    if phi.signature is not SCHRODINGER and phi.signature != SCHRODINGER:
         raise UnsupportedAlgebraError("to_wavefunction needs a Cl(0,1) spinor")
-    g = phi.g
-    return phi.R * complex(g[0], g[1])
+    g0, g1 = phi.g.tolist()
+    return phi.R * complex(g0, g1)
 
 
 def to_components(phi: IdealSpinor) -> tuple[complex, complex]:
-    if phi.signature != PAULI:
+    if phi.signature is not PAULI and phi.signature != PAULI:
         raise UnsupportedAlgebraError("to_components needs a Cl(3,0) spinor")
-    g0, g1, g2, g3 = phi.g
+    g0, g1, g2, g3 = phi.g.tolist()
     return phi.R * complex(g0, g3), phi.R * complex(g2, g1)
 
 
@@ -204,7 +211,7 @@ def cde(phi: IdealSpinor) -> CliffordDensityElement:
 
 def spin_vector(phi: IdealSpinor) -> tuple[np.ndarray, Multivector]:
     """Unit spin direction a and the spin vector s = U e3 ~U / 2 (Cl(3,0) only)."""
-    if phi.signature != PAULI:
+    if phi.signature is not PAULI and phi.signature != PAULI:
         raise UnsupportedAlgebraError("spin_vector needs a Cl(3,0) spinor")
     e3 = Multivector.blade(PAULI, "e3")
     rotated = phi.U * e3 * phi.U.conjugate()
