@@ -230,6 +230,9 @@ class Multivector:
     """Immutable element of Cl(0,1) or Cl(3,0) with dense real coefficients."""
 
     __slots__ = ("signature", "coeffs")
+    # numpy defers every operator with an ndarray to the element's own, which
+    # refuse it, instead of broadcasting the element over the array
+    __array_ufunc__ = None
 
     def __init__(self, signature: Signature, coeffs):
         coeffs = np.array(coeffs, dtype=float)
@@ -242,6 +245,9 @@ class Multivector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    def __reduce__(self):
+        return Multivector, (self.signature, self.coeffs)
 
     # -- constructors -------------------------------------------------------
 

@@ -185,7 +185,8 @@ def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
 
     Along an n-node axis, x is extended to the odd sequence
     [0, x, 0, -x reversed] of length 2(n+1), whose discrete Fourier
-    transform is odd too, and entries 1..n of that transform are kept.  So
+    transform is odd too, and entries 1..n of that transform, taken in
+    place in the extension's own memory, are kept.  So
     numpy.fft.fft maps x to -2i S x, for S the sine matrix
     sin(pi j k/(n+1)), and numpy.fft.ifft maps that back to x."""
     for ax in axes:
@@ -194,7 +195,8 @@ def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
         odd = np.zeros((2 * n + 2,) + v.shape[1:], complex)
         odd[1:n + 1] = v
         np.negative(v[::-1], out=odd[n + 2:])
-        x = transform(odd, axis=0)[1:n + 1].swapaxes(0, ax)
+        transform(odd, axis=0, out=odd)
+        x = odd[1:n + 1].swapaxes(0, ax)
     return x.copy()
 
 

@@ -59,8 +59,9 @@ RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 # and stride 1 traced 142 and 144 B a point per frame over the run without
 # seeds on schrodinger_gaussian, and 333 and 336 B on pauli_texture, at 41
 # and 201 frames.  The block that builds a free run's stride frames before
-# that pass, stack included, peaks at 107-111 B a point-frame on
-# schrodinger_gaussian and 93-95 B on pauli_texture, and the RK4
+# that pass, stack included, peaks at 77-78 B a point-frame on
+# schrodinger_gaussian (its sine passes transform each odd extension in
+# place) and 93-95 B on pauli_texture, and the RK4
 # interpolator's flat velocity copy, 8 B a point per grid axis, comes after
 # the pass has freed its temporaries: neither raises the peak.
 STRIDE_FRAME_BYTES_PER_POINT = {"schrodinger": 256, "pauli": 512}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -890,6 +891,23 @@ def _stride_frames_two_ways(psi0, grid, cfg, stride):
     return [alone[j] for j in range(0, steps + 1, stride)], block, offered
 
 
+@pytest.mark.parametrize("shape, axes, bound", [((4096, 41), (0,), 3.1),
+                                                ((40, 40, 40), (0, 1, 2), 5.2)],
+                         ids=("one-axis", "three-axes"))
+def test_a_sine_pass_transforms_its_odd_extension_in_place(shape, axes, bound):
+    """A pass holds the (2n+2)-row odd extension, transformed in its own
+    memory, and the copy of the n rows it keeps: about three blocks' worth
+    over one axis, where a separate transform output made it five."""
+    x = np.random.default_rng(11).standard_normal(shape) + 0j
+    tracemalloc.start()
+    try:
+        dy._sine_passes(np.fft.ifft, x, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.nbytes < bound
+
+
 @pytest.mark.filterwarnings("ignore:dt=0.001 exceeds")  # on 4096 points
 @pytest.mark.parametrize("scheme, shape, components, steps, stride", [
     ("crank-nicolson", (384,), (), 1600, 20),  # the 81 stride frames of a long 1-D run
@@ -1152,6 +1170,76 @@ def test_a_module_import_loads_only_what_the_module_imports():
     oracle = _loaded_after("cliffordqm.oracle")
     assert package(oracle) == {"cliffordqm.algebra", "cliffordqm.oracle"}
     assert not oracle & {"scipy.linalg", "yaml"}
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (ValueError, OSError, AttributeError):
+        return False
+
+
+FREE_AND_REALLOCATE = """
+import resource
+import cliffordqm
+import numpy as np
+counts = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 18) for _ in range(24)]
+    del arrays
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*counts)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is set under glibc only")
+def test_freed_field_memory_is_reused_without_faulting_it_in_again():
+    """24 arrays of 2 MiB, held together and freed, four times over: the first
+    round faults their pages in, and the heap keeps them for the later ones,
+    which glibc's default thresholds would trim and fault in every round."""
+    pages = 24 * (1 << 21) // resource.getpagesize()
+    counts = [int(c) for c in _fresh_python(FREE_AND_REALLOCATE).split()]
+    assert counts[0] >= pages // 2
+    assert all(c < 0.01 * pages for c in counts[1:]), counts
+
+
+def _raise_value_error(name):
+    raise ValueError(f"unrecognized configuration name: {name}")
+
+
+@pytest.mark.parametrize("confstr", [_raise_value_error, lambda name: None,
+                                     lambda name: "musl 1.2.4"],
+                         ids=("no-confstr-name", "no-value", "other-libc"))
+def test_without_glibc_the_allocator_is_left_as_it_is(monkeypatch, confstr):
+    import ctypes
+
+    import cliffordqm
+
+    opened = []
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: opened.append(args))
+    cliffordqm._keep_freed_memory()
+    assert opened == []
+
+
+def test_a_refused_mmap_threshold_leaves_the_trim_threshold_as_it_is(monkeypatch):
+    import ctypes
+
+    import cliffordqm
+
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: Libc)
+    cliffordqm._keep_freed_memory()
+    assert calls == [(-3, 32 << 20)]
 
 
 def test_scipy_fft_loads_on_the_first_split_step_past_one_axis():

@@ -1,5 +1,6 @@
 """The single-element path: its results pinned bit for bit, who owns their
-arrays, signature identity and hashing, and real scalars as operands.
+arrays, signature identity and hashing, pickling and copying, and real
+scalars as operands.
 
 The digest covers every call the ``algebra_points`` benchmark makes through
 the public API, on seeded points with signed zeros and zero spinors mixed
@@ -8,6 +9,7 @@ numpy's einsum and on CPython's math and cmath, so the digest test skips
 under other versions than the ones it was recorded with.
 """
 
+import copy
 import fractions
 import hashlib
 import pickle
@@ -203,6 +205,35 @@ def test_pickled_signature_is_an_equal_key(sig):
         == ob.expectation(b, sp.CliffordDensityElement(1.0, a))
 
 
+def _copies(x):
+    return pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=("cl01", "cl30"))
+def test_elements_pickle_and_copy_to_equal_read_only_elements(sig):
+    a = alg.Multivector(sig, _signed_zeros(np.random.default_rng(6),
+                                           np.random.default_rng(7).standard_normal(sig.dim)))
+    for b in _copies(a):
+        assert type(b) is alg.Multivector
+        assert b == a and hash(b) == hash(a)
+        assert b.coeffs.tobytes() == a.coeffs.tobytes()
+        assert not b.coeffs.flags.writeable
+        assert b * a == a * a
+
+
+def test_spinors_and_density_elements_pickle_and_copy():
+    phi = sp.from_components(0.3 - 0.4j, -1.2 + 0.5j)
+    psi = sp.from_wavefunction(0.7 - 0.2j)
+    for x in (phi, psi, sp.cde(phi), sp.cde(psi)):
+        element = x.U if isinstance(x, sp.IdealSpinor) else x.body
+        for y in _copies(x):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x)
+            copied = y.U if isinstance(y, sp.IdealSpinor) else y.body
+            assert copied.coeffs.tobytes() == element.coeffs.tobytes()
+            assert not copied.coeffs.flags.writeable
+
+
 def test_slot_tables_are_read_only_index_arrays():
     for sig, slots in alg._G_SLOTS.items():
         assert slots.dtype == np.intp and not slots.flags.writeable
@@ -213,8 +244,8 @@ def test_slot_tables_are_read_only_index_arrays():
 # ---------------------------------------------------------------------------
 # real scalars as operands
 
-REALS = (np.int64(2), np.int32(-3), np.float32(0.5), np.float64(-1.25), np.uint8(7),
-         fractions.Fraction(1, 3), True, 2, -0.0)
+REALS = (np.int64(2), np.int32(-3), np.float32(0.5), np.float64(-1.25), np.float64(2.0),
+         np.uint8(7), fractions.Fraction(1, 3), True, 2, -0.0)
 
 
 def _same_bits(x, y):
@@ -245,9 +276,9 @@ def test_real_scalars_act_as_python_floats(sig, s):
                          ids=("str", "complex", "None", "list", "array"))
 def test_non_real_operands_are_refused(other):
     a = _element(alg.PAULI)
-    ops = [lambda: a * other, lambda: a + other, lambda: a - other, lambda: a / other]
-    if not isinstance(other, np.ndarray):  # an array on the left broadcasts over a
-        ops += [lambda: other * a, lambda: other + a, lambda: other - a]
-    for op in ops:
-        with pytest.raises(TypeError):
+    ops = [lambda: a * other, lambda: a + other, lambda: a - other, lambda: a / other,
+           lambda: other * a, lambda: other + a, lambda: other - a]
+    for op in ops:  # numpy defers to the element's refusal for an array on either side
+        with pytest.raises(TypeError, match="expected Multivector or real scalar"):
             op()
+
