@@ -7,10 +7,10 @@ against an independent generator of the fields, not against themselves.
 ``evolve`` runs one of two loops.  A run without a potential, of either
 scheme, is diagonal in its spectrum, where a step turns each mode by the
 angle theta of its scheme: frame j is psi0's spectrum times exp(-i j theta),
-transformed back on its first read, so a step does no array work and an
-unbuilt frame holds only j.  A run with a potential takes Strang steps
-(Strang, SIAM J. Numer. Anal. 5 (1968) 506): half the potential phase, the
-scheme's kinetic step, half the potential phase, each frame stored as made.
+transformed back when it is read, so the run does no work per step.  A
+run with a potential takes Strang steps (Strang, SIAM J. Numer. Anal. 5
+(1968) 506): half the potential phase, the scheme's kinetic step, half the
+potential phase, each kept frame held as made.
 One phase expression, exp(-i j theta) per axis, makes a free frame, a block
 of them and split-step's one-step kinetic phase.
 
@@ -34,17 +34,15 @@ with this module: the import loads ``scipy.special`` and costs about 0.1 s
 and 3-7 MB of peak memory, which Crank-Nicolson runs and lines, where
 ``numpy.fft.fft`` is about as fast, do not pay.
 
-``evolve`` offers every frame to an optional sink, ``keep(j, frame)``, where
-``frame()`` builds frame j on its first call and returns that same array on
-every later one, and stores only the frames it accepts (every frame without
-a sink), unbuilt until they are read.  So a caller that needs a few frames,
-or only numbers taken from them, holds O(N) memory rather than O(steps N),
-and a free run of either scheme, with a sink or without, transforms back
-only the frames its caller reads.  ``fill_frames`` writes a list of frames
-into one stack after the run: it copies the frames already built and
-builds a free run's others in one block, one inverse transform over their
-stacked phased spectra, which numpy rounds as it rounds each frame alone;
-there is one path, whatever the scheme.
+``evolve`` returns a run's frames by step number, frame j at time j dt,
+and holds only the frames of the steps in ``keep`` (every step without it).
+So a caller that needs a few frames of steps it knows in advance holds O(N)
+memory rather than O(steps N), and a free run of either scheme transforms
+back only the frames its caller reads.  The series' ``frames.fill`` writes
+a list of frames into one block: it copies the frames held and builds a
+free run's others in one inverse transform over their stacked phased
+spectra, which numpy rounds as it rounds each frame alone; there is one
+path, whatever the scheme.
 
 Trajectories read the velocity through a multilinear interpolator that
 extrapolates linearly past a clamped grid's edges, since an RK4 stage may
@@ -66,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridError, SnapshotSeries, write_csv
+from .grids import Grid, GridError, SnapshotSeries, StepTimes, write_csv
 
 SCHEME_BOUNDARY = {"crank-nicolson": "clamped", "split-step": "periodic"}
 
@@ -200,71 +198,70 @@ def _sine_passes(transform, x: np.ndarray, axes: tuple) -> np.ndarray:
     return x.copy()
 
 
-class _Frame:
-    """Frame j of a run: psi, or, when psi is None, build(j) on the first call,
-    after which build and what it holds are dropped.  Every call returns
-    the same array."""
-
-    __slots__ = ("psi", "build", "j")
-
-    def __init__(self, psi: np.ndarray = None, build=None, j: int = None):
-        self.psi, self.build, self.j = psi, build, j
-
-    def __call__(self) -> np.ndarray:
-        if self.psi is None:
-            self.psi, self.build = self.build(self.j), None
-        return self.psi
-
-
-def fill_frames(out: np.ndarray, frames: list) -> None:
-    """Write frames[i]() into out[i] for every i, leaving every frame as it
-    was: a built frame is copied, and the unbuilt frames of a free run are
-    built together, one inverse transform over the block of their phased
-    spectra, which rounds as building each alone does."""
-    blocks = {}
-    for i, frame in enumerate(frames):
-        if frame.psi is None:
-            blocks.setdefault(frame.build, []).append(i)
-        else:
-            out[i] = frame.psi
-    for build, rows in blocks.items():
-        out[rows] = build(np.array([frames[i].j for i in rows]))
-
-
 class _Frames(Sequence):
-    """A read-only sequence of _Frames that builds an entry on its first read;
-    a slice is a list of built frames."""
+    """Frames 0..steps of a run, a read-only sequence.  held maps steps to
+    their frames.  A free run builds any other frame j with build(j) when
+    it is read and holds it only if j is in keep, dropping build once it
+    holds every frame; a run with a potential has no build and refuses any
+    other frame.  A slice is a list of frames."""
 
-    def __init__(self, entries: list):
-        self._entries = entries
+    def __init__(self, steps: int, held: dict, keep, build):
+        self._n, self._held, self._keep, self._build = steps + 1, held, keep, build
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._n
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [frame() for frame in self._entries[i]]
-        return self._entries[i]()
+        j = range(self._n)[i]  # an int, or a range for a slice
+        if isinstance(j, range):
+            return [self[s] for s in j]
+        frame = self._held.get(j)
+        if frame is None:
+            frame = self._built(j)
+            if j in self._keep:
+                self._held[j] = frame
+                if len(self._held) == self._n:
+                    self._build = None  # every frame held: psi0's spectrum goes
+        return frame
+
+    def _built(self, j):
+        """build(j) for a step j or a 1-D array of them; a run with a potential refuses."""
+        if self._build is None:
+            raise GridError(f"the run did not keep frame {np.ravel(j)[0]}")
+        return self._build(j)
+
+    def fill(self, out: np.ndarray, steps) -> None:
+        """Write frame steps[i] into out[i] for every i, holding no frame
+        it builds: a held frame is copied, and a free run builds the others
+        together, one inverse transform over the block of their phased
+        spectra, which rounds as building each alone does."""
+        rows = []
+        for i, j in enumerate(steps):
+            if j in self._held:
+                out[i] = self._held[j]
+            else:
+                rows.append(i)
+        if rows:
+            out[rows] = self._built(np.array([steps[i] for i in rows]))
 
 
 def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> SnapshotSeries:
-    """Evolve a complex field (trailing 2-component axis allowed).
+    """Evolve a complex field (trailing 2-component axis allowed): a series
+    of the run's steps+1 frames, frame j at time j dt.
 
     Runs one of the module's two loops: without a potential, each frame
     built from psi0's spectrum in closed form when it is read, so free
     frames differ from a step-by-step solve at roundoff; with a potential,
     Strang steps around the scheme's kinetic step, whose split-step frames
     equal a numpy.fft.fftn loop's bit for bit.
-    keep(j, frame) is called once per frame, j = 0..steps in order, and the
-    frames it returns true for are stored.  frame() builds frame j on its
-    first call and returns that same array on every later one, during
-    keep(j, frame) or after it returns.  A built frame is C-ordered, owns
-    its data and is never written afterwards, so keep may hold on to it.
-    Returns the stored frames at their times (all steps+1 of them when keep
-    is None), numbered as the run numbers them in steps of dt, the full time
-    grid's step times their index spacing; unevenly spaced frames raise
-    GridError.  The series' frames are a read-only sequence that builds each
-    frame on its first read: an index, a slice or an iteration.
+    keep is the collection of steps whose frames the series holds, every
+    step when None.  A free run holds frame 0, which is psi0's bits, and
+    builds any other frame when it is read, holding it if its step is kept;
+    a run with a potential holds its kept frames and refuses any other read
+    with GridError.  A frame is C-ordered, owns its data and is never
+    written afterwards.  The series' frames are a read-only sequence (an
+    index, a slice or an iteration), whose fill(out, steps) writes frames
+    into one block.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli = psi0.shape == grid.shape + (2,)
@@ -332,29 +329,20 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
             phi *= kin
             return back(phi)
 
-    stored, frames = [], []
-
-    def store(j: int, frame: _Frame):
-        if keep is None or keep(j, frame):
-            stored.append(j)
-            frames.append(frame)
-
+    keep = range(cfg.steps + 1) if keep is None else frozenset(keep)
     # one copy keeps the caller's psi0 out of the frames; every Strang step
-    # below makes a new array, which the frames keep as it is
+    # below makes a new array, which the run holds as it is.  A free run's
+    # frame 0 is psi0's bits whatever keep holds: building it would round
     psi = psi0.copy()
-    store(0, _Frame(psi))
-    if half_v is None:
-        for j in range(1, cfg.steps + 1):
-            store(j, _Frame(build=build, j=j))  # an unbuilt frame holds only j
-    else:
+    held = {0: psi} if half_v is None or 0 in keep else {}
+    if half_v is not None:
         for j in range(1, cfg.steps + 1):
             psi = kinetic(psi * half_v)
-            psi *= half_v  # a new array that keep has not seen yet
-            store(j, _Frame(psi))
-    times = cfg.dt * np.asarray(stored)
-    spacing = stored[1] - stored[0] if len(stored) >= 2 else 1
-    dt = cfg.dt * spacing if len(stored) >= 2 else None
-    return SnapshotSeries(times, _Frames(frames), grid, dt, stored[0] // spacing if stored else 0)
+            psi *= half_v  # a new array, not yet held
+            if j in keep:
+                held[j] = psi
+    frames = _Frames(cfg.steps, held, keep, build if half_v is None else None)
+    return SnapshotSeries(StepTimes(cfg.dt, cfg.steps + 1), frames, grid)
 
 
 # ---------------------------------------------------------------------------

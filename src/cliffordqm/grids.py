@@ -12,6 +12,7 @@ component; a vector field's gradient, [..., component, axis], is stored as
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,27 +85,44 @@ class Grid:
         return int(np.prod(self.shape))
 
 
+class StepTimes(Sequence):
+    """The times j dt of steps j = 0..n-1, each computed when it is read: an
+    index gives a float, a slice an array.  Nothing is held per step."""
+
+    def __init__(self, dt: float, n: int):
+        self.dt, self.n = float(dt), n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        j = range(self.n)[i]  # an int, or a range for a slice
+        return self.dt * (np.arange(j.start, j.stop, j.step) if isinstance(j, range) else j)
+
+
 @dataclass
 class SnapshotSeries:
-    """Uniformly spaced time snapshots of a field.
+    """Uniformly spaced time snapshots of a field, frames[j] at times[j].
 
-    dt defaults to times[1] - times[0].  Frames kept from a longer run carry
-    that run's step instead: t[k] - t[k-1] differs from it by a few ulp.
-    Frames are numbered in steps of dt from first: frames[i] is frame
-    first + i, so a window kept from a run can keep the run's numbering.
+    dt defaults to times[1] - times[0], checked uniform.  A run's series
+    (``dynamics.evolve``) holds StepTimes, frame j at j dt, which need no
+    check and take their dt, the run's step: t[k] - t[k-1] may differ from
+    it by a few ulp.
     """
 
-    times: np.ndarray
+    times: np.ndarray  # or StepTimes
     frames: list  # ndarrays sharing one shape, or a read-only sequence of them
     grid: Grid = None
     dt: float = None
-    first: int = 0
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        if not isinstance(self.times, StepTimes):
+            self.times = np.asarray(self.times, dtype=float)
         if len(self.times) != len(self.frames):
             raise GridError("times and frames length mismatch")
-        if len(self.times) >= 2:
+        if isinstance(self.times, StepTimes):
+            self.dt = self.times.dt
+        elif len(self.times) >= 2:
             steps = np.diff(self.times)
             if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
                 raise GridError("times must be strictly increasing with uniform step")

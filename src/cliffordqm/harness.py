@@ -6,23 +6,21 @@ libyaml when PyYAML has it, and a refusal's text always comes from the
 pure-Python parser.  A run produces a fields CSV, a trajectories CSV, and
 a report JSON whose pass/fail flags drive the CLI exit code.
 
-A run streams its evolution through a frame sink rather than storing every
-frame.  The sink keeps the norms of the first and last frames (for the
-drift check), frames k-1, k and k+1 around the checked frame
+A run evolves keeping the frames of a few steps: 0 and steps, whose norms
+give the drift check, k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
-stride-th raw frame, unbuilt; after the evolution the stride frames are
-written into one stack, a free run's unbuilt ones built in one block
-transform, the run derives every stride frame's velocity in one stacked
-pass and integrates the seeds' Bohm paths through them, and paths that
-cross fail it.  It builds no other frame, so a free run of either scheme
-transforms back only those.  run_scenario and run_to_files return the
+stride-th frame.  After the check the stride frames are written into one
+stack, a free run's unbuilt ones built in one block transform; the run
+derives every stride frame's velocity in one stacked pass and integrates
+the seeds' Bohm paths through them, and paths that cross fail it.  It
+reads no other frame, so a free run of either scheme transforms back only
+those and does no work per step.  run_scenario and run_to_files return the
 same report.  The memory guard prices the run per grid point and, with
 seeds, each stride frame on top.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
 import json
 import math
@@ -41,17 +39,18 @@ from . import oracle as orc
 
 SCHEMA_VERSION = 1
 ENV_OUT_ROOT = "CLIFFORDQM_OUT_ROOT"
-# the most grid points x steps one run (or sweep level) may take.  The
-# bundled 4-level sweeps peak at 3072 x 25600 = 7.9e7 point-steps, yet
-# with free frames built in closed form a whole sweep takes 0.020 s
-# in-process on a 2-core host (best of 5).  A fifth level takes 4.2e8 to
-# 6.3e8, and steps: 1e9 on 128 points 1.3e11, so both are refused before
-# they run.
+# the most grid points x steps one run (or sweep level) may take.  It
+# prices every step as array work, which only a run with a potential does:
+# a free run builds only the frames it keeps, whatever its steps.  The
+# bundled 4-level sweeps peak at 3072 x 25600 = 7.9e7 point-steps; a fifth
+# level takes 4.2e8 to 6.3e8, and steps: 1e9 on 128 points 1.3e11, so both
+# are refused before they run.
 MAX_POINT_STEPS = 2 ** 28
-# bytes per grid point a run holds at its peak, without trajectory seeds: the
-# three-frame window and the observables derived from it.  A warmed
-# run_scenario at n = 4096 and 2 steps traced 357 B a point on
-# schrodinger_gaussian and 838 B on pauli_superposition and pauli_texture.
+# bytes per grid point a run holds at its peak, without trajectory seeds:
+# frames 0 and steps, a free run's psi0 spectrum, the three-frame window
+# and the observables derived from it.  A warmed run_scenario at n = 4096
+# and 40 steps traced 414 B a point on schrodinger_gaussian and 942 B on
+# pauli_superposition and pauli_texture.
 RUN_BYTES_PER_POINT = {"schrodinger": 512, "pauli": 1024}
 # bytes per grid point each trajectory stride frame adds to a run with seeds:
 # the raw frame, its velocity and node mask, and the temporaries of the one
@@ -113,11 +112,27 @@ def _construct_int(loader, node):
         return _LongInt(text) if re.fullmatch(r"[-+]?[\d_]+", text) else text
 
 
+def _construct_map(loader, node):
+    """A mapping that refuses a key written twice in it, whose last value
+    YAML would silently keep; a merge key's entries may still be overridden."""
+    own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+    mapping = loader.construct_mapping(node)  # refuses an unhashable key
+    seen = set()
+    for key_node in own:
+        key = loader.construct_object(key_node)
+        if key in seen:
+            raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}",
+                                                    key_node.start_mark)
+        seen.add(key)
+    return mapping
+
+
 for _loader in (_PyLoader, _Loader):
     _loader.add_implicit_resolver("tag:yaml.org,2002:float",
                                   re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
                                   list("-+0123456789."))
     _loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
+    _loader.add_constructor("tag:yaml.org,2002:map", _construct_map)
 
 
 class _Spec:
@@ -454,53 +469,25 @@ def _stride_frames(steps: int, stride: int) -> tuple[int, int]:
     return stride, steps // stride + 1
 
 
-class _FrameSink:
-    """dynamics.evolve's keep(j, frame) for a run: it accepts frames k-1..k+1
-    and records the drift norms and every stride-th frame on the side,
-    calling frame() only for the norms, so no other frame is built during
-    the run.  The stride frames, as many as ``_stride_frames`` counts and
-    the memory guard prices, are written into one stack on the axis after
-    the grid axes on its first read, after the run, by
-    ``dynamics.fill_frames``, which builds a free run's unbuilt frames in one
-    block; the sink holds their times too: the stack and times that
-    ``observables.velocity_series`` takes."""
-
-    def __init__(self, sc: Scenario):
-        steps = sc.evolution.steps
-        self.grid, self.last, self.k = sc.grid, steps, (steps + 1) // 2
-        self.stride, n_frames = _stride_frames(steps, sc.trajectory_stride) if sc.seeds else (0, 0)
-        self.norms, self._frames = [], []
-        self.times = sc.evolution.dt * (self.stride * np.arange(n_frames))
-        self._spin = (2,) if sc.particle == "pauli" else ()
-
-    def __call__(self, j: int, frame) -> bool:
-        if j == 0 or j == self.last:
-            self.norms.append(dy.norm(frame(), self.grid))
-        if self.stride and j % self.stride == 0:
-            self._frames.append(frame)
-        return abs(j - self.k) <= 1
-
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        stack = np.empty(self.grid.shape + self.times.shape + self._spin, complex)
-        dy.fill_frames(np.moveaxis(stack, self.grid.dim, 0), self._frames)
-        self._frames = None
-        return stack
-
-    @property
-    def drift(self) -> float:
-        return abs(self.norms[-1] - self.norms[0])
-
-
 def _run(sc: Scenario):
-    """Sample, evolve through a frame sink, check frame k and integrate the seeds,
-    whose crossing fails the run: (report, BohmObservables, TrajectorySet or None)."""
-    sink = _FrameSink(sc)
-    window = dy.evolve(_initial_field(sc), sc.grid, sc.evolution, keep=sink)
-    report, obs = _check(sc, window, sink.k, sink.drift)
+    """Sample, evolve, check frame k and integrate the seeds, whose crossing
+    fails the run: (report, BohmObservables, TrajectorySet or None)."""
+    steps = sc.evolution.steps
+    k = (steps + 1) // 2
+    stride, n_frames = _stride_frames(steps, sc.trajectory_stride)
+    strided = range(0, steps + 1, stride) if sc.seeds else range(0)
+    series = dy.evolve(_initial_field(sc), sc.grid, sc.evolution,
+                       keep={0, k - 1, k, k + 1, steps, *strided})
+    drift = abs(dy.norm(series.frames[steps], sc.grid) - dy.norm(series.frames[0], sc.grid))
+    report, obs = _check(sc, series, k, drift)
     if not sc.seeds:
         return report, obs, None
-    velocities, masks = ob.velocity_series(sc.grid, sink.stack, sink.times, sc.evolution.m)
+    spin = (2,) if sc.particle == "pauli" else ()
+    stack = np.empty(sc.grid.shape + (n_frames,) + spin, complex)
+    series.frames.fill(np.moveaxis(stack, sc.grid.dim, 0), strided)
+    del series  # the stack holds the stride frames: the others and psi0's spectrum go
+    times = sc.evolution.dt * (stride * np.arange(n_frames))
+    velocities, masks = ob.velocity_series(sc.grid, stack, times, sc.evolution.m)
     traj = dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)), masks)
     ordered = dy.ordering_preserved(traj.paths)
     report["trajectories"] = {"n_seeds": len(sc.seeds), "n_truncated": int(traj.truncated.sum()),
@@ -515,9 +502,9 @@ def run_scenario(sc: Scenario) -> dict:
 
 
 def _check(sc: Scenario, series: gd.SnapshotSeries, k: int, drift: float):
-    """Report on frame k of a run from a series that holds frames k-1..k+1 at
-    the run's dt and from the run's norm drift: (report, BohmObservables of
-    frame k, whose window holds the frame and its neighbours)."""
+    """Report on frame k of a run from its series, which holds frames k-1..k+1,
+    and from the run's norm drift: (report, BohmObservables of frame k, whose
+    window holds the frame and its neighbours)."""
     if not drift <= NORM_DRIFT_ABORT:  # a NaN drift aborts too
         raise RunAborted(f"norm drift {drift:g} exceeds {NORM_DRIFT_ABORT:g}")
 

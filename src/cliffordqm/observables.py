@@ -184,7 +184,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def state_at(series: SnapshotSeries, k: int) -> SpinorField:
-    return SpinorField(series.grid, series.frames[k - series.first])
+    return SpinorField(series.grid, series.frames[k])
 
 
 @dataclass(eq=False)
@@ -203,9 +203,9 @@ class Window:
 
 def window(series: SnapshotSeries, k: int) -> Window:
     """The window around frame k, with dt = series.dt; boundary frames are rejected."""
-    if not series.first + 1 <= k <= series.first + len(series) - 2:
+    if not 1 <= k <= len(series) - 2:
         raise GridError(f"frame {k} has no central-stencil neighbours in frames "
-                        f"{series.first}..{series.first + len(series) - 1}")
+                        f"0..{len(series) - 1}")
     return Window(*(state_at(series, j) for j in (k - 1, k, k + 1)), series.dt)
 
 

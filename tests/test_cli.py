@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -123,7 +124,7 @@ def test_run_is_deterministic(tmp_path):
 def test_free_split_step_run_transforms_back_only_the_frames_its_sink_reads(
         seeds, stride, monkeypatch):
     """Without a potential a split step is one kinetic phase; frame j is
-    transformed back only for the sink's norms (j = 0, last), its window
+    transformed back only for the run's norms (j = 0, last), its window
     k-1..k+1 and its trajectory stride, and frame 0 is psi0 itself.  The
     stride frames not built for the others are built in one transform."""
     calls = []
@@ -184,9 +185,9 @@ def test_streamed_run_equals_the_full_series(config, tmp_path, monkeypatch):
     assert "trajectories" in report if sc.seeds else "trajectories" not in report
     report.pop("trajectories", None)
     assert report == expected
-    # the streamed runs check a three-frame window at the full run's dt, bit for bit
+    # the runs that keep a few frames check frame k of the run's series at its dt, bit for bit
     steps, dt = sc.evolution.steps, sc.evolution.dt.hex()
-    assert windows == [(steps + 1, dt), (3, dt), (3, dt)]
+    assert windows == [(steps + 1, dt)] * 3
     if sc.seeds:
         stride = sc.trajectory_stride
         velocities, masks = harness.ob.velocity_series(
@@ -212,6 +213,28 @@ def test_run_to_files_memory_does_not_grow_with_steps(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < every_frame / 8, (peak, every_frame)
+
+
+def test_a_free_run_does_no_work_per_step():
+    """10^7 free Crank-Nicolson steps on 16 points: the run builds only the
+    frames it keeps, in well under a second, and holds nothing per step, not
+    even an array of its steps' times."""
+    config = harness.load_bundled("schrodinger_gaussian").config
+    sc = harness._scenario(dict(config, grid={**config["grid"], "n": 16},
+                                evolution={**config["evolution"], "dt": 1e-7, "steps": 10 ** 7},
+                                trajectories={"seeds": []}), "schrodinger_gaussian")
+    start = time.perf_counter()
+    report = harness.run_scenario(sc)
+    elapsed = time.perf_counter() - start
+    assert report["frame"] == 5 * 10 ** 6
+    assert elapsed < 1.0
+    tracemalloc.start()
+    try:
+        harness.run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_memory_guard_prices_a_run_not_a_frame(monkeypatch):
@@ -255,34 +278,45 @@ def test_a_warmed_run_stays_within_its_price_per_point(name, seeds):
 
 @pytest.mark.parametrize("name, seeds", [("schrodinger_gaussian", "[-1.5, 0.0, 1.5]"),
                                          ("pauli_texture", "[3.0, 6.0, 9.0]")])
-def test_block_built_stride_frames_stay_within_their_price(name, seeds):
+def test_block_built_stride_frames_stay_within_their_price(name, seeds, monkeypatch):
     """1600 steps on 384 points keep 81 stride frames, as the long benchmark
-    run does.  Their stack, built in one block after the run, peaks below a
+    run does.  Their stack, built in one block after the check, peaks below a
     stride frame's price a point, and the warmed run below the guard's price."""
     text = (harness.bundled_dir() / f"{name}.cfg").read_text()
     text = re.sub(r"seeds: \[.*\]", f"seeds: {seeds}", re.sub(r"stride: \d+", "stride: 20", text))
     text = re.sub(r"\n  n: \d+", "\n  n: 384", re.sub(r"steps: \d+", "steps: 1600", text))
     sc = harness.parse_config(text)
     n, frames = sc.grid.n_points, 81
+    fill, fills = harness.dy._Frames.fill, []
+
+    def measured(series_frames, out, steps):
+        """fill, recording the frames written and the peak over what was
+        held before the stack was made."""
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0] - out.nbytes
+        fill(series_frames, out, steps)
+        fills.append((len(out), tracemalloc.get_traced_memory()[1] - before))
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # dt is past h^2 m at this n
         harness.run_scenario(sc)
-        sink = harness._FrameSink(sc)
-        harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution, keep=sink)
         tracemalloc.start()
         try:
-            stack = sink.stack
-            stack_peak = tracemalloc.get_traced_memory()[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(harness.dy._Frames, "fill", measured)
+                harness.run_scenario(sc)
             tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
             harness.run_scenario(sc)
-            run_peak = tracemalloc.get_traced_memory()[1]
+            run_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert stack.shape[sc.grid.dim] == frames
+    [(stacked, stack_peak)] = fills
+    assert stacked == frames
     assert stack_peak / (n * frames) < harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
     price = harness.RUN_BYTES_PER_POINT[sc.particle] + \
         frames * harness.STRIDE_FRAME_BYTES_PER_POINT[sc.particle]
-    assert (run_peak - stack.nbytes) / n < price  # the stack was still held
+    assert run_peak / n < price
 
 
 def test_default_checks_are_those_of_the_particle():
@@ -457,6 +491,12 @@ MALFORMED = [
     ("potential_key_unknown", SMALL_SCHRODINGER,
      ("potential: {kind: none}", "potential: {kind: none, omega: 2.0}"),
      "potential.omega: unknown key"),
+    # a key written twice would silently take its last value
+    ("top_level_key_twice", SMALL_SCHRODINGER,
+     ("particle: schrodinger\n", "particle: schrodinger\nparticle: pauli\n"),
+     "line 5: found duplicate key 'particle'"),
+    ("section_key_twice", SMALL_SCHRODINGER, ("steps: 40,", "steps: 40, dt: 0.05,"),
+     "line 8: found duplicate key 'dt'"),
     # 2^21 + 1 stride frames of 128 points take about 69 GB: refused on any
     # smaller host, though the run's 2^28 point-steps are within the bound
     ("stride_frames_exceed_memory", SMALL_SCHRODINGER,
@@ -659,9 +699,13 @@ def test_nan_norm_drift_aborts():
 
 
 def test_aborted_run_leaves_no_directory(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness._FrameSink, "drift", float("nan"))
+    """A run whose frames' norms read NaN aborts on its drift."""
+    sc = harness.parse_config(SMALL_SCHRODINGER)
+    psi0 = harness._initial_field(sc)
+    monkeypatch.setattr(harness, "_initial_field", lambda sc: psi0)
+    monkeypatch.setattr(harness.dy, "norm", lambda psi, grid: float("nan"))
     with pytest.raises(harness.RunAborted, match="nan"):
-        harness.run_to_files(harness.parse_config(SMALL_SCHRODINGER), tmp_path / "out")
+        harness.run_to_files(sc, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 

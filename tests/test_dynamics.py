@@ -1,5 +1,6 @@
 """Time evolution schemes and Bohm trajectory integration."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -339,33 +340,37 @@ def test_evolve_frames_alias_neither_psi0_nor_each_other(scheme, boundary, pauli
 @pytest.mark.parametrize("shape", [(64,), (7, 11, 13)])
 @pytest.mark.parametrize("harmonic", [False, True])
 def test_evolve_never_writes_a_frame_after_keep_sees_it(scheme, shape, harmonic):
-    # without a potential the kinetic step starts from the stored frame
-    # itself, so a transform that wrote its input would rewrite that frame
+    """Each frame, as the run makes it (the last frame of a run that stops
+    there) and as it is first read, equals the frame once every frame has
+    been read: without a potential every frame is built from psi0's spectrum,
+    so a transform that wrote its input would rewrite it or frame 0."""
     grid = gd.Grid(tuple(gd.Axis(-6.0, 6.0, n) for n in shape), dy.SCHEME_BOUNDARY[scheme])
     rng = np.random.default_rng(len(shape))
     psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
     V = 0.05 * sum(x ** 2 for x in grid.meshgrid()) if harmonic else None
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=4, V=V, scheme=scheme)
-    seen = []
-
-    def keep(j, frame):
-        seen.append(frame().copy())
-        return True
-
-    series = dy.evolve(psi0, grid, cfg, keep=keep)
+    made = [psi0.tobytes()] + [
+        dy.evolve(psi0, grid, dataclasses.replace(cfg, steps=j)).frames[j].tobytes()
+        for j in range(1, cfg.steps + 1)]
+    series = dy.evolve(psi0, grid, cfg, keep=range(cfg.steps + 1))
+    seen = [series.frames[j].tobytes() for j in range(cfg.steps + 1)]
     assert len(series.frames) == len(seen) == cfg.steps + 1
+    assert seen == made
     for frame, copy in zip(series.frames, seen):
-        assert frame.tobytes() == copy.tobytes()
+        assert frame.tobytes() == copy
         assert frame.flags.c_contiguous
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
     pytest.param("crank-nicolson", "clamped", False, True, id="crank-nicolson-clamped-False"),
     pytest.param("split-step", "periodic", True, True, id="split-step-periodic-True"),
-    # a free split-step run builds only the frames that keep reads or stores
+    # a free split-step run builds only the frames that are read
     pytest.param("split-step", "periodic", True, False, id="split-step-periodic-True-free"),
 ])
 def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli, harmonic):
+    """A run keeps the frames of the steps in keep, each equal to that step of
+    a run that keeps every frame, at its time: a kept frame is held once read,
+    so every read returns one array."""
     grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
     psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
     if pauli:
@@ -374,24 +379,16 @@ def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli, harmoni
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=V, scheme=scheme)
     full = dy.evolve(psi0, grid, cfg)
     for wanted in ([5, 6, 7], [0, 4, 8, 12], [3], list(range(13))):
-        seen = []
-
-        def keep(j, frame):
-            seen.append(j)
-            return j in wanted
-
-        series = dy.evolve(psi0, grid, cfg, keep=keep)
-        assert seen == list(range(cfg.steps + 1))
-        assert len(series) == len(wanted)
-        for j, frame in zip(wanted, series.frames):
-            assert np.array_equal(frame, full.frames[j])
-        assert series.times.tobytes() == full.times[wanted].tobytes()
-    # a window keeps the step of the full time grid, bit for bit, which
-    # t[k] - t[k-1] need not be
-    window = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: 9 <= j <= 11)
-    assert window.times[1] - window.times[0] != cfg.dt
+        series = dy.evolve(psi0, grid, cfg, keep=wanted)
+        assert len(series) == cfg.steps + 1
+        for j in wanted:
+            assert series.frames[j] is series.frames[j]
+            assert np.array_equal(series.frames[j], full.frames[j])
+            assert series.times[j] == full.times[j] == j * cfg.dt
+    # the series keeps the run's step, bit for bit, which t[k] - t[k-1] need not be
+    window = dy.evolve(psi0, grid, cfg, keep={9, 10, 11})
+    assert window.times[10] - window.times[9] != cfg.dt
     assert window.dt == full.dt == cfg.dt
-    assert list(dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).frames) == []
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
@@ -400,6 +397,10 @@ def test_evolve_keep_stores_the_accepted_frames(scheme, boundary, pauli, harmoni
     pytest.param("split-step", "periodic", True, True, id="split-step-periodic-True-harmonic"),
 ])
 def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
+    """Frames are numbered by step, whatever a run keeps: the observables of
+    frame 10 of a run that keeps frames 9..11 are those of a run that keeps
+    every frame, field by field, and a run that keeps every 4th frame reads
+    them at steps 4, 8 and 12, at the run's dt."""
     grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
     psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
     if pauli:
@@ -407,9 +408,8 @@ def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
     V = 0.1 * grid.coords(0) ** 2 if harmonic else None
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=12, V=V, scheme=scheme)
     full = dy.evolve(psi0, grid, cfg)
-    window = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: 9 <= j <= 11)
-    assert (full.first, window.first) == (0, 9)
-    # frame 10 of the window is frame 10 of the run, field by field
+    window = dy.evolve(psi0, grid, cfg, keep={9, 10, 11})
+    assert len(full) == len(window) == cfg.steps + 1
     expected = ob.compute_observables(full, 10, cfg.m, V)
     got = ob.compute_observables(window, 10, cfg.m, V)
     for name in ("P", "E", "Q", "Q1", "Q2", "s", "J_conv", "J_rot", "v"):
@@ -418,10 +418,11 @@ def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
     assert got.residuals.keys() == expected.residuals.keys()
     for name in expected.residuals:
         assert got.residuals[name].tobytes() == expected.residuals[name].tobytes(), name
-    # frames kept every 4th step are numbered in steps of their dt, 4 cfg.dt
-    strided = dy.evolve(psi0, grid, cfg, keep=lambda j, frame: j in (4, 8, 12))
-    assert (strided.first, strided.dt) == (1, 4 * cfg.dt)
-    assert dy.evolve(psi0, grid, cfg, keep=lambda j, frame: False).first == 0
+    strided = dy.evolve(psi0, grid, cfg, keep={4, 8, 12})
+    assert strided.dt == cfg.dt
+    for j in (4, 8, 12):
+        assert strided.frames[j].tobytes() == full.frames[j].tobytes()
+        assert strided.times[j] == full.times[j]
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
@@ -430,27 +431,24 @@ def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
     ("split-step", "periodic", True, False),
 ])
 def test_evolve_frame_builds_each_frame_once(scheme, boundary, pauli, harmonic):
-    """frame() read twice at one j, as the run's sink reads frame 0 for its
-    norm and for its first trajectory frame, returns one array, and evolve
-    stores that array."""
+    """A kept frame read twice, as a run reads frame 0 for its norm and for
+    its first trajectory frame, is one array; the frames every other step
+    keeps equal a run's that keeps all."""
     grid = gd.Grid.line(-6.0, 6.0, 48, boundary)
     psi0 = gd.sample(gd.GaussianPacket(sigma=1.0, k=(1.0, 0, 0)), grid)
     if pauli:
         psi0 = np.stack([psi0, 0.5j * psi0], axis=-1)
     V = 0.1 * grid.coords(0) ** 2 if harmonic else None
     cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=6, V=V, scheme=scheme)
+    series = dy.evolve(psi0, grid, cfg, keep=range(0, cfg.steps + 1, 2))
     seen = []
-
-    def keep(j, frame):
-        first = frame()
-        assert frame() is first
+    for j in range(0, cfg.steps + 1, 2):
+        first = series.frames[j]
+        assert series.frames[j] is first
         seen.append(first)
-        return j % 2 == 0
-
-    series = dy.evolve(psi0, grid, cfg, keep=keep)
-    assert len(seen) == cfg.steps + 1
-    assert all(a is b for a, b in zip(series.frames, seen[::2]))
-    assert [f.tobytes() for f in seen] == [f.tobytes() for f in dy.evolve(psi0, grid, cfg).frames]
+    assert all(a is b for a, b in zip(series.frames[::2], seen))
+    full = dy.evolve(psi0, grid, cfg).frames
+    assert [f.tobytes() for f in seen] == [f.tobytes() for f in full[::2]]
 
 
 def _free_split_step_run(shape, harmonic=False):
@@ -494,25 +492,26 @@ def test_free_split_step_transforms_back_only_the_frames_read(shape, monkeypatch
 @pytest.mark.parametrize("shape", [(64,), (6, 7, 8)])
 @pytest.mark.parametrize("harmonic", [False, True])
 def test_frames_read_last_to_first_equal_frames_read_in_order(shape, harmonic):
-    """Each unbuilt frame holds only its own step index, so the order of the
-    reads does not matter, and frame() stays valid after keep returns."""
+    """A free frame is built from psi0's spectrum and its own step alone, so
+    the order of the reads does not matter, and a frame that the run does
+    not keep is built again, equal, on every read."""
     psi0, grid, cfg = _free_split_step_run(shape, harmonic)
-    in_order = []
-    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: in_order.append(frame().tobytes()))
+    in_order = [frame.tobytes() for frame in dy.evolve(psi0, grid, cfg).frames]
     series = dy.evolve(psi0, grid, cfg)
     assert [series.frames[j].tobytes() for j in range(-1, -len(series) - 1, -1)] \
         == in_order[::-1]
-    held = []
-    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: held.append(frame))
-    assert [frame().tobytes() for frame in reversed(held)] == in_order[::-1]
+    if not harmonic:
+        unkept = dy.evolve(psi0, grid, cfg, keep=())
+        for _ in range(2):
+            assert [unkept.frames[j].tobytes() for j in reversed(range(len(unkept)))] \
+                == in_order[::-1]
     assert [f.tobytes() for f in series.frames[::4]] == in_order[::4]
 
 
 def test_a_read_frame_drops_its_spectrum():
     """Before any read a free run holds frame 0 and psi0's spectrum, whatever
-    its steps, and per step only a few hundred bytes of bookkeeping, far
-    below a spectrum.  Once every frame has been read, the series holds the
-    steps + 1 frames and no spectrum beside them."""
+    its steps, and nothing per step.  Once every frame has been read, the
+    series holds the steps + 1 frames and no spectrum beside them."""
     for steps in (12, 100):
         psi0, grid, cfg = _free_split_step_run((16, 16, 16))
         cfg.steps = steps
@@ -526,17 +525,32 @@ def test_a_read_frame_drops_its_spectrum():
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert unread <= 2 * psi0.nbytes + psi0.nbytes // 8 + 512 * steps, unread / psi0.nbytes
+        assert unread <= 2 * psi0.nbytes + psi0.nbytes // 8, unread / psi0.nbytes
         assert held <= (steps + 1) * psi0.nbytes + psi0.nbytes // 8 + 1024 * steps, \
             held / psi0.nbytes
 
 
-def test_evolve_keep_rejects_unevenly_spaced_frames():
-    grid = gd.Grid.line(-6.0, 6.0, 32)
-    psi0 = gd.sample(gd.GaussianPacket(), grid)
-    cfg = dy.EvolutionConfig(m=1.0, dt=1e-3, steps=6)
-    with pytest.raises(gd.GridError, match="uniform"):
-        dy.evolve(psi0, grid, cfg, keep=lambda j, frame: j in (0, 1, 3))
+@pytest.mark.parametrize("scheme, components", [("crank-nicolson", ()), ("split-step", (2,))])
+def test_a_run_with_a_potential_holds_exactly_its_kept_frames(scheme, components):
+    """A Strang run holds the frames of its kept steps, frame 0 included only
+    when kept, each equal byte for byte to that step of a run that keeps
+    every frame, and refuses to read any other."""
+    grid = _axes_grid((64,), dy.SCHEME_BOUNDARY[scheme])
+    psi0 = _random_field((64,), components)
+    cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=12, V=0.5 * grid.coords(0) ** 2,
+                             scheme=scheme)
+    full = dy.evolve(psi0, grid, cfg)
+    for keep in ({3, 7, 12}, {0, 1}, set()):
+        series = dy.evolve(psi0, grid, cfg, keep=keep)
+        assert len(series) == cfg.steps + 1
+        for j in range(cfg.steps + 1):
+            if j in keep:
+                assert series.frames[j].tobytes() == full.frames[j].tobytes()
+            else:
+                with pytest.raises(gd.GridError, match=f"did not keep frame {j}$"):
+                    series.frames[j]
+                with pytest.raises(gd.GridError, match=f"did not keep frame {j}$"):
+                    series.frames.fill(np.empty((1,) + psi0.shape, complex), [j])
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +796,10 @@ def test_free_split_step_keeps_the_norm(shape, steps):
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
     m, dt = 1.0, min(grid.spacing) ** 2 / 2
-    norms = []
-
-    def keep(j, frame):
-        norms.append(dy.norm(frame(), grid))
-        return j == steps
-
-    last = dy.evolve(psi0, grid, dy.EvolutionConfig(m=m, dt=dt, steps=steps,
-                                                    scheme="split-step"), keep).frames[0]
+    series = dy.evolve(psi0, grid, dy.EvolutionConfig(m=m, dt=dt, steps=steps,
+                                                      scheme="split-step"), keep={steps})
+    norms = [dy.norm(frame, grid) for frame in series.frames]
+    last = series.frames[steps]
     assert len(norms) == steps + 1
     assert np.max(np.abs(np.array(norms) - norms[0])) / norms[0] <= 4e-15
     axes = tuple(range(grid.dim))
@@ -810,8 +820,7 @@ def test_free_norm_drift_does_not_grow_with_steps(scheme):
         grid = gd.Grid.line(0.0, 4.0 * np.pi, 4096, "periodic")
         psi0 = gd.sample(gd.PauliSuperposition(), grid)
         cfg = dy.EvolutionConfig(m=1.0, dt=5e-6, steps=400, scheme=scheme)
-    norms = []
-    dy.evolve(psi0, grid, cfg, keep=lambda j, frame: norms.append(dy.norm(frame(), grid)))
+    norms = [dy.norm(frame, grid) for frame in dy.evolve(psi0, grid, cfg, keep=()).frames]
     assert len(norms) == cfg.steps + 1
     assert np.max(np.abs(np.array(norms) - norms[0])) / norms[0] <= 1e-15
 
@@ -831,7 +840,7 @@ def test_split_step_rejects_a_kinetic_phase_that_overflows_over_the_run():
     assert np.all(np.isfinite(frame))
     cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=2, scheme="split-step")
     with pytest.warns(UserWarning), pytest.raises(gd.GridError, match="not finite"):
-        dy.evolve(psi, grid, cfg, keep=lambda j, frame: pytest.fail("a frame was offered"))
+        dy.evolve(psi, grid, cfg, keep=())
 
 
 def test_split_step_with_a_potential_takes_a_finite_kinetic_phase_at_a_subnormal_m():
@@ -858,37 +867,31 @@ def test_split_step_with_a_potential_takes_a_finite_kinetic_phase_at_a_subnormal
 def test_free_angles_refuse_a_run_in_the_name_of_its_scheme(scheme, boundary):
     """Steps past the float range make no float, and 1e308 steps of a
     largest angle over 2 (dt 0.5) no finite angle: each run is refused in
-    one GridError naming its scheme, before a frame is offered."""
+    one GridError naming its scheme, before evolve returns."""
     grid = gd.Grid.line(-6.0, 6.0, 32, boundary)
     psi = gd.sample(gd.GaussianPacket(), grid)
     for steps, dt in ((10 ** 309, 1e-3), (10 ** 308, 0.5)):
         cfg = dy.EvolutionConfig(m=1.0, dt=dt, steps=steps, scheme=scheme)
         with pytest.raises(gd.GridError, match=f"^{scheme} kinetic phase over the run's steps "
                                                "is not finite"):
-            dy.evolve(psi, grid, cfg, keep=lambda j, frame: pytest.fail("a frame was offered"))
+            dy.evolve(psi, grid, cfg, keep=())
 
 
 def _stride_frames_two_ways(psi0, grid, cfg, stride):
     """A run's stride frames 0, stride, ... read two ways: each frame built
-    alone, and written by fill_frames after a run whose sink reads the last
-    frame for its norm, as a harness run does, and whose window k-1..k+1 is
-    read before the fill.  Returns both, and the offered frames after the fill."""
+    alone, and written into one block by frames.fill after a run that keeps
+    them, frames 0 and steps and its window k-1..k+1, and that reads the
+    last frame for its norm and the window before the fill, as a harness
+    run does.  Returns both, and the run's series after the fill."""
     steps, k = cfg.steps, (cfg.steps + 1) // 2
     alone = dy.evolve(psi0, grid, cfg).frames
-    offered = []
-
-    def keep(j, frame):
-        if j == steps:
-            frame()
-        if j % stride == 0:
-            offered.append(frame)
-        return abs(j - k) <= 1
-
-    window = dy.evolve(psi0, grid, cfg, keep)
-    window.frames[:]
-    block = np.empty((len(offered),) + psi0.shape, complex)
-    dy.fill_frames(block, offered)
-    return [alone[j] for j in range(0, steps + 1, stride)], block, offered
+    strided = range(0, steps + 1, stride)
+    series = dy.evolve(psi0, grid, cfg, keep={0, k - 1, k, k + 1, steps, *strided})
+    series.frames[steps]
+    series.frames[k - 1:k + 2]
+    block = np.empty((len(strided),) + psi0.shape, complex)
+    series.frames.fill(block, strided)
+    return [alone[j] for j in strided], block, series
 
 
 @pytest.mark.parametrize("shape, axes, bound", [((4096, 41), (0,), 3.1),
@@ -925,17 +928,17 @@ def test_block_built_stride_frames_equal_frames_built_alone(scheme, shape, compo
     """A free run's unbuilt stride frames, built in one block transform, equal
     frames built one at a time byte for byte; frame 0 (psi0), the last frame
     and window frames k-1..k+1 that are stride frames are copied, and the
-    fill leaves every offered frame as it was."""
+    fill leaves every unbuilt frame unbuilt."""
     boundary = dy.SCHEME_BOUNDARY[scheme]
     grid = _axes_grid(shape, boundary)
     psi0 = _random_field(shape, components)
     cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=steps, scheme=scheme)
-    alone, block, offered = _stride_frames_two_ways(psi0, grid, cfg, stride)
+    alone, block, series = _stride_frames_two_ways(psi0, grid, cfg, stride)
     k = (steps + 1) // 2
     copied = {0, steps} | {j for j in (k - 1, k, k + 1) if j % stride == 0}
     assert len(copied) >= 3  # a window frame is a stride frame
-    assert [frame.psi is not None for frame in offered] == \
-        [j in copied for j in range(0, steps + 1, stride)]
+    # the fill holds none of the frames it builds
+    assert set(series.frames._held) & set(range(0, steps + 1, stride)) == copied
     assert block[0].tobytes() == psi0.astype(complex).tobytes()
     assert [f.tobytes() for f in block] == [f.tobytes() for f in alone]
 
@@ -943,12 +946,14 @@ def test_block_built_stride_frames_equal_frames_built_alone(scheme, shape, compo
 @pytest.mark.parametrize("scheme, components", [("crank-nicolson", ()),
                                                 ("split-step", (2,))])
 def test_a_run_with_a_potential_has_its_stride_frames_copied(scheme, components):
+    """A Strang run holds every frame it keeps, so the fill copies them all."""
     grid = _axes_grid((64,), dy.SCHEME_BOUNDARY[scheme])
     psi0 = _random_field((64,), components)
     cfg = dy.EvolutionConfig(m=1.3, dt=1e-3, steps=20, V=0.5 * grid.coords(0) ** 2,
                              scheme=scheme)
-    alone, block, offered = _stride_frames_two_ways(psi0, grid, cfg, 3)
-    assert all(frame.psi is not None for frame in offered)
+    alone, block, series = _stride_frames_two_ways(psi0, grid, cfg, 3)
+    k = (cfg.steps + 1) // 2
+    assert set(series.frames._held) == {0, k - 1, k, k + 1, cfg.steps, *range(0, 21, 3)}
     assert [f.tobytes() for f in block] == [f.tobytes() for f in alone]
 
 
