@@ -34,11 +34,12 @@ with this module: the import loads ``scipy.special`` and costs about 0.1 s
 and 3-7 MB of peak memory, which Crank-Nicolson runs and lines, where
 ``numpy.fft.fft`` is about as fast, do not pay.
 
-``evolve`` returns a run's frames by step number, frame j at time j dt,
-and holds only the frames of the steps in ``keep`` (every step without it).
-So a caller that needs a few frames of steps it knows in advance holds O(N)
-memory rather than O(steps N), and a free run of either scheme transforms
-back only the frames its caller reads.  The series' ``frames.fill`` writes
+``evolve`` returns a run's frames by step number, frame j at time j dt
+(``StepTimes`` over range(steps + 1)), and holds only the frames of the
+steps in ``keep`` (every step without it).  So a caller that needs a few
+frames of steps it knows in advance holds O(N) memory rather than
+O(steps N), and a free run of either scheme transforms back only the
+frames its caller reads.  The series' ``frames.fill`` writes
 a list of frames into one block: it copies the frames held and builds a
 free run's others in one inverse transform over their stacked phased
 spectra, which numpy rounds as it rounds each frame alone; there is one
@@ -342,7 +343,7 @@ def evolve(psi0: np.ndarray, grid: Grid, cfg: EvolutionConfig, keep=None) -> Sna
             if j in keep:
                 held[j] = psi
     frames = _Frames(cfg.steps, held, keep, build if half_v is None else None)
-    return SnapshotSeries(StepTimes(cfg.dt, cfg.steps + 1), frames, grid)
+    return SnapshotSeries(StepTimes(cfg.dt, range(cfg.steps + 1)), frames, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +500,7 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
             step = _clamp(step, lo, hi)
         paths[f + 1] = x = np.where(truncated[:, None], x, step)
         truncated |= out | masked_out(step, f + 1)
-    return TrajectorySet(seeds, velocity_series.times.copy(), paths, truncated)
+    return TrajectorySet(seeds, np.asarray(velocity_series.times), paths, truncated)
 
 
 def ordering_preserved(paths: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ component; a vector field's gradient, [..., component, axis], is stored as
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -86,52 +87,45 @@ class Grid:
 
 
 class StepTimes(Sequence):
-    """The times j dt of steps j = 0..n-1, each computed when it is read: an
-    index gives a float, a slice an array.  Nothing is held per step."""
+    """The times dt j of the step numbers j in a range, each computed when it
+    is read: an index gives a float, a slice the StepTimes of the sliced
+    range, and np.asarray the array dt * j.  Nothing is held per step, and
+    the times can only increase, in equal steps of dt * steps.step."""
 
-    def __init__(self, dt: float, n: int):
-        self.dt, self.n = float(dt), n
+    def __init__(self, dt: float, steps: range):
+        if not (dt > 0 and math.isfinite(dt) and steps.step > 0):
+            raise GridError(f"need a positive finite dt and an increasing range, got {dt}, {steps}")
+        self.dt, self.steps = float(dt), steps
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.steps)
 
     def __getitem__(self, i):
-        j = range(self.n)[i]  # an int, or a range for a slice
-        return self.dt * (np.arange(j.start, j.stop, j.step) if isinstance(j, range) else j)
+        j = self.steps[i]  # an int, or a range for a slice
+        return StepTimes(self.dt, j) if isinstance(j, range) else self.dt * j
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # the integers j first, then one product each: dt * (stride * k) for a stride
+        return self.dt * np.arange(self.steps.start, self.steps.stop, self.steps.step)
 
 
 @dataclass
 class SnapshotSeries:
-    """Uniformly spaced time snapshots of a field, frames[j] at times[j].
+    """Time snapshots of a field on a grid, frames[j] at times[j], dt apart."""
 
-    dt defaults to times[1] - times[0], checked uniform.  A run's series
-    (``dynamics.evolve``) holds StepTimes, frame j at j dt, which need no
-    check and take their dt, the run's step: t[k] - t[k-1] may differ from
-    it by a few ulp.
-    """
-
-    times: np.ndarray  # or StepTimes
+    times: StepTimes
     frames: list  # ndarrays sharing one shape, or a read-only sequence of them
-    grid: Grid = None
-    dt: float = None
+    grid: Grid
 
     def __post_init__(self):
         if not isinstance(self.times, StepTimes):
-            self.times = np.asarray(self.times, dtype=float)
+            raise GridError(f"times must be StepTimes, got {type(self.times).__name__}")
         if len(self.times) != len(self.frames):
             raise GridError("times and frames length mismatch")
-        if isinstance(self.times, StepTimes):
-            self.dt = self.times.dt
-        elif len(self.times) >= 2:
-            steps = np.diff(self.times)
-            if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-                raise GridError("times must be strictly increasing with uniform step")
-            if self.dt is None:
-                self.dt = steps[0]
-            if not abs(self.dt - steps[0]) <= 1e-9 * steps[0]:
-                raise GridError(f"dt {self.dt!r} does not match the step of times {steps[0]!r}")
-        if self.dt is not None:
-            self.dt = float(self.dt)
+
+    @property
+    def dt(self) -> float:
+        return self.times.dt * self.times.steps.step
 
     def __len__(self):
         return len(self.frames)

@@ -11,8 +11,9 @@ give the drift check, k-1, k and k+1 around the checked frame
 k = (steps+1)//2, and, when the scenario has trajectory seeds, every
 stride-th frame.  After the check the stride frames are written into one
 stack, a free run's unbuilt ones built in one block transform; the run
-derives every stride frame's velocity in one stacked pass and integrates
-the seeds' Bohm paths through them, and paths that cross fail it.  It
+derives every stride frame's velocity in one stacked pass, at the run's
+times sliced by the stride, and integrates the seeds' Bohm paths through
+them, and paths that cross fail it.  It
 reads no other frame, so a free run of either scheme transforms back only
 those and does no work per step.  run_scenario and run_to_files return the
 same report.  The memory guard prices the run per grid point and, with
@@ -307,17 +308,13 @@ def _scenario(raw, source: str) -> Scenario:
                               "stride")
     tspec.done()
 
-    # sampled after the size refusals: a harmonic V holds one float per grid point
-    pspec = root.section("potential", {"kind": "none"})
-    potential = _parse_potential(pspec, grid)
-    pspec.done()
     scheme = espec.get("scheme", "crank-nicolson")
     if not isinstance(scheme, str) or scheme not in dy.SCHEME_BOUNDARY:
         raise espec.error(f"expected one of {', '.join(dy.SCHEME_BOUNDARY)}, got {scheme!r}",
                           "scheme")
     espec.done()
     try:
-        evolution = dy.EvolutionConfig(m, dt, steps, potential, scheme)
+        evolution = dy.EvolutionConfig(m, dt, steps, None, scheme)
     except ValueError as exc:
         raise espec.error(str(exc)) from exc
     if grid.boundary != dy.SCHEME_BOUNDARY[scheme]:
@@ -326,6 +323,10 @@ def _scenario(raw, source: str) -> Scenario:
     # the largest kinetic phase of a step, (pi/h)^2 dt/2m, bounds both schemes' matrices
     if not math.isfinite(k_max * k_max * dt / (2.0 * m)):
         raise espec.error(f"too small for dt and h, dt/(m h^2) overflows, got {m}", "m")
+    # sampled after the size and mass refusals: a harmonic V holds one float per grid point
+    pspec = root.section("potential", {"kind": "none"})
+    evolution.V = _parse_potential(pspec, grid, m)
+    pspec.done()
 
     tol = root.section("tolerances", {})
     tol_C = tol.positive("C", 1.0)
@@ -346,6 +347,8 @@ def _scenario(raw, source: str) -> Scenario:
         if particle not in _CHECKS[c][1]:
             raise root.error(f"{c} does not apply to particle: {particle}", "checks")
     description = root.get("description", "")
+    if not isinstance(description, str):
+        raise root.error(f"expected text, got {description!r}", "description")
     root.done()
 
     return Scenario(name, description, particle, grid, descriptor, raw,
@@ -422,13 +425,13 @@ def _parse_state(spec: _Spec, particle: str, grid: gd.Grid):
     return texture
 
 
-def _parse_potential(spec: _Spec, grid: gd.Grid):
+def _parse_potential(spec: _Spec, grid: gd.Grid, m: float):
+    """The sampled potential or None; a harmonic V = m omega^2 x^2 / 2 takes the particle's m."""
     kind = spec.get("kind", "none")
     if kind == "none":
         return None
     if kind == "harmonic":
         omega = spec.number("omega", 1.0)
-        m = spec.positive("m", 1.0)
         key = "omega"
         with np.errstate(all="ignore"):  # omega^2 may overflow: a non-finite V is refused below
             V = 0.5 * m * np.float64(omega) ** 2 * grid.coords(0) ** 2
@@ -485,8 +488,8 @@ def _run(sc: Scenario):
     spin = (2,) if sc.particle == "pauli" else ()
     stack = np.empty(sc.grid.shape + (n_frames,) + spin, complex)
     series.frames.fill(np.moveaxis(stack, sc.grid.dim, 0), strided)
+    times = series.times[::stride]
     del series  # the stack holds the stride frames: the others and psi0's spectrum go
-    times = sc.evolution.dt * (stride * np.arange(n_frames))
     velocities, masks = ob.velocity_series(sc.grid, stack, times, sc.evolution.m)
     traj = dy.integrate_trajectories(velocities, np.reshape(sc.seeds, (-1, 1)), masks)
     ordered = dy.ordering_preserved(traj.paths)

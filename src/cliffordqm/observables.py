@@ -41,6 +41,7 @@ from .grids import (
     Grid,
     GridError,
     SnapshotSeries,
+    StepTimes,
     component_first,
     curl,
     deriv,
@@ -326,11 +327,11 @@ def pauli_current(state: SpinorField, m: float) -> CurrentSplit:
     return CurrentSplit(j_conv, j_rot, masked_divide(j_conv + j_rot, state.rho, state.mask))
 
 
-def velocity_series(grid: Grid, stack: np.ndarray, times, m: float):
-    """The Bohm velocities and node masks of raw frames evenly spaced in time,
-    stacked on the axis after the grid axes (grid.shape + (n,), with a
-    trailing (2,) for Pauli frames), as ``dynamics.integrate_trajectories``
-    takes them: (SnapshotSeries, masks), both indexed by frame first.  One
+def velocity_series(grid: Grid, stack: np.ndarray, times: StepTimes, m: float):
+    """The Bohm velocities and node masks of raw frames at times, stacked on
+    the axis after the grid axes (grid.shape + (n,), with a trailing (2,) for
+    Pauli frames), as ``dynamics.integrate_trajectories`` takes them:
+    (SnapshotSeries on times, masks), both indexed by frame first.  One
     stacked SpinorField derives every frame's in one pass, so the number of
     conversions does not grow with the number of frames, and a Schrodinger
     stack builds no rotational current."""

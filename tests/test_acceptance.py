@@ -115,7 +115,7 @@ def test_criterion_03_phase_blindness():
     grid = gd.Grid.line(-8.0, 8.0, 193)
     d = random_texture(RNG)
     dt = 1e-3
-    times = dt * np.arange(3)
+    times = gd.StepTimes(dt, range(3))
     frames = [gd.sample(d, grid, t) for t in times]
     lam = 0.9
     frames_rot = [f * np.exp(1j * lam) for f in frames]
@@ -163,7 +163,7 @@ def test_criterion_04_schrodinger_identities():
         grid = gd.Grid.line(-8.0, 8.0, n)
         x = grid.coords(0)
         V = 0.5 * x ** 2
-        times = dt * np.arange(3)
+        times = gd.StepTimes(dt, range(3))
         frames = [gd.sample(gd.HarmonicGroundState(), grid, t) for t in times]
         series = gd.SnapshotSeries(times, frames, grid)
         obs = ob.compute_observables(series, 1, m, V)
@@ -193,7 +193,7 @@ def test_criterion_05_pauli_triple_agreement():
     worst_p, worst_e = 0.0, 0.0
     for _ in range(50):
         d = random_texture(RNG)
-        times = dt * np.arange(3)
+        times = gd.StepTimes(dt, range(3))
         series = gd.SnapshotSeries(times, [gd.sample(d, grid, t) for t in times], grid)
         state = ob.state_at(series, 1)
         support = state.mask & ob.support_mask(state.rho)
@@ -361,7 +361,7 @@ def test_criterion_10_schrodinger_in_pauli_nesting():
     grid = gd.Grid.line(-10.0, 10.0, 257)
     d = gd.GaussianPacket(sigma=1.0, k=(0.7, 0, 0), m=m)
     dt = 1e-3
-    times = 0.4 + dt * np.arange(3)
+    times = gd.StepTimes(dt, range(400, 403))  # t = 0.4, 0.401, 0.402
     frames_s = [gd.sample(d, grid, t) for t in times]
     frames_p = [np.stack([f, np.zeros_like(f)], axis=-1) for f in frames_s]
     ser_s = gd.SnapshotSeries(times, frames_s, grid)

@@ -369,6 +369,8 @@ MALFORMED = [
     ("name_empty", SMALL_SCHRODINGER, ("name: small_gaussian", "name: ''"), "name:"),
     ("name_leaves_the_output_root", SMALL_SCHRODINGER,
      ("name: small_gaussian", "name: ../escaped"), "name:"),
+    ("description_not_text", SMALL_SCHRODINGER,
+     ("description: small deterministic run for tests", "description: [1, 2]"), "description:"),
     ("scheme_not_a_string", SMALL_SCHRODINGER,
      ("scheme: crank-nicolson", "scheme: [a]"), "evolution.scheme"),
     ("scheme_unknown", SMALL_SCHRODINGER,
@@ -387,8 +389,10 @@ MALFORMED = [
      "initial_state.m"),
     ("state_m_inf", SMALL_SCHRODINGER, ("k: 0.5, m: 1.0", "k: 0.5, m: .inf"),
      "initial_state.m"),
+    # the trap takes evolution.m: a scenario has one mass for V = m omega^2 x^2 / 2
     ("potential_m_negative", SMALL_SCHRODINGER,
-     ("potential: {kind: none}", "potential: {kind: harmonic, m: -1.0}"), "potential.m"),
+     ("potential: {kind: none}", "potential: {kind: harmonic, m: -1.0}"),
+     "potential.m: unknown key"),
     ("weights_zero", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [0.0, 0.0],"),
      "initial_state"),
     ("weights_nan", SMALL_PAULI, ("k2: -1.0,", "k2: -1.0, weights: [.nan, 1.0],"),
@@ -692,7 +696,7 @@ def test_nan_norm_drift_aborts():
     series = harness.dy.evolve(harness._initial_field(sc), sc.grid, sc.evolution)
     frames = list(series.frames)
     frames[-1] = np.full_like(frames[-1], np.nan)
-    series = harness.gd.SnapshotSeries(series.times, frames, series.grid, series.dt)
+    series = harness.gd.SnapshotSeries(series.times, frames, series.grid)
     norms = [harness.dy.norm(frame, sc.grid) for frame in (series.frames[0], series.frames[-1])]
     with pytest.raises(harness.RunAborted, match="nan"):
         harness._check(sc, series, len(series) // 2, abs(norms[1] - norms[0]))
@@ -789,6 +793,65 @@ def test_texture_oracle_momentum_wraps_at_the_periodic_edges():
     res = {name: f for name, f, _ in harness._triple_agreement(sc, obs)}["p_alg_vs_oracle"]
     edge, inside = max(res[0], res[-1]), res[1:-1].max()
     assert edge <= 2.0 * inside, (edge, inside)
+
+
+# fields that do not depend on the mass; every other field a run derives is 1/m
+_MASS_FREE = {"rho", "P", "s", "p_alg_vs_weighted", "p_alg_vs_oracle"}
+
+
+def _mass_run(name: str, m: float, omega=None):
+    """80 steps of a bundled scenario at mass m with step m dt, seeded (the
+    Pauli ones at 1.0 ... 11.0), in a trap of frequency omega / m when omega
+    is given: (report, every field derived at the checked frame, paths)."""
+    config = harness.load_bundled(name).config
+    evolution, paths = config["evolution"], config["trajectories"]
+    run = dict(config,
+               evolution={**evolution, "m": m, "dt": evolution["dt"] * m, "steps": 80},
+               trajectories={**paths, "seeds": paths["seeds"] or [1.0, 2.5, 4.0, 7.0, 11.0]})
+    if omega is not None:
+        run["potential"] = {"kind": "harmonic", "omega": omega / m}
+    sc = harness._scenario(run, name)
+    report, obs, traj = harness._run(sc)
+    fields = {key: getattr(obs, key) for key in ("P", "E", "Q", "Q1", "Q2", "J_conv", "J_rot", "v")}
+    fields["rho"] = obs.window.cur.rho
+    for check in sc.checks:
+        fields.update((key, f) for key, f, _ in harness._CHECKS[check][0](sc, obs))
+    if sc.particle == "pauli":
+        fields["s"] = obs.s
+        torque = harness.ob.quantum_torque(obs.window, m)
+        fields.update((f"torque.{key}", getattr(torque, key))
+                      for key in ("dP_dt", "neg_grad_Q", "torque", "residual"))
+    return report, fields, traj
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+@pytest.mark.parametrize("name, omega", [
+    ("schrodinger_gaussian", None), ("pauli_superposition", None), ("pauli_texture", None),
+    ("schrodinger_gaussian", 0.5), ("pauli_texture", 0.5)],
+    ids=["schrodinger_gaussian", "pauli_superposition", "pauli_texture",
+         "schrodinger_gaussian-harmonic", "pauli_texture-harmonic"])
+def test_mass_m_with_step_m_dt_is_mass_one_over_m(name, omega, m):
+    """The Schrodinger and Pauli equations are covariant under mass: mass m
+    over time m t, in a trap V = m (omega/m)^2 x^2 / 2, is mass 1 over t, and
+    both schemes' angles, k^2 dt/2m for split-step, agree.  So the frames
+    are the same: rho, P, s and p_alg_vs_* are unchanged, every other field
+    and residual, Q, E, the currents and the torque balance included, is the
+    mass-1 one over m, and so are the report's statistics; the paths are
+    unchanged.  For m a power of two all of it holds bit for bit."""
+    report_1, fields_1, traj_1 = _mass_run(name, 1.0, omega)
+    report_m, fields_m, traj_m = _mass_run(name, m, omega)
+    assert fields_m.keys() == fields_1.keys()
+    for key, f in fields_1.items():
+        assert np.array_equal(fields_m[key] * (1.0 if key in _MASS_FREE else m), f), key
+    assert report_m["residuals"].keys() == report_1["residuals"].keys()
+    for key, stats in report_1["residuals"].items():
+        scale = 1.0 if key in _MASS_FREE else m
+        got = report_m["residuals"][key]
+        assert (got["max_abs"] * scale, got["l2"] * scale) == (stats["max_abs"], stats["l2"]), key
+        assert got["masked_fraction"] == stats["masked_fraction"], key
+    assert np.array_equal(traj_m.paths, traj_1.paths)
+    assert np.array_equal(traj_m.truncated, traj_1.truncated)
+    assert np.array_equal(traj_m.times, m * traj_1.times)
 
 
 def test_list_scenarios_bundled():

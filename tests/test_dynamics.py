@@ -164,7 +164,7 @@ def no_nodes(series):
 def test_trajectories_uniform_flow():
     grid = gd.Grid.line(0.0, 10.0, 51)
     v = np.ones(grid.shape + (1,))
-    times = np.linspace(0.0, 2.0, 21)
+    times = gd.StepTimes(0.1, range(21))
     series = gd.SnapshotSeries(times, [v] * 21, grid)
     traj = dy.integrate_trajectories(series, [[1.0], [2.0], [3.0]], no_nodes(series))
     assert np.allclose(traj.paths[-1, :, 0], [3.0, 4.0, 5.0], atol=1e-12)
@@ -176,7 +176,7 @@ def test_trajectories_linear_velocity_exact_growth():
     grid = gd.Grid.line(0.1, 40.0, 400)
     x = grid.coords(0)
     v = x[:, None].copy()
-    times = np.linspace(0.0, 1.0, 101)
+    times = gd.StepTimes(0.01, range(101))
     series = gd.SnapshotSeries(times, [v] * 101, grid)
     traj = dy.integrate_trajectories(series, [[1.0], [2.0]], no_nodes(series))
     expect = np.array([np.exp(1.0), 2.0 * np.exp(1.0)])
@@ -186,7 +186,7 @@ def test_trajectories_linear_velocity_exact_growth():
 def test_trajectory_truncation_at_edge():
     grid = gd.Grid.line(0.0, 1.0, 11)
     v = np.ones(grid.shape + (1,))
-    times = np.linspace(0.0, 2.0, 21)
+    times = gd.StepTimes(0.1, range(21))
     series = gd.SnapshotSeries(times, [v] * 21, grid)
     traj = dy.integrate_trajectories(series, [[0.5]], no_nodes(series))
     assert traj.truncated[0]
@@ -200,21 +200,21 @@ def test_a_seed_not_finite_and_inside_the_grid_is_refused(seed, boundary):
     """A NaN seed fails both seed < lo and seed > hi, so it is refused by
     asking that every seed lie in [lo, hi], not that none lie outside."""
     grid = gd.Grid(tuple(gd.Axis(0.0, 1.0, 10) for _ in range(2)), boundary)
-    series = gd.SnapshotSeries([0.0, 0.1], [np.ones(grid.shape + (2,))] * 2, grid)
+    series = gd.SnapshotSeries(gd.StepTimes(0.1, range(2)), [np.ones(grid.shape + (2,))] * 2, grid)
     with pytest.raises(gd.GridError, match="seed outside grid"):
         dy.integrate_trajectories(series, [[0.5, 0.5], [0.5, seed]], no_nodes(series))
 
 
 def test_a_series_with_no_frames_is_refused():
     grid = gd.Grid.line(0.0, 1.0, 8)
-    empty = gd.SnapshotSeries(np.zeros(0), [], grid)
+    empty = gd.SnapshotSeries(gd.StepTimes(0.1, range(0)), [], grid)
     with pytest.raises(gd.GridError, match="no frames"):
         dy.integrate_trajectories(empty, [[0.5]], [])
 
 
 def test_one_mask_per_frame_is_required():
     grid = gd.Grid.line(0.0, 1.0, 10)
-    series = gd.SnapshotSeries([0.0, 0.1, 0.2], [np.ones(grid.shape + (1,))] * 3, grid)
+    series = gd.SnapshotSeries(gd.StepTimes(0.1, range(3)), [np.ones(grid.shape + (1,))] * 3, grid)
     for masks in (no_nodes(series)[:2], no_nodes(series) * 2):
         with pytest.raises(gd.GridError, match="masks for 3 frames"):
             dy.integrate_trajectories(series, [[0.5]], masks)
@@ -226,7 +226,7 @@ def test_periodic_paths_wrap_across_the_period_edge():
     interpolated towards node 0: the same path as on a clamped line two
     periods long that holds the velocity twice."""
     grid = gd.Grid.line(0.0, 1.0, 10, "periodic")
-    times = np.linspace(0.0, 0.5, 11)
+    times = gd.StepTimes(0.05, range(11))
     uniform = gd.SnapshotSeries(times, [np.ones(grid.shape + (1,))] * 11, grid)
     traj = dy.integrate_trajectories(uniform, [[0.5], [0.95]], no_nodes(uniform))
     assert not traj.truncated.any()
@@ -253,7 +253,7 @@ def test_frozen_seeds_leave_the_moving_paths_bit_for_bit_as_they_run_alone():
     and the two behind them never reach either."""
     grid = gd.Grid.line(0.0, 10.0, 101)
     x = grid.coords(0)
-    times = np.linspace(0.0, 3.0, 61)
+    times = gd.StepTimes(0.05, range(61))
     series = gd.SnapshotSeries(times, [(0.6 + 0.02 * x + 0.05 * t)[:, None] for t in times],
                                grid)
     node = np.ones(grid.shape, bool)
@@ -284,7 +284,7 @@ def test_ordering_preserved_helper():
 def test_trajectory_csv(tmp_path):
     grid = gd.Grid.line(0.0, 10.0, 11)
     v = np.ones(grid.shape + (1,))
-    times = np.linspace(0.0, 1.0, 3)
+    times = gd.StepTimes(0.5, range(3))
     series = gd.SnapshotSeries(times, [v] * 3, grid)
     traj = dy.integrate_trajectories(series, [[1.0]], no_nodes(series))
     path = tmp_path / "traj.csv"
@@ -423,6 +423,27 @@ def test_evolve_numbers_the_frames_it_keeps(scheme, boundary, pauli, harmonic):
     for j in (4, 8, 12):
         assert strided.frames[j].tobytes() == full.frames[j].tobytes()
         assert strided.times[j] == full.times[j]
+
+
+@pytest.mark.parametrize("dt, stride, steps", [
+    (1e-4, 20, 1600), (5e-4, 20, 400), (1.25e-4, 20, 1600), (2e-3, 10, 40), (0.1 / 3, 7, 50),
+    (1e-3, 1, 12)])
+def test_stride_times_are_the_run_times_sliced(dt, stride, steps):
+    """Every stride-th time of a run is the StepTimes of the sliced range:
+    dt times the integer stride j, bit for bit the times dt * (stride *
+    arange(n)) a trajectory CSV has always held, on a series whose dt is
+    stride * dt.  (stride * dt) * arange(n) rounds 12 of the 81 times of dt
+    1e-4, stride 20, 1600 steps otherwise."""
+    grid = gd.Grid.line(-6.0, 6.0, 48)
+    psi0 = gd.sample(gd.GaussianPacket(sigma=1.0), grid)
+    series = dy.evolve(psi0, grid, dy.EvolutionConfig(m=1.0, dt=dt, steps=steps), keep={0})
+    times = series.times[::stride]
+    assert isinstance(times, gd.StepTimes)
+    n = steps // stride + 1
+    assert np.asarray(times).tobytes() == (dt * (stride * np.arange(n))).tobytes()
+    stack = np.stack(series.frames[::stride], axis=grid.dim)
+    velocities, _ = ob.velocity_series(grid, stack, times, 1.0)
+    assert velocities.dt == stride * dt
 
 
 @pytest.mark.parametrize("scheme, boundary, pauli, harmonic", [
@@ -1096,7 +1117,7 @@ def test_flat_gather_paths_equal_the_per_corner_loop_bit_for_bit(dim, boundary):
     rng = np.random.default_rng(10 * dim + (boundary == "periodic"))
     grid = gd.Grid(tuple(gd.Axis(-1.0, 2.0 + ax, n) for ax, n in enumerate((9, 7, 6)[:dim])),
                    boundary)
-    times = np.linspace(0.0, 2.0, 21)
+    times = gd.StepTimes(0.1, range(21))
     frames = [0.9 + 0.3 * t + 0.2 * rng.normal(size=grid.shape + (3,)) for t in times]
     series = gd.SnapshotSeries(times, frames, grid)
     c = [grid.coords(ax) for ax in range(dim)]

@@ -1,5 +1,7 @@
 """Grid construction, stencil accuracy, scenario sampling, and file formats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,15 +91,24 @@ def test_time_derivative_central():
 
 
 def test_snapshot_series_requires_uniform_times():
+    """A series' times are StepTimes, which can only increase uniformly: an
+    array of times, uniform or not, is refused, and so is a StepTimes over a
+    range that does not increase or with a dt that is not positive and finite."""
     grid = gd.Grid.line(0.0, 1.0, 8)
     frames = [np.zeros(grid.shape)] * 3
-    with pytest.raises(gd.GridError):
-        gd.SnapshotSeries(np.array([0.0, 0.1, 0.3]), frames, grid)
-    with pytest.raises(gd.GridError):
-        gd.SnapshotSeries(np.array([0.0, 0.1]), frames, grid)
-    with pytest.raises(gd.GridError, match="dt"):
-        gd.SnapshotSeries(np.array([0.0, 0.1, 0.2]), frames, grid, dt=0.11)
-    assert gd.SnapshotSeries(np.array([0.0, 0.1, 0.2]), frames, grid).dt == 0.1
+    for times in (np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.1, 0.2]), [0.0, 0.1, 0.2]):
+        with pytest.raises(gd.GridError, match="StepTimes"):
+            gd.SnapshotSeries(times, frames, grid)
+    for dt, steps in ((0.1, range(2, -1, -1)), (0.0, range(3)), (-0.1, range(3)),
+                      (np.inf, range(3)), (np.nan, range(3))):
+        with pytest.raises(gd.GridError, match="positive finite dt and an increasing range"):
+            gd.StepTimes(dt, steps)
+    with pytest.raises(gd.GridError, match="length"):
+        gd.SnapshotSeries(gd.StepTimes(0.1, range(2)), frames, grid)
+    with pytest.raises(TypeError, match="dt"):  # a series' dt is its times', never given
+        gd.SnapshotSeries(gd.StepTimes(0.1, range(3)), frames, grid, dt=0.11)
+    assert gd.SnapshotSeries(gd.StepTimes(0.1, range(3)), frames, grid).dt == 0.1
+    assert gd.SnapshotSeries(gd.StepTimes(0.1, range(4, 11, 3)), frames, grid).dt == 0.1 * 3
 
 
 def test_node_mask():
@@ -117,26 +128,52 @@ def test_plane_wave_sample():
 def test_gaussian_packet_normalization_and_spreading():
     grid = gd.Grid.line(-20.0, 20.0, 1001)
     h = grid.spacing[0]
-    d = gd.GaussianPacket(sigma=1.0, m=1.0)
-    for t in (0.0, 1.0, 3.0):
-        psi = gd.sample(d, grid, t)
-        norm = np.sum(np.abs(psi) ** 2) * h
-        assert norm == pytest.approx(1.0, abs=1e-8)
-        # the density stays Gaussian with sigma_t^2 = sigma^2 (1 + (t/2 m sigma^2)^2)
-        sig_t2 = 1.0 + (t / 2.0) ** 2
-        x = grid.coords(0)
-        var = np.sum(x ** 2 * np.abs(psi) ** 2) * h
-        assert var == pytest.approx(sig_t2, rel=1e-6)
+    x = grid.coords(0)
+    # at rest at the defaults, and moving: x0, k and m of neither default
+    for sigma, x0, k, m in ((1.0, 0.0, 0.0, 1.0), (0.8, 1.5, 0.7, 2.0)):
+        d = gd.GaussianPacket(sigma=sigma, x0=(x0, 0.0, 0.0), k=(k, 0.0, 0.0), m=m)
+        for t in (0.0, 1.0, 3.0):
+            rho = np.abs(gd.sample(d, grid, t)) ** 2
+            norm = np.sum(rho) * h
+            assert norm == pytest.approx(1.0, abs=1e-8)
+            # the density stays Gaussian, about x0 + k t/m with
+            # sigma_t^2 = sigma^2 (1 + (t/2 m sigma^2)^2)
+            mean = np.sum(x * rho) * h
+            assert mean == pytest.approx(x0 + k * t / m, abs=1e-8)
+            sig_t2 = sigma ** 2 * (1.0 + (t / (2.0 * m * sigma ** 2)) ** 2)
+            var = np.sum((x - mean) ** 2 * rho) * h
+            assert var == pytest.approx(sig_t2, rel=1e-6)
 
 
 def test_harmonic_ground_state_is_stationary_density():
     grid = gd.Grid.line(-8.0, 8.0, 257)
-    d = gd.HarmonicGroundState(omega=1.0, m=1.0)
-    p0 = gd.sample(d, grid, 0.0)
-    p1 = gd.sample(d, grid, 0.7)
-    assert np.max(np.abs(np.abs(p1) ** 2 - np.abs(p0) ** 2)) < 1e-14
-    # and the time dependence is the pure phase exp(-i E t), E = 1/2
-    assert np.max(np.abs(p1 - p0 * np.exp(-0.5j * 0.7))) < 1e-14
+    h = grid.spacing[0]
+    for omega, m in ((1.0, 1.0), (2.0, 0.75)):  # the defaults, and omega != m, m omega != 1
+        d = gd.HarmonicGroundState(omega=omega, m=m)
+        p0 = gd.sample(d, grid, 0.0)
+        p1 = gd.sample(d, grid, 0.7)
+        assert np.max(np.abs(np.abs(p1) ** 2 - np.abs(p0) ** 2)) < 1e-14
+        # and the time dependence is the pure phase exp(-i E t), E = omega/2
+        assert np.max(np.abs(p1 - p0 * np.exp(-0.5j * omega * 0.7))) < 1e-14
+        # a normalised density of variance 1/(2 m omega)
+        rho = np.abs(p0) ** 2
+        assert np.sum(rho) * h == pytest.approx(1.0, abs=1e-12)
+        variance = np.sum(grid.coords(0) ** 2 * rho) * h
+        assert variance == pytest.approx(1.0 / (2.0 * m * omega), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+def test_samples_at_mass_m_and_time_m_t_are_those_at_mass_one(m):
+    """A free state of mass m at time m t is the mass-1 state at t, bit for
+    bit for m a power of two: t enters the closed forms only as t/m."""
+    grid = gd.Grid.line(-10.0, 10.0, 129)
+    periodic = gd.Grid.line(0.0, 2.0 * np.pi, 64, "periodic")
+    for t in (0.3, 1.7):
+        for descriptor, on in ((gd.GaussianPacket(sigma=1.2, x0=(0.5, 0.0, 0.0),
+                                                  k=(1.3, 0.0, 0.0), m=1.0), grid),
+                               (gd.PlaneWave(k=(2.0, 0.0, 0.0), m=1.0), periodic)):
+            heavy = gd.sample(dataclasses.replace(descriptor, m=m), on, m * t)
+            assert np.array_equal(heavy, gd.sample(descriptor, on, t)), descriptor
 
 
 def test_pauli_superposition_shape_and_norm():

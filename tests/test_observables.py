@@ -18,7 +18,9 @@ RNG = np.random.default_rng(90210)
 
 
 def schrodinger_series(descriptor, grid, dt=1e-3, n=3, t0=0.0):
-    times = t0 + dt * np.arange(n)
+    """n frames sampled dt apart from t0, a whole number of steps."""
+    start = round(t0 / dt)
+    times = gd.StepTimes(dt, range(start, start + n))
     frames = [gd.sample(descriptor, grid, t) for t in times]
     return gd.SnapshotSeries(times, frames, grid)
 
@@ -189,7 +191,7 @@ def test_quantum_torque_balance_on_exact_solution():
     grid = gd.Grid.line(0.0, 4.0 * np.pi, 256, "periodic")
     d = gd.PauliSuperposition(k1=(1.0, 0, 0), k2=(-1.0, 0, 0))
     dt = 1e-3
-    times = dt * np.arange(3)
+    times = gd.StepTimes(dt, range(3))
     frames = [gd.sample(d, grid, t) for t in times]
     series = gd.SnapshotSeries(times, frames, grid)
     tb = ob.quantum_torque(ob.window(series, 1), 1.0)
@@ -238,7 +240,7 @@ def recording_pauli_series(n_frames):
     grid = gd.Grid.line(-6.0, 6.0, 65)
     d = gd.EulerTexture(theta0=1.0, theta_k=(0.2, 0, 0), chi_k=(0.3, 0, 0), sigma=1.5,
                         omega_t=0.4)
-    times = 1e-3 * np.arange(n_frames)
+    times = gd.StepTimes(1e-3, range(n_frames))
     return gd.SnapshotSeries(times, RecordingFrames(gd.sample(d, grid, t) for t in times), grid)
 
 
@@ -351,7 +353,7 @@ def pauli_texture_3d_series():
     grid = gd.Grid((gd.Axis(0.0, 4.0 * np.pi, 12),) * 3, "periodic")
     d = gd.EulerTexture(theta0=1.2, theta_k=(0.5, -0.5, 0.5), phi0=0.3, phi_k=(0.5, 0.0, -0.5),
                         chi0=-0.7, chi_k=(0.0, 0.5, 0.0), omega_t=0.4)
-    times = 0.3 + 1e-3 * np.arange(3)
+    times = gd.StepTimes(1e-3, range(300, 303))
     return gd.SnapshotSeries(times, [gd.sample(d, grid, t) for t in times], grid)
 
 
@@ -506,7 +508,7 @@ def test_velocity_series_conversions_do_not_grow_with_frames(monkeypatch):
     counts = []
     for n_frames in (5, 50):
         calls.clear()
-        times = 1e-2 * np.arange(n_frames)
+        times = gd.StepTimes(1e-2, range(n_frames))
         stack = np.stack([gd.sample(gd.GaussianPacket(), grid, t) for t in times], axis=grid.dim)
         ob.velocity_series(grid, stack, times, 1.0)
         counts.append(len(calls))
