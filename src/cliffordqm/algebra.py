@@ -20,6 +20,10 @@ path from the operands' broadcast shape:
   The operands' blade axis is moved first too, which copies nothing for
   the component-first fields of ``grids``.
 
+``gp_scalar`` is the scalar part of a field product: the same kernel body
+(``_accumulate_rows``) runs the table's row 0 alone, so its bits are those of
+``gp_coeffs(...)[..., 0]`` and no other blade is formed.
+
 Both paths add the same products in the same order of i, starting from
 zero, and a sign of +-1 is exact, so a field product equals, bit for bit,
 the single-element products of its points.  A subalgebra product equals the
@@ -190,28 +194,46 @@ def _signed_permutation(sig: Signature, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # vectorized kernels: operate on coefficient arrays of shape (..., n)
 
-def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric product on stacked coefficient arrays of one layout."""
+def _layout_terms(sig: Signature, a: np.ndarray, b: np.ndarray) -> tuple:
     n = a.shape[-1]
     if b.shape[-1] != n:
         raise ValueError(f"operands mix layouts of {n} and {b.shape[-1]} coefficients")
-    inv, sign, terms, _ = _signed_permutation(sig, n)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.einsum("i,ik->k", a, b[inv] * sign)
+    return _signed_permutation(sig, n)
+
+
+def _accumulate_rows(a: np.ndarray, b: np.ndarray, rows: tuple) -> np.ndarray:
+    """The output blades of rows (rows of ``terms``) of the product a b, blade
+    axis first: (len(rows),) + the operands' broadcast point shape."""
     # blade axis first, both operands at the full rank, each blade contiguous
     shape = np.broadcast_shapes(a.shape, b.shape)
     nd = len(shape)
     first = (nd - 1,) + tuple(range(nd - 1))
     left, right = (list(np.ascontiguousarray(x.reshape((1,) * (nd - x.ndim) + x.shape)
                                              .transpose(first))) for x in (a, b))
-    out = np.zeros((n,) + shape[:-1], dtype=np.result_type(a, b))
+    out = np.zeros((len(rows),) + shape[:-1], dtype=np.result_type(a, b))
     term = np.empty_like(out[0])
-    for blade, row in zip(out, terms):
+    for k, row in enumerate(rows):
+        blade = out[k, ...]  # a view, also where the points are zero-dimensional
         for i, j, accumulate in row:
             np.multiply(left[i], right[j], out=term)
             # x - y is x + (-y) exactly, so a sign of -1 costs no pass of its own
             accumulate(blade, term, out=blade)
-    return out.transpose(tuple(range(1, nd)) + (0,))
+    return out
+
+
+def gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric product on stacked coefficient arrays of one layout."""
+    inv, sign, terms, _ = _layout_terms(sig, a, b)
+    if a.ndim == 1 and b.ndim == 1:
+        return np.einsum("i,ik->k", a, b[inv] * sign)
+    out = _accumulate_rows(a, b, terms)
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
+
+
+def gp_scalar(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a b>_0, the bits of gp_coeffs(sig, a, b)[..., 0]: row 0 of the same
+    table alone, so no other blade is formed.  A fresh, writable array."""
+    return _accumulate_rows(a, b, _layout_terms(sig, a, b)[2][:1])[0]
 
 
 def conj_coeffs(sig: Signature, a: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from .algebra import (
     algebra_trace,
     conj_coeffs,
     gp_coeffs,
+    gp_scalar,
 )
 from .grids import (
     Grid,
@@ -102,7 +103,8 @@ class SpinorField:
     @cached_property
     def rho(self) -> np.ndarray:
         dens = np.abs(self.psi) ** 2
-        return dens.sum(axis=-1) if self.is_pauli else dens
+        # one add: a reduction over the trailing component axis costs ~20x, for the same bits
+        return dens[..., 0] + dens[..., 1] if self.is_pauli else dens
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -158,7 +160,7 @@ class SpinorField:
         """P_B^j = -<Omega^j S>_0 per unit rho; shape rho.shape + (3,), masked at density nodes."""
         out = component_first(self.rho.shape + (3,), self.rho.ndim)
         for ax, om in enumerate(self.omega):
-            out[..., ax] = -gp_coeffs(self.signature, om, self.spin_bivector_coeffs)[..., 0]
+            out[..., ax] = -gp_scalar(self.signature, om, self.spin_bivector_coeffs)
         out[~self.mask] = 0.0
         return _read_only(out)
 
@@ -229,7 +231,7 @@ def bohm_energy(win: Window) -> np.ndarray:
     state = win.cur
     sig = state.signature
     omega_t = 2.0 * gp_coeffs(sig, win.d_dt(lambda st: st.g), conj_coeffs(sig, state.g))
-    out = gp_coeffs(sig, omega_t, state.spin_bivector_coeffs)[..., 0]
+    out = gp_scalar(sig, omega_t, state.spin_bivector_coeffs)
     out[~state.mask] = 0.0
     return out
 

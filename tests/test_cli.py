@@ -854,6 +854,75 @@ def test_mass_m_with_step_m_dt_is_mass_one_over_m(name, omega, m):
     assert np.array_equal(traj_m.times, m * traj_1.times)
 
 
+_PAULI_MATRICES = (np.array([[0.0, 1.0], [1.0, 0.0]], complex),
+                   np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+                   np.array([[1.0, 0.0], [0.0, -1.0]], complex))
+
+# The roundoff scale of each field under a change of spinor basis.  Rotating
+# psi rounds its components at eps; a first spatial difference divides that by
+# h, a second one by h^2, and a central time difference by dt (the bundled
+# dt < h^2, so a residual holding both is time-dominated).  |s| and s carry no
+# difference: their scale is eps times their maximum, 1/2.  eps times a
+# field's own maximum is no bound for a spatial field that is zero up to
+# roundoff, such as the superposition's P.
+_SU2_SCALE = {"s": "max", "|s|": "max",
+              "P": "h", "Q2": "h", "p_alg_vs_weighted": "h", "p_alg_vs_oracle": "h",
+              "current_decomposition": "h",
+              "Q": "h2", "Q1": "h2", "q_split": "h2",
+              "E": "dt", "qhj": "dt", "continuity": "dt", "spin_transport": "dt",
+              "e_alg_vs_weighted": "dt", "e_alg_vs_oracle": "dt"}
+
+
+def _su2(seed: int) -> np.ndarray:
+    """A seeded constant SU(2) matrix, exp(-i theta n.sigma / 2)."""
+    rng = np.random.default_rng(seed)
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return (np.cos(theta / 2.0) * np.eye(2)
+            - 1j * np.sin(theta / 2.0) * sum(c * s for c, s in zip(n, _PAULI_MATRICES)))
+
+
+def _rotated_run(name: str, U, monkeypatch):
+    """40 steps of a bundled Pauli scenario from psi0 rotated by U (None: as
+    bundled): (scenario, the fields and every residual of the checked frame)."""
+    config = harness.load_bundled(name).config
+    sc = harness._scenario(dict(config, evolution={**config["evolution"], "steps": 40}), name)
+    with monkeypatch.context() as patch:
+        if U is not None:
+            bundled = harness._initial_field
+            patch.setattr(harness, "_initial_field", lambda sc: bundled(sc) @ U.T)
+        _, obs, _ = harness._run(sc)
+    fields = {key: getattr(obs, key) for key in ("P", "E", "Q", "Q1", "Q2", "s")}
+    fields["|s|"] = np.sqrt((obs.s ** 2).sum(axis=-1))
+    for check in sc.checks:
+        fields.update((key, f) for key, f, _ in harness._CHECKS[check][0](sc, obs))
+    return sc, fields
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["pauli_superposition", "pauli_texture"])
+def test_constant_su2_rotation_leaves_the_bohm_fields_unchanged(name, seed, monkeypatch):
+    """psi -> U psi for a constant U in SU(2) rotates the spin, s -> R s with
+    R_ij = tr(sigma_i U sigma_j U^dagger) / 2, and leaves rho, P, E, Q, |s| and
+    every residual magnitude unchanged: a free Pauli evolution commutes with U.
+    Each holds to 16 eps times its field's roundoff scale (_SU2_SCALE); the
+    measured differences stay under 8 of them."""
+    sc, base = _rotated_run(name, None, monkeypatch)
+    U = _su2(seed)
+    _, rotated = _rotated_run(name, U, monkeypatch)
+    R = np.array([[0.5 * np.trace(si @ U @ sj @ U.conj().T).real for sj in _PAULI_MATRICES]
+                  for si in _PAULI_MATRICES])
+    base["s"] = base["s"] @ R.T
+    assert rotated.keys() == base.keys() == _SU2_SCALE.keys()
+    h, dt = sc.grid.spacing[0], sc.evolution.dt
+    eps = np.finfo(float).eps
+    for key, f in base.items():
+        scale = {"max": np.abs(f).max(), "h": 1.0 / h, "h2": 1.0 / h ** 2,
+                 "dt": 1.0 / dt}[_SU2_SCALE[key]]
+        assert np.abs(rotated[key] - f).max() <= 16.0 * eps * scale, key
+
+
 def test_list_scenarios_bundled():
     names = [n for n, _ in harness.list_scenarios()]
     assert "schrodinger_gaussian" in names
