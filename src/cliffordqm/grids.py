@@ -197,11 +197,18 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def curl(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Curl of a 3-component vector field, stored component-first; missing-axis terms are 0."""
-    d = gradient(v, grid)  # [..., component, axis]
+    """Curl of a 3-component vector field, stored component-first.
+
+    Only the six derivatives d_i v_j with i != j are formed; a term along an
+    axis the grid does not have is the scalar 0.0, which gives the bits of a
+    zero derivative.
+    """
+    def d(comp: int, ax: int):
+        return deriv(v[..., comp], grid, ax) if ax < grid.dim else 0.0
+
     out = component_first(v.shape, grid.dim, np.result_type(v, float))
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out[..., k] = d[..., j, i] - d[..., i, j]
+        np.subtract(d(j, i), d(i, j), out=out[..., k])
     return out
 
 
@@ -248,8 +255,8 @@ class HarmonicGroundState:
 class PauliSuperposition:
     """Psi = (w1 psi_a, w2 psi_b) built from two plane waves."""
 
-    k1: tuple = (1.0, 0.0, 0.0)
-    k2: tuple = (-1.0, 0.0, 0.0)
+    k1: tuple
+    k2: tuple
     weights: tuple = (1.0, 1.0)
     m: float = 1.0
 
@@ -267,7 +274,7 @@ class EulerTexture:
     amplitude R = exp(-(x-x0)^2/(4 sigma^2)) or 1 when sigma is None.
     """
 
-    theta0: float = np.pi / 2
+    theta0: float
     theta_k: tuple = (0.0, 0.0, 0.0)
     phi0: float = 0.0
     phi_k: tuple = (0.0, 0.0, 0.0)
@@ -343,16 +350,47 @@ def _gaussian_packet(d: GaussianPacket, grid: Grid, t: float) -> np.ndarray:
 
 
 def _euler_texture(d: EulerTexture, grid: Grid, t: float) -> np.ndarray:
-    theta = d.theta0 + _dot_x(grid, d.theta_k)
-    phi = d.phi0 + _dot_x(grid, d.phi_k)
-    chi = d.chi0 + _dot_x(grid, d.chi_k) - d.omega_t * t
-    if d.sigma is None:
-        R = np.ones(grid.shape)
-    else:
-        R = np.exp(-_r2(grid, d.x0) / (4.0 * d.sigma ** 2))
-    psi1 = R * np.cos(theta / 2.0) * np.exp(1j * (phi + chi) / 2.0)
-    psi2 = 1j * R * np.sin(theta / 2.0) * np.exp(1j * (chi - phi) / 2.0)
+    """psi1 = R cos(theta/2) e^(i(phi + chi)/2), psi2 = i R sin(theta/2) e^(i(chi - phi)/2).
+
+    The angles are affine in x and R is a product over axes, so
+    cos(theta/2) + i sin(theta/2), both phase factors and R are outer
+    products of one factor per axis, and no transcendental runs per grid
+    point.  Axis 0 carries the constants and -omega_t t, in the per-point
+    expressions, so on a line this is that formula bit for bit; in 2-D and
+    3-D the products round differently, by a few ulp.
+    """
+    x = grid.coords(0)
+    # axis 0 adds the constants to each angle's sum over axes from zero, as the per-point formula
+    theta = d.theta0 + (0.0 + d.theta_k[0] * x)
+    phi = d.phi0 + (0.0 + d.phi_k[0] * x)
+    chi = d.chi0 + (0.0 + d.chi_k[0] * x) - d.omega_t * t
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    turn, plus, minus, amp = [cos + 1j * sin], [], [], []
+    for ax in range(grid.dim):
+        if ax:
+            x = grid.coords(ax)
+            theta, phi, chi = d.theta_k[ax] * x, d.phi_k[ax] * x, d.chi_k[ax] * x
+            turn.append(np.exp(1j * theta / 2.0))
+        plus.append(np.exp(1j * (phi + chi) / 2.0))
+        minus.append(np.exp(1j * (chi - phi) / 2.0))
+        if d.sigma is not None:
+            amp.append(np.exp(-((x - d.x0[ax]) ** 2) / (4.0 * d.sigma ** 2)))
+    if grid.dim > 1:
+        turn = _outer(turn)
+        cos, sin = turn.real, turn.imag
+    # without an envelope R enters as the scalar 1.0: 1 x and 1j 1 are exact
+    R = _outer(amp) if amp else 1.0
+    psi1 = R * cos * _outer(plus)
+    psi2 = 1j * R * sin * _outer(minus)
     return np.stack([psi1, psi2], axis=-1)
+
+
+def _outer(factors: list) -> np.ndarray:
+    """The outer product over axes of one 1-D factor per axis, in axis order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out[..., None] * f
+    return out
 
 
 # ---------------------------------------------------------------------------

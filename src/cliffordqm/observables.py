@@ -1,19 +1,22 @@
 """Bilinear invariants and Bohm-theoretic fields.
 
-Every quantity here is computed on the algebraic side (g-coefficients,
-geometric products, the Omega fields), with alternative standard-formalism
+Every quantity here is computed on the algebraic side (g-coefficients and
+geometric products), with alternative standard-formalism
 routes provided where the theory gives more than one expression for the
 same field (weighted means).  The oracle module holds
 the fully independent wavefunction versions used for cross checks.
 
-The Bohm momentum and energy are one bilinear for both particles: with
-Omega = 2 (dU) ~U and S = U gamma ~U / 2 for the ideal's phase generator
-gamma, P^j = -<Omega^j S>_0 and E = <Omega_t S>_0.  In Cl(3,0) S = i s; in
-Cl(0,1) gamma = e is central and S = e/2.  U, Omega and S all lie in U's
-subalgebra (C, or the even part of Cl(3,0)), so these products run in the
-subalgebra layout of ``algebra``, on the 2 or 4 g-coefficients.  Like every
-derived field here, they are stored component-first (see ``grids``), so
-products and component loops read one contiguous block per component.
+The Bohm momentum and energy are one bilinear for both particles, with
+gamma the ideal's phase generator: P^j = -<(d_j U) gamma ~U>_0 and
+E = <(d_t U) gamma ~U>_0.  With Omega = 2 (dU) ~U and S = U gamma ~U / 2
+these are the paper's -<Omega^j S>_0 and <Omega_t S>_0, since ~U U = 1; the
+shorter association forms no Omega and no S.  A frame forms W = gamma ~U
+once, and each bilinear is the scalar row of one product with W.  U and W
+lie in U's subalgebra (C, or the even part of Cl(3,0)), so these products
+run in the subalgebra layout of ``algebra``, on the 2 or 4 g-coefficients.
+Like every derived field here, they are stored component-first (see
+``grids``), so products and component loops read one contiguous block per
+component.
 
 A quantity at frame k that needs a time derivative reads frames k-1, k and
 k+1 through one ``Window``: ``window(series, k)`` turns each of the three
@@ -30,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
+    _G_SLOTS,
     PAULI,
     SCHRODINGER,
     Multivector,
@@ -60,9 +64,8 @@ from .spinors import (
     spin_field_from_g,
 )
 
-# i e1 = e23, i e2 = -e13, i e3 = e12 in Cl(3,0): the signs that take a
-# vector's components to its dual bivector's (e23, e13, e12) and back
-_DUAL = np.array([1.0, -1.0, 1.0])
+# the phase generator gamma in the subalgebra layout: e in Cl(0,1), e12 in Cl(3,0)
+_GAMMA = {sig: phase_generator(sig).coeffs[_G_SLOTS[sig]] for sig in (SCHRODINGER, PAULI)}
 
 
 @dataclass(eq=False)
@@ -76,7 +79,7 @@ class SpinorField:
     declared, not read off the shape: a stack of two Schrodinger frames has
     the shape of one Pauli frame.  The point-by-point fields and the spatial
     stencils ride along the stack axis, so a stacked field's rho, mask, g,
-    spin, omega and P, and ``pauli_current`` of it, equal each frame's own
+    spin, W and P, and ``pauli_current`` of it, equal each frame's own
     bit for bit; its node mask takes each frame's own peak density.  The
     other functions below take single frames.
     """
@@ -134,33 +137,23 @@ class SpinorField:
         return 0.5 * spin_field_from_g(self.g)
 
     @cached_property
-    def spin_bivector_coeffs(self) -> np.ndarray:
-        """S = U gamma ~U / 2 in the subalgebra layout.
+    def gamma_u_conj(self) -> np.ndarray:
+        """W = gamma ~U in the subalgebra layout, the right factor of P and E.
 
-        Cl(3,0): gamma = e12 = i e3, so S = i s, a bivector.  Cl(0,1): gamma =
-        e commutes with U and U ~U = 1, so S = e/2 at every point (a read-only
-        view).
+        One product of the field kernel, and exact: gamma is one blade, so
+        each blade of W is one signed g-coefficient plus products with
+        gamma's zeros.
         """
-        if not self.is_pauli:
-            half_e = 0.5 * phase_generator(SCHRODINGER).coeffs
-            return np.broadcast_to(half_e, self.rho.shape + (2,))
-        S = component_first(self.rho.shape + (4,), self.rho.ndim)
-        S[..., 1:] = _DUAL * self.spin
-        return S
-
-    @cached_property
-    def omega(self) -> list:
-        """Omega^j = 2 (d_j U) ~U per grid axis, in the subalgebra layout."""
-        g_conj = conj_coeffs(self.signature, self.g)
-        return [2.0 * gp_coeffs(self.signature, deriv(self.g, self.grid, ax), g_conj)
-                for ax in range(self.grid.dim)]
+        sig = self.signature
+        return gp_coeffs(sig, _GAMMA[sig], conj_coeffs(sig, self.g))
 
     @cached_property
     def P(self) -> np.ndarray:
-        """P_B^j = -<Omega^j S>_0 per unit rho; shape rho.shape + (3,), masked at density nodes."""
+        """P_B^j = -<(d_j U) gamma ~U>_0 per unit rho; shape rho.shape + (3,), masked at density nodes."""
         out = component_first(self.rho.shape + (3,), self.rho.ndim)
-        for ax, om in enumerate(self.omega):
-            out[..., ax] = -gp_scalar(self.signature, om, self.spin_bivector_coeffs)
+        for ax in range(self.grid.dim):
+            du = deriv(self.g, self.grid, ax)
+            np.negative(gp_scalar(self.signature, du, self.gamma_u_conj), out=out[..., ax])
         out[~self.mask] = 0.0
         return _read_only(out)
 
@@ -227,11 +220,9 @@ def masked_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
 # Bohm momentum and energy: algebraic route
 
 def bohm_energy(win: Window) -> np.ndarray:
-    """E_B = <Omega_t S>_0 per unit rho at the window's middle frame, Omega_t = 2 (d_t U) ~U."""
+    """E_B = <(d_t U) gamma ~U>_0 per unit rho at the window's middle frame."""
     state = win.cur
-    sig = state.signature
-    omega_t = 2.0 * gp_coeffs(sig, win.d_dt(lambda st: st.g), conj_coeffs(sig, state.g))
-    out = gp_scalar(sig, omega_t, state.spin_bivector_coeffs)
+    out = gp_scalar(state.signature, win.d_dt(lambda st: st.g), state.gamma_u_conj)
     out[~state.mask] = 0.0
     return out
 

@@ -68,21 +68,24 @@ def density_matrix(psi1: complex, psi2: complex) -> np.ndarray:
 # field-level densities (standard wavefunction formalism)
 
 def _grad(values: np.ndarray, grid) -> list[np.ndarray]:
-    """Per-axis derivative, second order: a central difference that wraps on
-    periodic grids, np.gradient with one-sided edges on clamped ones."""
+    """Per-axis derivative, second order (``_deriv`` along each axis)."""
+    return [_deriv(values, grid, ax) for ax in range(grid.dim)]
+
+
+def _deriv(values: np.ndarray, grid, ax: int) -> np.ndarray:
+    """Derivative along one axis, second order: a central difference that
+    wraps on periodic grids, np.gradient with one-sided edges on clamped ones."""
+    h = grid.spacing[ax]
     if grid.boundary != "periodic":
-        return [np.gradient(values, h, axis=ax, edge_order=2) for ax, h in enumerate(grid.spacing)]
-    out = []
-    for ax, h in enumerate(grid.spacing):
-        d = np.empty(values.shape, np.result_type(values, float))
-        v, dv = np.moveaxis(values, ax, 0), np.moveaxis(d, ax, 0)
-        # f[i+1] - f[i-1] from slices, the wrap rows by hand: no rolled copies
-        np.subtract(v[2:], v[:-2], out=dv[1:-1])
-        dv[0] = v[1] - v[-1]
-        dv[-1] = v[0] - v[-2]
-        d /= 2.0 * h
-        out.append(d)
-    return out
+        return np.gradient(values, h, axis=ax, edge_order=2)
+    d = np.empty(values.shape, np.result_type(values, float))
+    v, dv = np.moveaxis(values, ax, 0), np.moveaxis(d, ax, 0)
+    # f[i+1] - f[i-1] from slices, the wrap rows by hand: no rolled copies
+    np.subtract(v[2:], v[:-2], out=dv[1:-1])
+    dv[0] = v[1] - v[-1]
+    dv[-1] = v[0] - v[-2]
+    d /= 2.0 * h
+    return d
 
 
 def momentum_density(psi, grid) -> np.ndarray:
@@ -151,13 +154,14 @@ def messiah_current(psi, grid, m: float) -> np.ndarray:
 
 
 def _curl(v: np.ndarray, grid) -> np.ndarray:
-    """curl of a (..., 3) field, stored component-first."""
-    derivs = np.zeros((3, 3) + grid.shape)  # derivs[comp, axis]
-    for comp in range(3):
-        for ax, d in enumerate(_grad(v[..., comp], grid)):
-            derivs[comp, ax] = d
+    """curl of a (..., 3) field, stored component-first, from the six
+    derivatives d_ax v_comp with ax != comp that it reads; a term along an
+    axis the grid does not have is the scalar 0.0."""
+    def d(comp: int, ax: int):
+        return _deriv(v[..., comp], grid, ax) if ax < grid.dim else 0.0
+
     out = np.zeros((3,) + grid.shape)
-    out[0] = derivs[2, 1] - derivs[1, 2]
-    out[1] = derivs[0, 2] - derivs[2, 0]
-    out[2] = derivs[1, 0] - derivs[0, 1]
+    out[0] = d(2, 1) - d(1, 2)
+    out[1] = d(0, 2) - d(2, 0)
+    out[2] = d(1, 0) - d(0, 1)
     return np.moveaxis(out, 0, -1)

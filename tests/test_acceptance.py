@@ -213,7 +213,7 @@ def test_criterion_05_pauli_triple_agreement():
 
     # evolved two-momentum superposition
     pg = gd.Grid.line(0.0, 4.0 * np.pi, 256, "periodic")
-    psi0 = gd.sample(gd.PauliSuperposition(), pg)
+    psi0 = gd.sample(gd.PauliSuperposition(k1=(1.0, 0.0, 0.0), k2=(-1.0, 0.0, 0.0)), pg)
     psi0 /= dy.norm(psi0, pg)
     cfg = dy.EvolutionConfig(m=m, dt=1e-3, steps=100, scheme="split-step")
     series = dy.evolve(psi0, pg, cfg)

@@ -839,7 +839,7 @@ def test_free_norm_drift_does_not_grow_with_steps(scheme):
         psi0, grid, cfg = _free_crank_nicolson_run((384,), 1600)
     else:
         grid = gd.Grid.line(0.0, 4.0 * np.pi, 4096, "periodic")
-        psi0 = gd.sample(gd.PauliSuperposition(), grid)
+        psi0 = gd.sample(gd.PauliSuperposition(k1=(1.0, 0.0, 0.0), k2=(-1.0, 0.0, 0.0)), grid)
         cfg = dy.EvolutionConfig(m=1.0, dt=5e-6, steps=400, scheme=scheme)
     norms = [dy.norm(frame, grid) for frame in dy.evolve(psi0, grid, cfg, keep=()).frames]
     assert len(norms) == cfg.steps + 1

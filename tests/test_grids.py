@@ -178,7 +178,7 @@ def test_samples_at_mass_m_and_time_m_t_are_those_at_mass_one(m):
 
 def test_pauli_superposition_shape_and_norm():
     grid = gd.Grid.line(0.0, 4.0 * np.pi, 64, "periodic")
-    psi = gd.sample(gd.PauliSuperposition(), grid)
+    psi = gd.sample(gd.PauliSuperposition(k1=(1.0, 0.0, 0.0), k2=(-1.0, 0.0, 0.0)), grid)
     assert psi.shape == grid.shape + (2,)
     rho = (np.abs(psi) ** 2).sum(axis=-1)
     assert np.max(np.abs(rho - 1.0)) < 1e-12
@@ -191,6 +191,64 @@ def test_euler_texture_components():
     rho = (np.abs(psi) ** 2).sum(axis=-1)
     assert np.max(np.abs(rho - 1.0)) < 1e-12
     assert np.max(np.abs(np.abs(psi[..., 0]) - np.cos(np.pi / 6))) < 1e-12
+
+
+def euler_texture_per_point(d, grid, t):
+    """The texture's formula evaluated at every point over whole-grid angles."""
+    xs = grid.meshgrid()
+
+    def affine(c, k):
+        out = np.zeros(grid.shape)
+        for ax, x in enumerate(xs):
+            out += k[ax] * x
+        return c + out
+
+    theta, phi = affine(d.theta0, d.theta_k), affine(d.phi0, d.phi_k)
+    chi = affine(d.chi0, d.chi_k) - d.omega_t * t
+    r2 = np.zeros(grid.shape)
+    for ax, x in enumerate(xs):
+        r2 += (x - d.x0[ax]) ** 2
+    R = np.ones(grid.shape) if d.sigma is None else np.exp(-r2 / (4.0 * d.sigma ** 2))
+    psi1 = R * np.cos(theta / 2.0) * np.exp(1j * (phi + chi) / 2.0)
+    psi2 = 1j * R * np.sin(theta / 2.0) * np.exp(1j * (chi - phi) / 2.0)
+    return np.stack([psi1, psi2], axis=-1)
+
+
+# the per-axis sampler against the per-point formula in 2-D and 3-D, in ulp of
+# |psi| <= 1 per unit of the largest half angle or envelope exponent, to which
+# the per-point formula's own rounding of the angle sums grows; measured <= 1.1
+TEXTURE_ULPS = 4.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_euler_texture_is_the_per_point_formula(dim, boundary):
+    """Bit for bit on a line, and to TEXTURE_ULPS in 2-D and 3-D, with an
+    envelope, an offset x0, a phase rate and t > 0."""
+    rng = np.random.default_rng(dim * 10 + len(boundary))
+    grid = gd.Grid(tuple(gd.Axis(-3.0 - ax, 4.0 + ax, 7 + 2 * ax) for ax in range(dim)), boundary)
+    eps = np.finfo(float).eps
+    for trial in range(12):
+        vec = lambda: tuple(float(v) for v in rng.uniform(-1.0, 1.0, 3))  # noqa: E731
+        d = gd.EulerTexture(theta0=float(rng.uniform(-3.0, 3.0)), theta_k=vec(),
+                            phi0=float(rng.uniform(-3.0, 3.0)), phi_k=vec(),
+                            chi0=float(rng.uniform(-3.0, 3.0)), chi_k=vec(),
+                            sigma=None if trial % 3 == 0 else float(rng.uniform(0.5, 3.0)),
+                            x0=vec(), omega_t=float(rng.uniform(0.1, 2.0)))
+        t = float(rng.uniform(0.1, 3.0))
+        got, want = gd.sample(d, grid, t), euler_texture_per_point(d, grid, t)
+        if dim == 1:
+            assert got.tobytes() == want.tobytes(), trial
+            continue
+        x = grid.meshgrid()
+        size = [abs(c) + sum(abs(k[ax] * x[ax]) for ax in range(dim)).max()
+                for c, k in ((d.theta0, d.theta_k), (d.phi0, d.phi_k),
+                             (d.chi0 + d.omega_t * t, d.chi_k))]
+        scale = max(1.0, (size[0] + size[1] + size[2]) / 2.0)
+        if d.sigma is not None:
+            r2 = sum((x[ax] - d.x0[ax]) ** 2 for ax in range(dim))
+            scale = max(scale, r2.max() / (4.0 * d.sigma ** 2))
+        assert np.abs(got - want).max() <= TEXTURE_ULPS * eps * scale, trial
 
 
 def test_export_csv_deterministic(tmp_path):
@@ -238,4 +296,4 @@ def test_write_csv_writes_the_bytes_of_savetxt(tmp_path):
                          ids=["zero", "nan", "inf"])
 def test_pauli_superposition_rejects_weights_without_finite_norm(weights):
     with pytest.raises(gd.GridError, match="weights"):
-        gd.PauliSuperposition(weights=weights)
+        gd.PauliSuperposition(k1=(1.0, 0.0, 0.0), k2=(-1.0, 0.0, 0.0), weights=weights)

@@ -33,12 +33,12 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 @st.composite
-def grid_and_field(draw, n_values: int):
+def grid_and_field(draw, n_values: int, elements=finite):
     dim = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(gd.MIN_POINTS, 7), min_size=dim, max_size=dim))
     boundary = draw(st.sampled_from(("clamped", "periodic")))
     grid = gd.Grid(tuple(gd.Axis(0.0, 1.0 + ax, n) for ax, n in enumerate(sizes)), boundary)
-    values = draw(hnp.arrays(float, grid.shape + (n_values,), elements=finite))
+    values = draw(hnp.arrays(float, grid.shape + (n_values,), elements=elements))
     return grid, values
 
 
@@ -50,6 +50,27 @@ def test_property_stencils_give_the_same_bits_in_either_memory_order(case):
     for stencil in (gd.gradient, gd.laplacian, gd.divergence, gd.curl):
         assert same_bits(stencil(view, grid), stencil(field, grid))
     assert same_bits(gd.gradient(view[..., :1], grid), gd.gradient(field[..., :1], grid))
+
+
+def _curl_of_gradient(v, grid):
+    """The curl from all nine derivatives, zero along the axes the grid lacks."""
+    d = gd.gradient(v, grid)  # [..., component, axis]
+    out = gd.component_first(v.shape, grid.dim)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[..., k] = d[..., j, i] - d[..., i, j]
+    return out
+
+
+@settings(max_examples=50)
+@given(grid_and_field(3, st.one_of(finite, st.sampled_from((0.0, -0.0)))))
+def test_property_curl_gives_the_bits_of_the_nine_derivative_form(case):
+    """Six derivatives and a scalar 0.0 for each missing axis: the same bytes,
+    signed zeros included, in either memory order."""
+    grid, field = case
+    want = _curl_of_gradient(field, grid)
+    assert same_bits(gd.curl(field, grid), want)
+    assert same_bits(gd.curl(component_first_view(field), grid), want)
+    assert np.moveaxis(gd.curl(field, grid), -1, 0).flags.c_contiguous
 
 
 @st.composite
@@ -86,9 +107,9 @@ def test_derived_fields_are_stored_component_first():
     texture = gd.EulerTexture(theta0=1.2, theta_k=(0.5, -0.5, 0.5), phi_k=(0.5, 0.0, -0.5))
     state = ob.SpinorField(grid, gd.sample(texture, grid))
     current = ob.pauli_current(state, 1.0)
-    fields = {"g": state.g, "spin": state.spin, "P": state.P, "S": state.spin_bivector_coeffs,
+    fields = {"g": state.g, "spin": state.spin, "P": state.P, "W": state.gamma_u_conj,
               "lap_spin": state.lap_spin, "grad_ln_rho": state.grad_ln_rho,
-              "omega": state.omega[0], "J_rot": current.J_rot, "v": current.v,
+              "J_rot": current.J_rot, "v": current.v,
               "oracle.momentum_density": orc.momentum_density(state.psi, grid),
               "oracle.spin_direction": orc.spin_direction(state.psi),
               "oracle.messiah_current": orc.messiah_current(state.psi, grid, 1.0)}

@@ -97,7 +97,7 @@ def test_weighted_and_algebraic_momentum_agree():
 
 def test_spin_norm_is_half():
     grid = gd.Grid.line(-5.0, 5.0, 101)
-    psi = gd.sample(gd.EulerTexture(theta_k=(0.5, 0, 0), sigma=1.5), grid)
+    psi = gd.sample(gd.EulerTexture(theta0=np.pi / 2, theta_k=(0.5, 0, 0), sigma=1.5), grid)
     state = ob.SpinorField(grid, psi)
     norms = np.linalg.norm(state.spin, axis=-1)
     assert np.max(np.abs(norms[state.mask] - 0.5)) < 1e-12
@@ -300,51 +300,74 @@ def schrodinger_packet_series():
 
 
 def test_schrodinger_spin_bivector_is_half_e():
-    """S = U e ~U / 2 = e/2 at every point: e is central and U ~U = 1."""
+    """W = e ~U = (g1, g0), and S = U W / 2 = e/2 at every point: e is
+    central and U ~U = 1, whose scalar part g0 g1 - g1 g0 is exactly 0."""
     state = ob.state_at(schrodinger_packet_series(), 1)
-    S = state.spin_bivector_coeffs
-    assert S.shape == state.grid.shape + (2,)
-    assert np.array_equal(S, np.broadcast_to([0.0, 0.5], S.shape))
+    W = state.gamma_u_conj
+    assert W.shape == state.grid.shape + (2,)
+    assert np.array_equal(W, state.g[..., ::-1])
+    S = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, state.g, W)
+    assert np.array_equal(S[..., 0], np.zeros(state.grid.shape))
+    assert np.max(np.abs(S[..., 1] - 0.5)) <= 2.0 * np.finfo(float).eps
 
 
 def test_schrodinger_bohm_bilinear_matches_e_omega_reference():
-    """-<Omega S>_0 and <Omega_t S>_0 equal -<e Omega>_0/2 and <e Omega_t>_0/2 bit for bit."""
+    """-<(dU) e ~U>_0 and <(d_t U) e ~U>_0 equal -<e Omega>_0/2 and <e Omega_t>_0/2,
+    Omega = 2 (dU) ~U, bit for bit."""
     win = ob.window(schrodinger_packet_series(), 1)
     state = win.cur
-    e = alg.central_unit(alg.SCHRODINGER).coeffs
-    omega_t = 2.0 * alg.gp_coeffs(alg.SCHRODINGER, win.d_dt(lambda st: st.g),
-                                  alg.conj_coeffs(alg.SCHRODINGER, state.g))
-    P_ref = np.zeros(state.grid.shape + (3,))
-    P_ref[..., 0] = -0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, state.omega[0])[..., 0]
+    sig, grid = alg.SCHRODINGER, state.grid
+    e = alg.central_unit(sig).coeffs
+    u_conj = alg.conj_coeffs(sig, state.g)
+    omega = 2.0 * alg.gp_coeffs(sig, gd.deriv(state.g, grid, 0), u_conj)
+    omega_t = 2.0 * alg.gp_coeffs(sig, win.d_dt(lambda st: st.g), u_conj)
+    P_ref = np.zeros(grid.shape + (3,))
+    P_ref[..., 0] = -0.5 * alg.gp_coeffs(sig, e, omega)[..., 0]
     P_ref[~state.mask] = 0.0
-    E_ref = 0.5 * alg.gp_coeffs(alg.SCHRODINGER, e, omega_t)[..., 0]
+    E_ref = 0.5 * alg.gp_coeffs(sig, e, omega_t)[..., 0]
     E_ref[~state.mask] = 0.0
     assert np.array_equal(state.P, P_ref)
     assert np.array_equal(ob.bohm_energy(win), E_ref)
 
 
 def full_algebra_bilinears(win):
-    """P and E with U embedded in every blade of the algebra and each
-    product taken over the whole Cayley table."""
+    """P = -<(dU) gamma ~U>_0 and E = <(d_t U) gamma ~U>_0 with U and gamma
+    embedded in every blade of the algebra and each product taken over the
+    whole Cayley table."""
     state = win.cur
     sig, grid = state.signature, state.grid
-    i = alg.central_unit(sig).coeffs
     u = sp.even_field_coeffs(sig, state.g)
-    u_conj = alg.conj_coeffs(sig, u)
-    if state.is_pauli:
-        v = np.zeros(grid.shape + (8,))
-        v[..., 1:4] = state.spin
-        S = alg.gp_coeffs(sig, i, v)
-    else:
-        S = np.broadcast_to(0.5 * i, grid.shape + (2,))
+    W = alg.gp_coeffs(sig, sp.phase_generator(sig).coeffs, alg.conj_coeffs(sig, u))
     P = np.zeros(grid.shape + (3,))
     for ax in range(grid.dim):
-        omega = 2.0 * alg.gp_coeffs(sig, gd.deriv(u, grid, ax), u_conj)
-        P[..., ax] = -alg.gp_coeffs(sig, omega, S)[..., 0]
+        P[..., ax] = -alg.gp_coeffs(sig, gd.deriv(u, grid, ax), W)[..., 0]
     P[~state.mask] = 0.0
     du_dt = (sp.even_field_coeffs(sig, win.next.g) - sp.even_field_coeffs(sig, win.prev.g)) \
         / (2.0 * win.dt)
-    E = alg.gp_coeffs(sig, 2.0 * alg.gp_coeffs(sig, du_dt, u_conj), S)[..., 0]
+    E = alg.gp_coeffs(sig, du_dt, W)[..., 0]
+    E[~state.mask] = 0.0
+    return P, E
+
+
+def omega_s_bilinears(win):
+    """P = -<Omega^j S>_0 and E = <Omega_t S>_0 with Omega = 2 (dU) ~U and
+    S = U gamma ~U / 2 each formed in full: S = i s (e23, e13, e12 =
+    s1, -s2, s3) in Cl(3,0), e/2 in Cl(0,1)."""
+    state = win.cur
+    sig, grid = state.signature, state.grid
+    u_conj = alg.conj_coeffs(sig, state.g)
+    if state.is_pauli:
+        S = np.zeros(grid.shape + (4,))
+        S[..., 1:] = np.array([1.0, -1.0, 1.0]) * state.spin
+    else:
+        S = np.broadcast_to([0.0, 0.5], grid.shape + (2,))
+    P = np.zeros(grid.shape + (3,))
+    for ax in range(grid.dim):
+        omega = 2.0 * alg.gp_coeffs(sig, gd.deriv(state.g, grid, ax), u_conj)
+        P[..., ax] = -alg.gp_scalar(sig, omega, S)
+    P[~state.mask] = 0.0
+    omega_t = 2.0 * alg.gp_coeffs(sig, win.d_dt(lambda st: st.g), u_conj)
+    E = alg.gp_scalar(sig, omega_t, S)
     E[~state.mask] = 0.0
     return P, E
 
@@ -365,6 +388,63 @@ def test_subalgebra_bilinears_equal_the_full_algebra_route(make_series):
     assert np.array_equal(win.cur.P, P_ref)
     assert np.array_equal(ob.bohm_energy(win), E_ref)
     assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
+
+
+def schrodinger_2d_series():
+    grid = gd.Grid((gd.Axis(-6.0, 6.0, 24), gd.Axis(-5.0, 5.0, 20)))
+    return schrodinger_series(gd.GaussianPacket(sigma=1.0, x0=(0.5, -0.3, 0.0), k=(1.3, -0.7, 0.0)),
+                              grid, t0=0.2)
+
+
+def pauli_texture_1d_series():
+    grid = gd.Grid.line(-6.0, 6.0, 96)
+    d = gd.EulerTexture(theta0=1.1, theta_k=(0.4, 0, 0), phi0=0.2, phi_k=(0.3, 0, 0), chi0=0.1,
+                        chi_k=(-0.2, 0, 0), sigma=1.5, omega_t=0.4)
+    times = gd.StepTimes(1e-3, range(200, 203))
+    return gd.SnapshotSeries(times, [gd.sample(d, grid, t) for t in times], grid)
+
+
+# P and E against the Omega S route, in units of their roundoff scale: eps
+# times the largest coefficient of the differenced U, d_j U for P^j and d_t U
+# for E, the one factor of each product that is not of unit size.  The
+# measured differences reach 3.2 of these units.
+OMEGA_S_ULPS = 8.0
+
+
+@pytest.mark.parametrize("make_series", [schrodinger_packet_series, schrodinger_2d_series,
+                                         pauli_texture_1d_series, pauli_texture_3d_series],
+                         ids=("schrodinger_1d", "schrodinger_2d", "pauli_1d", "pauli_3d"))
+def test_bilinears_equal_the_omega_s_route_to_roundoff(make_series):
+    """(dU) gamma ~U is Omega S re-associated (~U U = 1), so only roundoff
+    moves; in Cl(0,1) not even that, as e is central and 2 and 1/2 are exact."""
+    win = ob.window(make_series(), 1)
+    state, grid = win.cur, win.cur.grid
+    P_ref, E_ref = omega_s_bilinears(win)
+    E = ob.bohm_energy(win)
+    eps = np.finfo(float).eps
+    for ax in range(grid.dim):
+        scale = eps * np.abs(gd.deriv(state.g, grid, ax)).max()
+        assert np.abs(state.P[..., ax] - P_ref[..., ax]).max() <= OMEGA_S_ULPS * scale, ax
+    scale = eps * np.abs(win.d_dt(lambda st: st.g)).max()
+    assert np.abs(E - E_ref).max() <= OMEGA_S_ULPS * scale
+    if not state.is_pauli:
+        assert np.array_equal(state.P, P_ref) and np.array_equal(E, E_ref)
+    assert np.any(E_ref != 0.0) and np.any(P_ref != 0.0)
+
+
+def test_pauli_3d_observables_run_one_full_product(monkeypatch):
+    """One 3-D Pauli compute_observables forms W = gamma ~U in full and every
+    other product's scalar row alone: no Omega or S product comes back."""
+    rows = []
+    accumulate = alg._accumulate_rows
+
+    def counted(a, b, table_rows):
+        rows.append(len(table_rows))
+        return accumulate(a, b, table_rows)
+
+    monkeypatch.setattr(alg, "_accumulate_rows", counted)
+    ob.compute_observables(pauli_texture_3d_series(), 1, 1.0)
+    assert sorted(rows) == [1, 1, 1, 1, 4]  # P's three axes and E, and W
 
 
 STENCILS = ("deriv", "gradient", "laplacian", "divergence", "curl", "time_derivative")

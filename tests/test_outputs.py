@@ -31,12 +31,12 @@ RUNNING = {"numpy": np.__version__, "scipy": scipy.__version__, "exp kernel": _e
 
 DIGESTS = {
     "pauli_superposition": {
-        "fields.csv": "f0cee01c5872b61264b748b2ce28da9b9f3987a8e7be86575c34274ae8ba017f",
-        "report.json": "4d5c719662fa4bad71749efc067e0d492ed7e75dc7dc9a7b6948639c271d5044",
+        "fields.csv": "60b664d7ebf6194b0aaea2e00992995f5295dbdbab48459093234568e8d9eba6",
+        "report.json": "cc701bc26c456ce8804c20dcb1890027dc90f4f9a355fb88888f288c76984a26",
     },
     "pauli_texture": {
-        "fields.csv": "f6a89b93f381114aca5d23e3bbd6b214a83e6aff27ee6ae7439f0ffb909f36bc",
-        "report.json": "e30b3cfa180b1474fc585eb73101e6edc880d862c07dfd8ee362bef82942c515",
+        "fields.csv": "53061ce2d84b24dce8c85d1bf19fe11a693153a8e5d7d78dbdaa7a41958d9391",
+        "report.json": "5daf3823b2b82d28b73982ab289e43ae884aa1c21da8cb5fe60d362c4d67a86c",
     },
     "schrodinger_gaussian": {
         "fields.csv": "8d121dc892e6a7ed1f58f1204b38250b5678e1f03311598ac0c03357fcc8223d",
