@@ -363,8 +363,7 @@ class TrajectorySet:
                                 np.tile(self.times, n_seeds),
                                 self.paths.transpose(1, 0, 2).reshape(-1, dim),
                                 np.repeat(self.truncated, n_frames)])
-        write_csv(path, ["seed_id", "t", *("x", "y", "z")[:dim], "truncated_flag"], rows,
-                  ["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
+        write_csv(path, ["seed_id", "t", *("x", "y", "z")[:dim], "truncated_flag"], rows)
 
 
 def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
@@ -410,7 +409,6 @@ class _Interpolator:
         corners = np.array(list(itertools.product((0, 1), repeat=dim))) @ self.steps
         first_rows = v.shape[1] * self.steps[0] * np.arange(len(v))
         self.bases = first_rows[:, None, None] + corners[:, None]
-        self._one = np.ones((1, 1))
 
     def locate(self, base: np.ndarray, x: np.ndarray):
         """The rows of the corners of the cells of points x (n, dim), from
@@ -418,13 +416,15 @@ class _Interpolator:
         corners in itertools.product((0, 1), repeat=dim) order."""
         if self.periodic:
             x = self.lo + np.mod(x - self.lo, self.period)
-        rows, weight = base, self._one  # the empty product: 1.0 * w has w's bits
+        rows, weight = base, None
         for ax, (inner, c, widths, step) in enumerate(
                 zip(self.inner, self.coords, self.widths, self.steps)):
-            i = inner.searchsorted(x[:, ax], "right")
-            y = (x[:, ax] - c[i]) / widths[i]
+            xa = x[:, ax]
+            i = inner.searchsorted(xa, "right")
+            y = (xa - c[i]) / widths[i]
             rows = rows + i * step
-            weight = (weight[:, None] * np.array((1 - y, y))).reshape(-1, len(x))
+            w = np.array((1 - y, y))
+            weight = w if weight is None else (weight[:, None] * w).reshape(-1, len(x))
         return rows, weight[..., None]
 
     def __call__(self, base: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -477,21 +477,25 @@ def integrate_trajectories(velocity_series: SnapshotSeries, seeds, masks: list) 
     n, h = np.array(grid.shape), np.array(grid.spacing)
     vel = _Interpolator(grid, velocity_series.frames)
 
+    flat_masks = np.reshape(masks, (len(masks), -1))
+    node_rows = np.cumprod((1,) + grid.shape[:0:-1])[::-1]  # a node's flat row, C order
+
     def masked_out(x: np.ndarray, frame: int) -> np.ndarray:
         node = np.rint((x - lo) / h).astype(int)
         node = np.mod(node, n) if periodic else _clamp(node, 0, n - 1)
-        return ~masks[frame][tuple(node.T)]
+        return ~flat_masks[frame][node @ node_rows]
 
     n_frames = len(velocity_series)
     dt = velocity_series.dt
     paths = np.empty((n_frames,) + seeds.shape)
     paths[0] = x = seeds
     truncated = np.zeros(seeds.shape[0], dtype=bool)
+    half_dt = 0.5 * dt
     for f in range(n_frames - 1):
         k1 = vel(vel.bases[f], x)
-        k2 = vel(vel.bases[f:f + 2], x + 0.5 * dt * k1)
+        k2 = vel(vel.bases[f:f + 2], x + half_dt * k1)
         k2 = 0.5 * k2[0] + 0.5 * k2[1]
-        k3 = vel(vel.bases[f:f + 2], x + 0.5 * dt * k2)
+        k3 = vel(vel.bases[f:f + 2], x + half_dt * k2)
         k3 = 0.5 * k3[0] + 0.5 * k3[1]
         k4 = vel(vel.bases[f + 1], x + dt * k3)
         step = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0

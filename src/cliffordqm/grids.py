@@ -12,6 +12,7 @@ component; a vector field's gradient, [..., component, axis], is stored as
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -411,14 +412,200 @@ def export_csv(path, grid: Grid, columns: dict) -> None:
         else:
             names.extend(f"{name}_{i}" for i in range(flat.shape[1]))
         cols.append(flat)
-    write_csv(path, names, np.hstack(cols), ["%.17g"] * len(names))
+    write_csv(path, names, np.hstack(cols))
 
 
-def write_csv(path, names: list, table: np.ndarray, formats: list) -> None:
-    """Write a header line of names, then one line per row of a 2-D table, each
-    value printed by its column's % format: commas between values, CRLF line
-    ends, the bytes numpy.savetxt writes with the same formats."""
-    row = ",".join(formats)
-    lines = [",".join(names)] + [row % tuple(values) for values in table.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+def write_csv(path, names: list, table: np.ndarray) -> None:
+    """Write a header line of names, then one line per row of a 2-D table:
+    each value as ``'%.17g' % value`` prints it, commas between values, CRLF
+    line ends.  An integer-valued float below 10^17 in magnitude prints as
+    ``%d`` prints it.
+
+    The digits come from array arithmetic (``_format_block``), a block of
+    rows at a time, so the text is never held whole.  Non-finite values,
+    values whose decimal exponent exceeds 280 in magnitude and the rare
+    value whose 17th digit lies too near a tie to be told apart go through
+    ``%``, which is right for every value.
+    """
+    table = np.asarray(table, dtype=float)
+    rows = max(1, _BLOCK_CELLS // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\r\n").encode())
+        for r in range(0, len(table), rows):
+            fh.write(_format_block(table[r:r + rows]))
+
+
+_BLOCK_CELLS = 4096
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for 53-bit doubles
+_MAX_EXP = 280  # decimal exponents past this go through %, clear of overflow in the split
+# a cell's character slots: 0 the sign; 1-5 the "0.000" of fixed style
+# below 1; 6 the leading digit and 7-22 digits 1-16; 23 a point and 24-39
+# digits 1-16 again, for those after a point; 40-44 the exponent "e+XYZ";
+# 45-46 "," or CRLF.  Runs of 16 slots are copied as one 16-byte item.
+_SLOTS = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e+000,\n", np.uint8)
+_RUN = np.dtype((np.void, 16))
+
+
+def _run(a: np.ndarray, start: int) -> np.ndarray:
+    """Slots start..start + 15 of every cell of a (cells, slots) array, one 16-byte item a cell."""
+    return a[:, start:start + 16].view(_RUN)[:, 0]
+
+
+@functools.cache
+def _text_tables():
+    """The lookup tables of _format_block, built on first use.
+
+    quads: the 4-digit groups '0000'..'9999', each a uint32 word of ASCII
+    bytes.  last[j]: for the group in place j = 0..3 after the leading
+    digit, the count of the 17 digits up to its last nonzero one (0 for
+    '0000').  runs: 16-slot keep masks over digits 1-16, row n keeping the
+    first n and row 17 + 18 p + n those i with p < i < n.
+    """
+    i = np.arange(10000)
+    places = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+    quads = (places + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+    significant = ((places != 0) * np.arange(1, 5)).max(axis=1)
+    last = [np.where(significant > 0, 1 + 4 * j + significant, 0).astype(np.int8) for j in range(4)]
+    digit = np.arange(1, 17)
+    first = digit <= np.arange(17)[:, None]
+    p, n = np.divmod(np.arange(17 * 18), 18)
+    between = (p[:, None] < digit) & (digit < n[:, None])
+    runs = np.ascontiguousarray(np.concatenate([first, between])).view(_RUN)[:, 0]
+    for table in (quads, *last, runs):
+        table.flags.writeable = False
+    return quads, last, runs
+
+
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10^k for k = 16 - X, |X| <= _MAX_EXP + 1, as double-doubles, built on
+    first use from Python ints, whose true division rounds correctly: rows
+    hi, correctly rounded, hi's two halves of Veltkamp's split, and lo,
+    10^k - hi rounded (0.0 where 10^k is a double)."""
+    hi, lo = [], []
+    for k in range(15 - _MAX_EXP, 18 + _MAX_EXP):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi, lo = np.array(hi), np.array(lo)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    table = np.stack([hi, hi_hi, hi - hi_hi, lo])
+    table.flags.writeable = False
+    return table
+
+
+def _digits(a: np.ndarray, X: np.ndarray):
+    """d = q rounded half to even, as int64, for q = a 10^(16 - X), a >= 0,
+    and decimal exponents X; where q < d; and where the rounding is unsure.
+
+    hi a is the exact Dekker product p + e (Numer. Math. 18 (1971) 224),
+    so when 10^(16 - X) is a double, lo = 0 and d is exact, ties included:
+    p >= 10^16 > 2^53 is even.  Else lo a adds a term, and q - d is known
+    to 2^-47 for q < 2^57: a fraction within 2^-30 of 1/2 is unsure.  Near
+    d = 10^16 either answer to q < d prints the same: for q just below
+    10^16, 10 q rounds to 10^17 at exponent X - 1, which %g prints as d at
+    X; for q just above, X - 1 gives d >= 10^17, which _decimal leaves to %.
+    """
+    hi, hi_hi, hi_lo, lo = _pow10().take(_MAX_EXP + 1 - X, axis=1)  # k = 16 - X
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
+    r = e + lo * a
+    n = np.rint(r)
+    d = p.astype(np.int64) + n.astype(np.int64)
+    f = np.abs(r - n)
+    unsure = (lo != 0.0) & (np.abs(f - 0.5) < 2.0 ** -30)
+    return d, r < n, unsure
+
+
+def _misplaced(d: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Where q = a 10^(16 - X) is not in [10^16, 10^17), from _digits' d and q < d."""
+    return (d < 10 ** 16) | ((d == 10 ** 16) & below) | (d >= 10 ** 17)
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """The CSV text of the rows of a 2-D block, as write_csv writes it, as uint8."""
+    v = block.ravel()
+    d, X, by_percent = _decimal(v)
+    text, n_sig = _characters(d, X)
+    keep = _kept(v, X, n_sig)
+    ends = (slice(None), -1)  # a row's last cell ends in CRLF, not ","
+    text.reshape(block.shape + (-1,))[ends + (45,)] = ord("\r")
+    keep.reshape(block.shape + (-1,))[ends + (46,)] = True
+    for i in by_percent.tolist():
+        cell = ("%.17g" % v[i]).encode()
+        text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+        keep[i, :45] = False
+        keep[i, :len(cell)] = True
+    return text.ravel()[keep.ravel()]
+
+
+def _decimal(v: np.ndarray):
+    """Each value's 17 digits d and decimal exponent X, |v| = d 10^(X - 16)
+    rounded half to even (0 and 0 for zeros), and the cells left to %."""
+    a = np.abs(v)
+    finite = (a > 0.0) & (a < np.inf)  # NaN fails both
+    X = np.floor(np.log10(np.where(finite, a, 1.0))).astype(np.intp)
+    regular = finite & (np.abs(X) <= _MAX_EXP)
+    X[~regular] = 0
+    by_percent = ~regular & (a != 0.0)
+    a = np.where(regular, a, 0.0)  # a cell printed by % reads as zero here
+    d, below, unsure = _digits(a, X)
+    # log10 can miss X by one next to a power of ten
+    off = np.flatnonzero(regular & _misplaced(d, below))
+    if len(off):
+        X[off] += np.where(d[off] < 10 ** 16 + 1, -1, 1)
+        d[off], below[off], unsure[off] = _digits(a[off], X[off])
+        unsure[off] |= _misplaced(d[off], below[off]) | (np.abs(X[off]) > _MAX_EXP)
+    return d, X, np.flatnonzero(by_percent | unsure)
+
+
+def _characters(d: np.ndarray, X: np.ndarray):
+    """Every cell's slots filled in, (cells, slots) uint8, and the count of
+    its digits up to the last nonzero one (0 for d = 0)."""
+    quads, last, _ = _text_tables()
+    lead = d // 10 ** 16
+    rest = d - lead * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    groups = np.empty((len(d), 4), np.int32)  # the four groups of four after the leading digit
+    groups[:, 0], groups[:, 1] = np.divmod(high, 10000)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10000)
+    text = np.tile(_SLOTS, (len(d), 1))
+    text[:, 6] += lead.astype(np.uint8)
+    _run(text, 7)[:] = _run(quads.take(groups).view(np.uint8), 0)
+    _run(text, 24)[:] = _run(text, 7)
+    text[:, 41:45].view(np.uint32)[:, 0] = quads[np.abs(X)]
+    text[:, 41] = np.where(X < 0, ord("-"), ord("+"))
+    n_sig = (lead != 0).astype(np.int8)
+    for j in range(4):
+        np.maximum(n_sig, last[j].take(groups[:, j]), out=n_sig)
+    return text, n_sig
+
+
+def _kept(v: np.ndarray, X: np.ndarray, n_sig: np.ndarray) -> np.ndarray:
+    """Which slots of each cell %g prints, (cells, slots) bool, each cell ending in ","."""
+    runs = _text_tables()[2]
+    keep = np.empty((len(v), len(_SLOTS)), bool)
+    keep[:, 0] = np.signbit(v)
+    fixed = (X >= -4) & (X < 17)  # %g's fixed style, else its exponent style
+    small = fixed & (X < 0)
+    keep[:, 1] = keep[:, 2] = small
+    keep[:, 3], keep[:, 4], keep[:, 5] = small & (X <= -2), small & (X <= -3), small & (X == -4)
+    keep[:, 6] = True
+    # below 1 every digit follows the prefix; else a point follows digit X or 0
+    point = np.where(fixed, X, 0)
+    _run(keep, 7)[:] = runs.take(np.where(small, n_sig - 1, point))
+    keep[:, 23] = (n_sig > point + 1) & ~small
+    _run(keep, 24)[:] = runs.take(np.where(small, 0, 17 + 18 * point + n_sig))
+    expo = ~fixed
+    keep[:, 40] = keep[:, 41] = keep[:, 43] = keep[:, 44] = expo
+    keep[:, 42] = expo & (np.abs(X) >= 100)
+    keep[:, 45] = True
+    keep[:, 46] = False
+    return keep

@@ -354,11 +354,12 @@ def qhj_residual(E: np.ndarray, P: np.ndarray, Q: np.ndarray, V: np.ndarray,
     return res
 
 
-def continuity_residual(win: Window, m: float) -> np.ndarray:
-    """d_t rho + div(rho P_B / m) at the window's middle frame."""
+def continuity_residual(win: Window, j_conv: np.ndarray) -> np.ndarray:
+    """d_t rho + div(J_conv) at the window's middle frame, for its convective
+    current J_conv = rho P_B / m (``pauli_current``)."""
     state = win.cur
     drho_dt = win.d_dt(lambda st: st.rho)
-    res = drho_dt + divergence(state.rho[..., None] * state.P / m, state.grid)
+    res = drho_dt + divergence(j_conv, state.grid)
     res[~state.mask] = 0.0
     return res
 
@@ -454,7 +455,7 @@ def compute_observables(series: SnapshotSeries, k: int, m: float,
     cur = pauli_current(state, m)
     res = {
         "qhj": qhj_residual(E, state.P, qp.Q, V, m, state.mask),
-        "continuity": continuity_residual(win, m),
+        "continuity": continuity_residual(win, cur.J_conv),
     }
     s = None
     if state.is_pauli:

@@ -288,7 +288,8 @@ def test_criterion_07_conservation():
     bound = 5.0 * C * (h ** 2 + dt ** 2)
 
     win = ob.window(series, k)
-    cont = ob.residual_stats(ob.continuity_residual(win, m), support)
+    cont = ob.residual_stats(ob.continuity_residual(win, ob.pauli_current(win.cur, m).J_conv),
+                             support)
     spin_res = ob.spin_transport_residual(win, m)
     spin = ob.residual_stats(np.sqrt((spin_res ** 2).sum(axis=-1)), support)
 

@@ -1,9 +1,18 @@
 """Grid construction, stencil accuracy, scenario sampling, and file formats."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cliffordqm import grids as gd
 from cliffordqm import observables as ob
@@ -277,7 +286,9 @@ def test_export_csv_deterministic(tmp_path):
 
 
 def test_write_csv_writes_the_bytes_of_savetxt(tmp_path):
-    """numpy.savetxt, which both CSV outputs used, is the reference."""
+    """numpy.savetxt, which both CSV outputs used, is the reference, with its
+    integer columns printed by %d: %.17g prints an integer-valued float below
+    10^17 as %d does."""
     rng = np.random.default_rng(11)
     table = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-320, 300, size=(200, 4))
     table[:, 0] = np.arange(200)
@@ -285,11 +296,121 @@ def test_write_csv_writes_the_bytes_of_savetxt(tmp_path):
     table[:4, 1:3] = [[-0.0, np.nan], [np.inf, -np.inf], [5e-324, -1.7976931348623157e308],
                       [1e16, 0.1]]
     formats, names = ["%d", "%.17g", "%.17g", "%d"], ["i", "a", "b", "flag"]
-    gd.write_csv(tmp_path / "got.csv", names, table, formats)
+    gd.write_csv(tmp_path / "got.csv", names, table)
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         np.savetxt(fh, table, fmt=formats, delimiter=",", newline="\r\n",
                    header=",".join(names), comments="")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _percent_rows(names: list, table: np.ndarray) -> bytes:
+    """What write_csv printed with one % per row: '%.17g' % value, every cell."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(names)] + [row % tuple(values) for values in table.tolist()]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _assert_prints_as_percent(directory, table: np.ndarray) -> None:
+    names = [f"c{j}" for j in range(table.shape[1])]
+    gd.write_csv(directory / "table.csv", names, table)
+    assert (directory / "table.csv").read_bytes() == _percent_rows(names, table)
+
+
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.one_of(_BIT_PATTERNS, st.floats(allow_subnormal=True))))
+def test_write_csv_prints_what_percent_prints(tmp_path_factory, table):
+    _assert_prints_as_percent(tmp_path_factory.mktemp("csv"), table)
+
+
+def _first_in_window(a: int, n: int, lo: int, hi: int):
+    """The least x >= 0 with lo <= a x mod n <= hi, for 0 <= lo <= hi < n, or None."""
+    a %= n
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    # a x - n y in [lo, hi] for the least y: n y mod a in [-hi mod a, -lo mod a]
+    y = _first_in_window(n % a, a, (-hi) % a, (-lo) % a)
+    if y is None:
+        return None
+    x = -(-(lo + n * y) // a)
+    return x if a * x - n * y <= hi else None
+
+
+def _near_ties(count: int, seed: int, bits: int = 60) -> list:
+    """Doubles v of decimal exponent X, with 10^(16 - X) not a double, whose
+    q = v 10^(16 - X) lies within 2^-bits of a half-integer but not on one:
+    the first significand m of a binade with m A mod N in the window about
+    N / 2, for q = m A / N in integers."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        X = int(rng.choice([x for x in range(-280, 281) if not -6 <= x <= 16]))
+        E = math.frexp(10.0 ** X)[1] - 53 + int(rng.integers(0, 4))  # v = m 2^E
+        k = 16 - X
+        A, N = 10 ** max(k, 0) * 2 ** max(E, 0), 10 ** max(-k, 0) * 2 ** max(-E, 0)
+        lo, hi = (N // 2 - (N >> bits) - A * 2 ** 52) % N, (N // 2 + (N >> bits) - A * 2 ** 52) % N
+        xs = [_first_in_window(A, N, lo, hi)] if lo <= hi else [
+            _first_in_window(A, N, lo, N - 1), _first_in_window(A, N, 0, hi)]
+        xs = [x for x in xs if x is not None and x < 2 ** 52]
+        if not xs:
+            continue
+        m = 2 ** 52 + min(xs)
+        v = math.ldexp(m, E)
+        if 10.0 ** X <= v < 10.0 ** (X + 1) and 2 * (m * A % N) != N:
+            found.append(v)
+    return found
+
+
+def test_write_csv_prints_what_percent_prints_on_hard_families(tmp_path):
+    """Every power of two, every power of ten and its two neighbours (1e17 to
+    1e22 scale to q = 10^16 exactly by an inexact power), the doubles next to
+    the 17-digit ties (d + 1/2) 10^k, and doubles within 2^-60 of such a tie,
+    which only % can round; then the same in blocks."""
+    rng = np.random.default_rng(5)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = np.array([float(f"{d}5e{k}") for d, k in zip(rng.integers(10 ** 16, 10 ** 17, 600),
+                                                        rng.integers(-330, 292, 600))])
+    values = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)), 3.0 * np.ldexp(1.0, np.arange(-1074, 1023)),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), _near_ties(64, 7)])
+    values = np.concatenate([values, -values])
+    _assert_prints_as_percent(tmp_path, np.resize(values, (-(-len(values) // 7), 7)))
+    _assert_prints_as_percent(
+        tmp_path, rng.normal(size=(3000, 7)) * 10.0 ** rng.integers(-9, 20, size=(3000, 7)))
+
+
+def test_write_csv_holds_a_block_not_the_text(tmp_path):
+    """A (40000, 11) table is written a block of rows at a time: the peak of
+    what is allocated stays a few bytes a cell, where the text alone is about
+    20 and the %-row writer held some 66."""
+    table = np.random.default_rng(3).normal(size=(40000, 11))
+    names = [f"c{j}" for j in range(11)]
+    gd.write_csv(tmp_path / "warm.csv", names, table[:8])  # the lookup tables, once
+    tracemalloc.start()
+    try:
+        gd.write_csv(tmp_path / "table.csv", names, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / table.size <= 8.0
+
+
+def test_writing_a_csv_loads_neither_fractions_nor_decimal(tmp_path):
+    code = ("import sys, numpy as np; from cliffordqm import cli, grids, harness; "
+            f"grids.write_csv({str(tmp_path / 't.csv')!r}, ['a'], np.ones((3, 1))); "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("weights", [(0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)],

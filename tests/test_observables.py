@@ -173,7 +173,8 @@ def test_continuity_residual_on_exact_evolution():
     grid = gd.Grid.line(-10.0, 10.0, 401)
     series = schrodinger_series(gd.GaussianPacket(sigma=1.0, k=(0.5, 0, 0)),
                                 grid, dt=1e-3, n=5, t0=0.5)
-    res = ob.continuity_residual(ob.window(series, 2), 1.0)
+    win = ob.window(series, 2)
+    res = ob.continuity_residual(win, ob.pauli_current(win.cur, 1.0).J_conv)
     state = ob.state_at(series, 2)
     support = state.mask & ob.support_mask(state.rho)
     assert np.max(np.abs(res[support])) < 5.0 * grid.spacing[0] ** 2
@@ -225,11 +226,15 @@ class RecordingFrames(list):
         return (self[j] for j in range(len(self)))
 
 
+def _continuity(win):
+    return ob.continuity_residual(win, ob.pauli_current(win.cur, 1.0).J_conv)
+
+
 TIME_STENCIL_FUNCTIONS = {
     "compute_observables": lambda series, k: ob.compute_observables(series, k, 1.0),
     "bohm_energy": lambda series, k: ob.bohm_energy(ob.window(series, k)),
     "bohm_energy_weighted": lambda series, k: ob.bohm_energy_weighted(ob.window(series, k)),
-    "continuity_residual": lambda series, k: ob.continuity_residual(ob.window(series, k), 1.0),
+    "continuity_residual": lambda series, k: _continuity(ob.window(series, k)),
     "spin_transport_residual":
         lambda series, k: ob.spin_transport_residual(ob.window(series, k), 1.0),
     "quantum_torque": lambda series, k: ob.quantum_torque(ob.window(series, k), 1.0),
